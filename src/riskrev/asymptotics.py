@@ -11,7 +11,6 @@ for a finite-sigma worst-case risk reversal between nested sets.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,8 @@ from .geometry import (
     ConeKind,
     ConvexPolytope,
     ExampleGeometry,
-    ProjectionError,
     normal_cone_angle_2d,
     project_cone_nonneg_batch,
-    project_polygon_2d_batch,
     tangent_cone_2d,
 )
 from .montecarlo import (
@@ -32,10 +29,8 @@ from .montecarlo import (
     DEFAULT_SEED,
     MCConfig,
     RiskEstimate,
-    _chunk_normals,
     _chunked_estimate,
-    _merge_moments,
-    _worker_count,
+    mc_risks,
     sample_unit_sphere,
 )
 
@@ -111,11 +106,11 @@ def statistical_dimension_mc(
         raise ValueError("generators must be a nonempty m x d array")
     cfg = MCConfig(n=n, seed=seed, chunk=chunk)
 
-    def loss_of_normals(start, z):
+    def chunk_losses(start, z):
         projected = project_cone_nonneg_batch(G, z)
-        return np.einsum("ij,ij->i", projected, projected)
+        yield np.einsum("ij,ij->i", projected, projected)
 
-    return _chunked_estimate(G.shape[1], cfg, loss_of_normals)
+    return _chunked_estimate(G.shape[1], cfg, chunk_losses)[0]
 
 
 def small_noise_risk(
@@ -315,52 +310,6 @@ def _sup_candidates(P: ConvexPolytope, edge_points: int) -> np.ndarray:
     return np.vstack(parts)
 
 
-def _sup_risk(P: ConvexPolytope, candidates: np.ndarray, sigma: float, cfg: MCConfig):
-    """Maximum Monte Carlo risk over candidate theta* values in ``P``.
-
-    Each chunk of normals is generated once and reused for every candidate,
-    so every per-candidate estimate is bit-identical to a standalone
-    :func:`riskrev.montecarlo.mc_risk` call with the same configuration
-    while paying the generation cost only once (common random numbers).
-    """
-    n, seed, chunk = cfg.n, cfg.seed, cfg.chunk
-    n_chunks = (n + chunk - 1) // chunk
-    diam_sq = P.squared_diameter()
-    loss_cap = diam_sq * (1.0 + 1e-9) + 1e-12
-
-    def run(j: int):
-        m = min(chunk, n - j * chunk)
-        z = _chunk_normals(seed, j, m, 2)
-        moments = []
-        for theta in candidates:
-            projected = project_polygon_2d_batch(P, theta + sigma * z)
-            loss = np.einsum("ij,ij->i", projected - theta, projected - theta)
-            worst = int(np.argmax(loss))
-            if loss[worst] > loss_cap:
-                raise ProjectionError(
-                    f"sample {j * chunk + worst}: loss {loss[worst]!r} exceeds "
-                    f"squared diameter {diam_sq!r}"
-                )
-            mean = float(loss.mean())
-            moments.append((m, mean, float(np.sum((loss - mean) ** 2))))
-        return moments
-
-    workers = _worker_count()
-    if workers == 1 or n_chunks == 1:
-        parts = [run(j) for j in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_chunks)))
-    best_mean = -math.inf
-    best_stderr = 0.0
-    for idx in range(len(candidates)):
-        count, mean, m2 = _merge_moments([parts[j][idx] for j in range(n_chunks)])
-        if mean > best_mean:
-            best_mean = mean
-            best_stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
-    return best_mean, best_stderr
-
-
 def detect_finite_sigma_reversal(
     g_small: ExampleGeometry,
     g_large: ExampleGeometry,
@@ -398,19 +347,20 @@ def detect_finite_sigma_reversal(
     rows = []
     reversal_sigma = None
     for sigma in sigmas:
-        sup_s, se_s = _sup_risk(small_set, cand_small, sigma, cfg)
-        sup_l, se_l = _sup_risk(large_set, cand_large, sigma, cfg)
+        # the first candidate with the largest mean, and its standard error
+        small = max(mc_risks(small_set, cand_small, sigma, cfg), key=lambda e: e.mean)
+        large = max(mc_risks(large_set, cand_large, sigma, cfg), key=lambda e: e.mean)
         rows.append(
             ReversalRow(
                 sigma=sigma,
-                sup_small=sup_s,
-                stderr_small=se_s,
-                sup_large=sup_l,
-                stderr_large=se_l,
+                sup_small=small.mean,
+                stderr_small=small.stderr,
+                sup_large=large.mean,
+                stderr_large=large.stderr,
             )
         )
-        margin = REVERSAL_STDERR_FACTOR * math.hypot(se_s, se_l)
-        if reversal_sigma is None and sup_s - sup_l > margin:
+        margin = REVERSAL_STDERR_FACTOR * math.hypot(small.stderr, large.stderr)
+        if reversal_sigma is None and small.mean - large.mean > margin:
             reversal_sigma = sigma
     return ReversalScan(
         reversal_sigma=reversal_sigma,

@@ -27,7 +27,7 @@ MAX_CONE_GENERATORS = 16
 
 
 class ProjectionError(RuntimeError):
-    """An iterative projection failed to certify its result."""
+    """A projection failed to certify its result or had no finite answer."""
 
 
 def _cross2(o, a, b):
@@ -237,38 +237,102 @@ def project_polygon_2d(P: ConvexPolytope, y) -> np.ndarray:
 
     Interior points are fixed; otherwise the nearest point over all edges
     (equivalently, the boundary) is returned.  Handles the degenerate
-    one- and two-vertex polytopes as point and segment.
+    one- and two-vertex polytopes as point and segment.  This is one row of
+    :func:`project_polygon_2d_batch`, and raises as it does.
     """
     if P.dim != 2:
         raise ValueError("project_polygon_2d requires a planar polytope")
     y = np.asarray(y, dtype=float)
     if y.shape != (2,):
         raise ValueError("y must be a 2-vector")
-    v = P.vertices
-    k = P.n_vertices
-    if k == 1:
-        return v[0].copy()
-    if k == 2:
-        return project_segment(v[0], v[1], y)
-    nxt = np.roll(v, -1, axis=0)
-    edge = nxt - v
-    # vertices are counterclockwise, so y is inside iff it is left of every edge
-    lhs = edge[:, 0] * (y[1] - v[:, 1]) - edge[:, 1] * (y[0] - v[:, 0])
-    if np.all(lhs >= 0.0):
-        return y.copy()
-    best = None
-    best_d2 = math.inf
-    for i in range(k):
-        p = project_segment(v[i], nxt[i], y)
-        d2 = float((y - p) @ (y - p))
-        if d2 < best_d2:
-            best_d2 = d2
-            best = p
-    return best
+    return project_polygon_2d_batch(P, y[None, :])[0]
+
+
+# points per block of the K >= 3 polygon projection: the block's seven float
+# and two flag scratch arrays (under 1 MB) stay in cache across the edges
+_PROJECT_BLOCK = 1 << 14
+
+
+class _PolygonBlocks:
+    """Projection onto a polygon with K >= 3 vertices, one block at a time.
+
+    Holds the edge table and scratch for blocks of up to ``size`` points.
+    Not safe for concurrent use: make one per call, since Monte Carlo chunks
+    run on worker threads.
+    """
+
+    def __init__(self, P: ConvexPolytope, size: int):
+        v = P.vertices
+        edge = np.roll(v, -1, axis=0) - v
+        len_sq = np.einsum("ij,ij->i", edge, edge)
+        self._edges = [(v[i, 0], v[i, 1], edge[i, 0], edge[i, 1], len_sq[i]) for i in range(len(v))]
+        self._floats = np.empty((7, size))
+        self._flags = np.empty((2, size), dtype=bool)
+
+    def project(self, y0: np.ndarray, y1: np.ndarray, first: int):
+        """Project the points (y0[i], y1[i]) of one block.
+
+        Returns the coordinate columns of the projections as views of this
+        object's scratch, valid until the next call.  Per edge it evaluates
+        the foot t = clip(<y - v, e> / ||e||^2, 0, 1), v + t e and its squared
+        distance, and keeps the first edge that is strictly nearest.  A point
+        with no finite distance to any edge (NaN or infinite coordinates, or
+        so far out that the square overflows) raises :class:`ProjectionError`
+        naming its index, counted from ``first``.
+        """
+        b = len(y0)
+        d0, d1, t, d2, best, x0, x1 = (a[:b] for a in self._floats)
+        inside, better = (a[:b] for a in self._flags)
+        best.fill(np.inf)
+        inside.fill(True)
+        # every step rounds as e0 * d1 - e1 * d0, (d0 * e0 + d1 * e1) / len_sq,
+        # v + t * e and (y0 - fx) ** 2 + (y1 - fy) ** 2 do on whole arrays
+        for vx, vy, e0, e1, len_sq in self._edges:
+            np.subtract(y0, vx, out=d0)
+            np.subtract(y1, vy, out=d1)
+            # counterclockwise vertices: inside iff left of every edge
+            np.multiply(d1, e0, out=t)
+            np.multiply(d0, e1, out=d2)
+            np.subtract(t, d2, out=t)
+            np.greater_equal(t, 0.0, out=better)
+            inside &= better
+            np.multiply(d0, e0, out=t)
+            np.multiply(d1, e1, out=d2)
+            t += d2
+            t /= len_sq
+            np.clip(t, 0.0, 1.0, out=t)
+            fx = np.multiply(t, e0, out=d0)
+            fx += vx
+            fy = np.multiply(t, e1, out=d1)
+            fy += vy
+            np.subtract(y0, fx, out=d2)
+            np.square(d2, out=d2)
+            np.subtract(y1, fy, out=t)
+            np.square(t, out=t)
+            d2 += t
+            np.less(d2, best, out=better)
+            np.copyto(best, d2, where=better)
+            np.copyto(x0, fx, where=better)
+            np.copyto(x1, fy, where=better)
+        finite = np.isfinite(best, out=better)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ProjectionError(
+                f"point {first + i} ({float(y0[i])!r}, {float(y1[i])!r}) has no finite "
+                "distance to the polygon"
+            )
+        np.copyto(x0, y0, where=inside)
+        np.copyto(x1, y1, where=inside)
+        return x0, x1
 
 
 def project_polygon_2d_batch(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`project_polygon_2d` for an (n, 2) array of points."""
+    """Vectorized :func:`project_polygon_2d` for an (n, 2) array of points.
+
+    Polygons with K >= 3 vertices are projected in blocks of
+    ``_PROJECT_BLOCK`` points; a point with no finite distance to the
+    polygon raises :class:`ProjectionError` naming its row.
+    """
     if P.dim != 2:
         raise ValueError("project_polygon_2d_batch requires a planar polytope")
     Y = np.asarray(Y, dtype=float)
@@ -278,33 +342,16 @@ def project_polygon_2d_batch(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
     k = P.n_vertices
     if k == 1:
         return np.broadcast_to(v[0], Y.shape).copy()
-    nxt = np.roll(v, -1, axis=0)
-    edge = nxt - v
-    len_sq = np.einsum("ij,ij->i", edge, edge)
     if k == 2:
-        t = ((Y - v[0]) @ edge[0]) / len_sq[0]
+        edge = v[1] - v[0]
+        t = ((Y - v[0]) @ edge) / np.einsum("i,i", edge, edge)
         np.clip(t, 0.0, 1.0, out=t)
-        return v[0] + t[:, None] * edge[0]
-    # one fused pass per edge keeps the temporaries one-dimensional
-    y0, y1 = Y[:, 0], Y[:, 1]
+        return v[0] + t[:, None] * edge
     out = np.empty_like(Y)
-    best_d2 = np.full(len(Y), np.inf)
-    inside = np.ones(len(Y), dtype=bool)
-    for i in range(k):
-        e0, e1 = edge[i]
-        d0 = y0 - v[i, 0]
-        d1 = y1 - v[i, 1]
-        inside &= e0 * d1 - e1 * d0 >= 0.0
-        t = (d0 * e0 + d1 * e1) / len_sq[i]
-        np.clip(t, 0.0, 1.0, out=t)
-        fx = v[i, 0] + t * e0
-        fy = v[i, 1] + t * e1
-        d2 = (y0 - fx) ** 2 + (y1 - fy) ** 2
-        better = d2 < best_d2
-        best_d2[better] = d2[better]
-        out[better, 0] = fx[better]
-        out[better, 1] = fy[better]
-    out[inside] = Y[inside]
+    blocks = _PolygonBlocks(P, min(len(Y), _PROJECT_BLOCK))
+    for start in range(0, len(Y), _PROJECT_BLOCK):
+        rows = slice(start, start + _PROJECT_BLOCK)
+        out[rows, 0], out[rows, 1] = blocks.project(Y[rows, 0], Y[rows, 1], start)
     return out
 
 

@@ -6,8 +6,8 @@ CDF of those uniforms (one uniform per variate, so stream consumption never
 depends on the values drawn), and per-chunk moments are merged in chunk
 order with a pairwise-stable update.  A result is therefore bitwise
 identical for a given ``(seed, n, chunk)`` no matter how many worker
-threads execute the chunks; the ``RISKREV_THREADS`` environment variable
-only caps the worker count.
+threads execute the chunks.  The ``RISKREV_THREADS`` environment variable
+sets the worker count; unset, it is 1 and the chunks run serially.
 """
 
 import math
@@ -20,8 +20,10 @@ from scipy import special
 
 from .exact_risk import RiskQuery
 from .geometry import (
+    _PROJECT_BLOCK,
     ConvexPolytope,
     ProjectionError,
+    _PolygonBlocks,
     project_polygon_2d_batch,
     project_polytope,
 )
@@ -106,18 +108,26 @@ def _merge_moments(parts):
     return n_acc, mean_acc, m2_acc
 
 
-def _chunked_estimate(d: int, cfg: MCConfig, loss_of_normals) -> RiskEstimate:
-    """Deterministic chunked Monte Carlo mean of ``loss_of_normals(chunk_start, Z)``."""
+def _chunked_estimate(d: int, cfg: MCConfig, chunk_losses) -> list[RiskEstimate]:
+    """Deterministic chunked Monte Carlo means of one or more losses.
+
+    ``chunk_losses(chunk_start, Z)`` yields one loss vector per estimate for
+    the chunk of normals ``Z``.  Each vector is reduced to its moments before
+    the next is requested, so all of them may share one buffer.  Every
+    estimate sees the same draws (common random numbers), and each is
+    bitwise identical to a run of its loss alone.
+    """
     n, seed, chunk = cfg.n, cfg.seed, cfg.chunk
     n_chunks = (n + chunk - 1) // chunk
 
     def run(j: int):
         m = min(chunk, n - j * chunk)
         z = _chunk_normals(seed, j, m, d)
-        loss = loss_of_normals(j * chunk, z)
-        mean = float(loss.mean())
-        m2 = float(np.sum((loss - mean) ** 2))
-        return m, mean, m2
+        moments = []
+        for loss in chunk_losses(j * chunk, z):
+            mean = float(loss.mean())
+            moments.append((m, mean, float(np.sum((loss - mean) ** 2))))
+        return moments
 
     workers = _worker_count()
     if workers == 1 or n_chunks == 1:
@@ -125,38 +135,54 @@ def _chunked_estimate(d: int, cfg: MCConfig, loss_of_normals) -> RiskEstimate:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(n_chunks)))
-    count, mean, m2 = _merge_moments(parts)
-    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
-    return RiskEstimate(mean=mean, stderr=stderr, n=n, seed=seed)
+    estimates = []
+    for per_chunk in zip(*parts):
+        count, mean, m2 = _merge_moments(per_chunk)
+        stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+        estimates.append(RiskEstimate(mean=mean, stderr=stderr, n=n, seed=seed))
+    return estimates
 
 
-def _require_member(P: ConvexPolytope, theta: np.ndarray):
+def _require_members(P: ConvexPolytope, thetas: np.ndarray):
     if P.dim == 2:
-        nearest = project_polygon_2d_batch(P, theta[None, :])[0]
+        nearest = project_polygon_2d_batch(P, thetas)
     else:
-        nearest = project_polytope(P, theta)
-    if float(np.linalg.norm(nearest - theta)) > 1e-9:
-        raise ValueError("theta_star must belong to the polytope")
+        nearest = np.array([project_polytope(P, theta) for theta in thetas])
+    outside = np.linalg.norm(nearest - thetas, axis=1) > 1e-9
+    if np.any(outside):
+        raise ValueError(f"theta_star {thetas[int(np.argmax(outside))]} must belong to the polytope")
 
 
-def mc_risk(P: ConvexPolytope, q: RiskQuery, cfg: MCConfig) -> RiskEstimate:
-    """Monte Carlo risk of projecting Y = theta* + sigma Z onto ``P``.
+def _polygon_losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: np.ndarray):
+    """Losses on a K >= 3 polygon, built block by block into one reused buffer."""
+    m = len(z)
+    z0, z1 = np.ascontiguousarray(z[:, 0]), np.ascontiguousarray(z[:, 1])
+    size = min(m, _PROJECT_BLOCK)
+    blocks = _PolygonBlocks(P, size)
+    y0, y1 = np.empty(size), np.empty(size)
+    loss = np.empty(m)
+    for t0, t1 in thetas:
+        for first in range(0, m, _PROJECT_BLOCK):
+            rows = slice(first, min(m, first + _PROJECT_BLOCK))
+            u0, u1 = y0[: rows.stop - first], y1[: rows.stop - first]
+            # theta + sigma z and ||Pi(y) - theta||^2, in the operation order
+            # of the (m, 2) expressions in _pointwise_losses
+            np.multiply(z0[rows], sigma, out=u0)
+            u0 += t0
+            np.multiply(z1[rows], sigma, out=u1)
+            u1 += t1
+            x0, x1 = blocks.project(u0, u1, start + first)
+            x0 -= t0
+            np.square(x0, out=x0)
+            x1 -= t1
+            np.square(x1, out=x1)
+            np.add(x0, x1, out=loss[rows])
+        yield loss
 
-    Planar polytopes use the exact vectorized polygon projection; other
-    dimensions project sample by sample with the min-norm-point method, and
-    a projection failure aborts with the failing sample index.  Every
-    per-sample loss is checked against the squared diameter of ``P``, which
-    bounds it because both points lie in the set.
-    """
-    theta = q.theta
-    if theta.shape != (P.dim,):
-        raise ValueError(f"theta_star must have dimension {P.dim}")
-    _require_member(P, theta)
-    sigma = q.sigma
-    diam_sq = P.squared_diameter()
-    loss_cap = diam_sq * (1.0 + 1e-9) + 1e-12
 
-    def loss_of_normals(start: int, z: np.ndarray) -> np.ndarray:
+def _pointwise_losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: np.ndarray):
+    """Losses on a point, a segment, or a polytope in dimension d != 2."""
+    for theta in thetas:
         y = theta + sigma * z
         if P.dim == 2:
             projected = project_polygon_2d_batch(P, y)
@@ -167,16 +193,54 @@ def mc_risk(P: ConvexPolytope, q: RiskQuery, cfg: MCConfig) -> RiskEstimate:
                     projected[i] = project_polytope(P, y[i])
                 except ProjectionError as err:
                     raise ProjectionError(f"sample {start + i}: {err}") from err
-        loss = np.einsum("ij,ij->i", projected - theta, projected - theta)
-        worst = int(np.argmax(loss))
-        if loss[worst] > loss_cap:
-            raise ProjectionError(
-                f"sample {start + worst}: loss {loss[worst]!r} exceeds "
-                f"squared diameter {diam_sq!r}"
-            )
-        return loss
+        yield np.einsum("ij,ij->i", projected - theta, projected - theta)
 
-    return _chunked_estimate(P.dim, cfg, loss_of_normals)
+
+def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[RiskEstimate]:
+    """Monte Carlo risks at several theta* values that share one draw.
+
+    Returns one estimate per row of ``thetas``, each bitwise identical to
+    :func:`mc_risk` at that theta* with the same configuration, while the
+    normals of each chunk are drawn only once (common random numbers).
+    Polygons with K >= 3 vertices use the blocked polygon projection, one
+    block of samples at a time; other planar sets use the batch projection,
+    and other dimensions project sample by sample with the min-norm-point
+    method, where a projection failure aborts with the failing sample index.
+    Every per-sample loss is checked against the squared diameter of ``P``,
+    which bounds it because both points lie in the set.
+    """
+    thetas = np.array(thetas, dtype=float, ndmin=2)
+    if thetas.ndim != 2 or thetas.shape[1] != P.dim or len(thetas) < 1:
+        raise ValueError(f"theta_star must have dimension {P.dim}")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("theta_star must be finite")
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+    _require_members(P, thetas)
+    diam_sq = P.squared_diameter()
+    loss_cap = diam_sq * (1.0 + 1e-9) + 1e-12
+    losses = _polygon_losses if P.dim == 2 and P.n_vertices >= 3 else _pointwise_losses
+
+    def chunk_losses(start: int, z: np.ndarray):
+        for loss in losses(P, thetas, sigma, start, z):
+            worst = int(np.argmax(loss))
+            if loss[worst] > loss_cap:
+                raise ProjectionError(
+                    f"sample {start + worst}: loss {loss[worst]!r} exceeds "
+                    f"squared diameter {diam_sq!r}"
+                )
+            yield loss
+
+    return _chunked_estimate(P.dim, cfg, chunk_losses)
+
+
+def mc_risk(P: ConvexPolytope, q: RiskQuery, cfg: MCConfig) -> RiskEstimate:
+    """Monte Carlo risk of projecting Y = theta* + sigma Z onto ``P``.
+
+    The one-candidate case of :func:`mc_risks`.
+    """
+    return mc_risks(P, q.theta, q.sigma, cfg)[0]
 
 
 def mc_risk_effective(

@@ -254,14 +254,15 @@ class TestEnvelope:
 class TestReversalScan:
     def test_sup_risk_matches_individual_estimates_bitwise(self):
         # the shared-stream sup computation must reproduce per-point mc_risk
-        from riskrev.asymptotics import _sup_candidates, _sup_risk
+        from riskrev.asymptotics import _sup_candidates
         from riskrev.exact_risk import RiskQuery
-        from riskrev.montecarlo import MCConfig, mc_risk
+        from riskrev.montecarlo import MCConfig, mc_risk, mc_risks
 
         poly = ExampleGeometry(c=0.75, x=0.5).theta_x_polytope()
         cfg = MCConfig(n=9_000, seed=44, chunk=2048)
         candidates = _sup_candidates(poly, 3)
-        sup, stderr = _sup_risk(poly, candidates, 2.5, cfg)
+        shared = max(mc_risks(poly, candidates, 2.5, cfg), key=lambda e: e.mean)
+        sup, stderr = shared.mean, shared.stderr
         singles = [
             mc_risk(poly, RiskQuery(theta_star=tuple(t), sigma=2.5), cfg)
             for t in candidates

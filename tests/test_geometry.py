@@ -16,6 +16,7 @@ import pytest
 from scipy.optimize import nnls
 
 from riskrev.geometry import (
+    _PROJECT_BLOCK,
     Cone2D,
     ConeKind,
     ConvexPolytope,
@@ -214,6 +215,120 @@ class TestBatchConsistency:
             batch = project_polygon_2d_batch(poly, Y)
             for y, row in zip(Y, batch):
                 np.testing.assert_allclose(row, project_polygon_2d(poly, y), atol=1e-12)
+
+
+def _reference_project_batch(P, Y):
+    """The unblocked per-edge projection loop, kept as the bitwise oracle."""
+    v = P.vertices
+    k = P.n_vertices
+    if k == 1:
+        return np.broadcast_to(v[0], Y.shape).copy()
+    nxt = np.roll(v, -1, axis=0)
+    edge = nxt - v
+    len_sq = np.einsum("ij,ij->i", edge, edge)
+    if k == 2:
+        t = ((Y - v[0]) @ edge[0]) / len_sq[0]
+        np.clip(t, 0.0, 1.0, out=t)
+        return v[0] + t[:, None] * edge[0]
+    y0, y1 = Y[:, 0], Y[:, 1]
+    out = np.empty_like(Y)
+    best_d2 = np.full(len(Y), np.inf)
+    inside = np.ones(len(Y), dtype=bool)
+    for i in range(k):
+        e0, e1 = edge[i]
+        d0 = y0 - v[i, 0]
+        d1 = y1 - v[i, 1]
+        inside &= e0 * d1 - e1 * d0 >= 0.0
+        t = (d0 * e0 + d1 * e1) / len_sq[i]
+        np.clip(t, 0.0, 1.0, out=t)
+        fx = v[i, 0] + t * e0
+        fy = v[i, 1] + t * e1
+        d2 = (y0 - fx) ** 2 + (y1 - fy) ** 2
+        better = d2 < best_d2
+        best_d2[better] = d2[better]
+        out[better, 0] = fx[better]
+        out[better, 1] = fy[better]
+    out[inside] = Y[inside]
+    return out
+
+
+def _regular_polygon(k):
+    angles = 2.0 * math.pi * np.arange(k) / k
+    return ConvexPolytope(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+KERNEL_POLYTOPES = {
+    1: ConvexPolytope([[0.3, -0.2]]),
+    2: ExampleGeometry(c=0.75).segment(),
+    3: ExampleGeometry(c=0.75, x=0.5).theta_x_polytope(),
+    4: ConvexPolytope([[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [0.0, 1.5]]),
+    8: _regular_polygon(8),
+}
+
+
+def _kernel_points(rng, poly, n):
+    """Points inside, on edges, at vertices, and at noise levels 1e-8 to 1e12."""
+    v = poly.vertices
+    k = len(v)
+    weights = rng.dirichlet(np.ones(k), size=n)
+    t = rng.uniform(size=(n, 1))
+    i = rng.integers(k, size=n)
+    sigma = 10.0 ** rng.uniform(-8.0, 12.0, size=(n, 1))
+    pools = [
+        weights @ v,  # inside
+        v[i] + t * (v[(i + 1) % k] - v[i]),  # on edges
+        v[i],  # at vertices
+        v[i] + sigma * rng.normal(size=(n, 2)),  # near to far away
+    ]
+    kind = rng.integers(len(pools), size=n)
+    return np.choose(kind[:, None], pools)
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("k", sorted(KERNEL_POLYTOPES))
+    def test_bitwise_equal_to_per_edge_loop(self, k):
+        poly = KERNEL_POLYTOPES[k]
+        rng = np.random.default_rng(1000 + k)
+        for n in (0, 1, _PROJECT_BLOCK - 1, _PROJECT_BLOCK, _PROJECT_BLOCK + 1, 3 * _PROJECT_BLOCK + 7):
+            Y = _kernel_points(rng, poly, n)
+            got = project_polygon_2d_batch(poly, Y)
+            want = _reference_project_batch(poly, Y)
+            assert got.shape == want.shape == (n, 2)
+            assert got.tobytes() == want.tobytes(), f"K={k}, n={n}"
+
+    # K = 2 is left out: its matrix-vector product may round differently
+    # for a one-row batch than for a longer one
+    @pytest.mark.parametrize("k", [1, 3, 4, 8])
+    def test_single_point_is_one_batch_row(self, k):
+        poly = KERNEL_POLYTOPES[k]
+        Y = _kernel_points(np.random.default_rng(2000 + k), poly, 200)
+        batch = project_polygon_2d_batch(poly, Y)
+        for y, row in zip(Y, batch):
+            assert project_polygon_2d(poly, y).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, row",
+        [
+            ([[math.nan, 0.5], [math.inf, math.inf]], 0),
+            ([[0.1, 0.2], [math.inf, math.inf]], 1),
+            ([[0.1, 0.2], [-math.inf, 0.0]], 1),
+            ([[0.1, 0.2], [0.3, 0.1], [1e155, -1e155]], 2),
+        ],
+    )
+    def test_rows_without_finite_distance_raise(self, bad, row):
+        tri = ExampleGeometry(c=0.75).triangle()
+        with pytest.raises(ProjectionError, match=rf"^point {row} "):
+            project_polygon_2d_batch(tri, np.array(bad))
+        with pytest.raises(ProjectionError, match=r"^point 0 "):
+            project_polygon_2d(tri, bad[row])
+
+    def test_bad_row_index_counts_across_blocks(self):
+        tri = ExampleGeometry(c=0.75).triangle()
+        Y = np.full((2 * _PROJECT_BLOCK + 10, 2), 0.5)
+        Y[_PROJECT_BLOCK + 3] = [math.nan, 0.0]
+        Y[_PROJECT_BLOCK + 5] = [1e200, 1e200]
+        with pytest.raises(ProjectionError, match=rf"^point {_PROJECT_BLOCK + 3} "):
+            project_polygon_2d_batch(tri, Y)
 
 
 class TestCones:

@@ -14,16 +14,21 @@ import pytest
 from scipy import stats
 
 from riskrev.exact_risk import RiskQuery, risk_segment_exact, risk_triangle_exact
-from riskrev.geometry import ConvexPolytope, ExampleGeometry
+from riskrev.asymptotics import _sup_candidates
+from riskrev.geometry import _PROJECT_BLOCK, ConvexPolytope, ExampleGeometry, ProjectionError
 from riskrev.montecarlo import (
     DEFAULT_SEED,
     KS_CRITICAL_0P1,
     MCConfig,
     RiskEstimate,
+    _chunk_normals,
+    _pointwise_losses,
+    _polygon_losses,
     cauchy_cdf,
     cauchy_ratio_check,
     mc_risk,
     mc_risk_effective,
+    mc_risks,
     sample_unit_sphere,
 )
 
@@ -91,6 +96,65 @@ class TestDeterminism:
         q = RiskQuery(theta_star=(0.0, 0.0), sigma=1.0)
         est = mc_risk(g.triangle(), q, MCConfig(n=10_001, seed=5, chunk=4096))
         assert est.n == 10_001
+
+
+SHARED_CASES = {
+    # chunks of three blocks, the last one partial, and a partial last chunk
+    "triangle": (
+        ExampleGeometry(c=0.75, x=0.5).theta_x_polytope(),
+        MCConfig(n=2 * (2 * _PROJECT_BLOCK + 100) + 5000, seed=17, chunk=2 * _PROJECT_BLOCK + 100),
+    ),
+    "pentagon": (
+        ConvexPolytope([[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [1.0, 2.0], [-0.5, 1.0]]),
+        MCConfig(n=3 * 4096 + 123, seed=3, chunk=4096),
+    ),
+    "segment": (ExampleGeometry(c=2.0).segment(), MCConfig(n=3 * 4096 + 123, seed=5, chunk=4096)),
+    "simplex_3d": (
+        ConvexPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        MCConfig(n=700, seed=11, chunk=256),
+    ),
+}
+
+
+class TestSharedCandidates:
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("case", sorted(SHARED_CASES))
+    def test_each_candidate_matches_mc_risk_bitwise(self, monkeypatch, case, threads):
+        monkeypatch.setenv("RISKREV_THREADS", threads)
+        poly, cfg = SHARED_CASES[case]
+        if poly.dim == 2:
+            candidates = _sup_candidates(poly, 2)
+        else:
+            candidates = np.vstack([poly.vertices, poly.vertices.mean(axis=0)])
+        shared = mc_risks(poly, candidates, 1.7, cfg)
+        assert len(shared) == len(candidates)
+        for theta, est in zip(candidates, shared):
+            single = mc_risk(poly, RiskQuery(theta_star=tuple(theta), sigma=1.7), cfg)
+            assert est == single
+
+    @pytest.mark.parametrize("case", ["triangle", "pentagon"])
+    def test_blocked_losses_match_whole_chunk_expressions(self, case):
+        # the per-block loss path against theta + sigma z, the batch
+        # projection and einsum over the whole chunk
+        poly, cfg = SHARED_CASES[case]
+        thetas = _sup_candidates(poly, 1)
+        z = _chunk_normals(cfg.seed, 1, cfg.chunk - 1, 2)
+        blocked = [loss.copy() for loss in _polygon_losses(poly, thetas, 1.7, cfg.chunk, z)]
+        whole = list(_pointwise_losses(poly, thetas, 1.7, cfg.chunk, z))
+        assert len(blocked) == len(whole) == len(thetas)
+        for got, want in zip(blocked, whole):
+            assert got.tobytes() == want.tobytes()
+
+    def test_candidate_outside_rejected(self):
+        tri = ExampleGeometry(c=1.0).triangle()
+        with pytest.raises(ValueError, match="must belong"):
+            mc_risks(tri, [[0.0, 0.0], [5.0, 5.0]], 1.0, MCConfig(n=100))
+
+    def test_overflowing_noise_raises(self):
+        tri = ExampleGeometry(c=0.75).triangle()
+        q = RiskQuery(theta_star=(0.0, 0.0), sigma=1e160)
+        with pytest.raises(ProjectionError, match="no finite distance"):
+            mc_risk(tri, q, MCConfig(n=1000))
 
 
 class TestStatisticalAgreement:

@@ -57,6 +57,7 @@ from .geometry import (
     project_polygon_2d,
     project_polygon_2d_batch,
     project_polytope,
+    project_polytope_batch,
     project_segment,
     project_triangle_example,
     tangent_cone_2d,
@@ -109,6 +110,7 @@ __all__ = [
     "project_polygon_2d",
     "project_polygon_2d_batch",
     "project_polytope",
+    "project_polytope_batch",
     "project_segment",
     "project_triangle_example",
     "risk_difference",

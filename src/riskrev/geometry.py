@@ -2,10 +2,13 @@
 
 Polytopes are given by their vertices, conv{v_1, ..., v_K}.  Projections are
 exact in the plane (segment clip formula, polygon edge search, and a
-region-table projector for the running triangle family) and fall back to a
-min-norm-point iteration in general dimension.  Tangent and normal cones are
-classified for planar polytopes, and cones given by generators support
-nonnegative least-squares projection.
+region-table projector for the running triangle family).  In general
+dimension, Wolfe's min-norm-point iteration runs on blocks of points at
+once, each point with its own active set, and certifies every result.
+The polygon and polytope batch projections are row independent: a point
+projected alone gives the same bits as inside any batch.  Tangent and normal cones are classified for
+planar polytopes, and cones given by generators support nonnegative
+least-squares projection.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe for shared concurrent use.
@@ -344,7 +347,9 @@ def project_polygon_2d_batch(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
         return np.broadcast_to(v[0], Y.shape).copy()
     if k == 2:
         edge = v[1] - v[0]
-        t = ((Y - v[0]) @ edge) / np.einsum("i,i", edge, edge)
+        # elementwise, not a BLAS product, so no row's rounding depends on n
+        t = (Y[:, 0] - v[0, 0]) * edge[0] + (Y[:, 1] - v[0, 1]) * edge[1]
+        t /= np.einsum("i,i", edge, edge)
         np.clip(t, 0.0, 1.0, out=t)
         return v[0] + t[:, None] * edge
     out = np.empty_like(Y)
@@ -398,84 +403,205 @@ def project_triangle_example(g: ExampleGeometry, y):
     raise AssertionError(f"region table failed to classify {y!r}")  # unreachable
 
 
-def _affine_min_norm_weights(A: np.ndarray) -> np.ndarray:
-    """Weights a (summing to 1, free sign) minimizing ||a @ A|| over the affine hull."""
-    s = A.shape[0]
-    gram = A @ A.T
-    system = np.zeros((s + 1, s + 1))
-    system[:s, :s] = gram
-    system[:s, s] = 1.0
-    system[s, :s] = 1.0
-    rhs = np.zeros(s + 1)
-    rhs[s] = 1.0
-    solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    return solution[:s]
+# points per block of the min-norm-point projection: the block's (b, K, d)
+# temporaries stay small whatever the number of points
+_POLYTOPE_BLOCK = 1 << 12
+
+# weights at or below this count as zero when the minimiser leaves the simplex
+_WEIGHT_FLOOR = 1e-12
 
 
-def project_polytope(P: ConvexPolytope, y, tol: float = 1e-9) -> np.ndarray:
-    """Euclidean projection onto a polytope in any dimension.
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right, one elementwise add per term.
 
-    Runs the min-norm-point iteration on the shifted vertex set {v_i - y}:
-    the minimum-norm point w of conv{v_i - y} satisfies y + w = projection.
-    The returned point q is certified by the variational inequality
+    Unlike a BLAS product or a pairwise reduction, every entry rounds the
+    same way whatever the other rows, so a row projected alone equals the
+    same row inside any batch, bit for bit.
+    """
+    total = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
+class _MinNormPoint:
+    """Wolfe's min-norm-point projection onto a polytope, many points at once.
+
+    Each point keeps its own active vertex mask and convex weights; the
+    current iterate is the combination p = sum_k a_k v_k.  The affine
+    minimiser over an active set A is the solution of the bordered system
+    [[V_A V_A^T, 1], [1^T, 0]] [a; mu] = [V_A y; 1], whose matrix depends on
+    A alone, so the weights are an affine map a = B_A (y - c) + b_A, with c
+    the vertex centroid, computed once per distinct active set (by
+    pseudo-inverse, which also covers affinely dependent sets) and cached
+    for the life of the object.  Not safe for
+    concurrent use: make one per call, since Monte Carlo chunks run on
+    worker threads.
+    """
+
+    def __init__(self, P: ConvexPolytope, tol: float):
+        v = P.vertices
+        self._v = v
+        # centred and scaled vertices keep the bordered system well scaled
+        self._center = v.mean(axis=0)
+        centred = v - self._center
+        self._scale = float(np.max(np.abs(centred))) or 1.0
+        self._unit = centred / self._scale
+        self._tol = tol
+        self._max_iter = 64 * len(v) + 256
+        self._affine = {}
+
+    def project(self, Y: np.ndarray, first: int = 0) -> np.ndarray:
+        """Projections of the rows of the (n, d) array ``Y``, ``_POLYTOPE_BLOCK`` at a time.
+
+        Error messages count rows from ``first``.
+        """
+        out = np.empty_like(Y)
+        for start in range(0, len(Y), _POLYTOPE_BLOCK):
+            rows = slice(start, start + _POLYTOPE_BLOCK)
+            out[rows] = self._block(Y[rows], first + start)
+        return out
+
+    def _affine_weights(self, mask: np.ndarray, yc: np.ndarray) -> np.ndarray:
+        """Affine minimiser weights of each row over its active set, zero off it."""
+        packed = np.packbits(mask, axis=1)
+        # one opaque byte string per row sorts far faster than unique(axis=0)
+        keys = packed.view(f"V{packed.shape[1]}").ravel()
+        unique, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        entries = []
+        for key, i in zip(unique, first):
+            entry = self._affine.get(key.tobytes())
+            if entry is None:
+                entry = self._affine[key.tobytes()] = self._affine_map(mask[i])
+            entries.append(entry)
+        linear = np.stack([entry[0] for entry in entries])[group]
+        offset = np.stack([entry[1] for entry in entries])[group]
+        return _sum_last(linear * yc[:, None, :]) + offset
+
+    def _affine_map(self, active: np.ndarray):
+        """(B, b) with a = B (y - center) + b the affine minimiser weights over ``active``."""
+        idx = np.flatnonzero(active)
+        s = len(idx)
+        unit = self._unit[idx]
+        system = np.ones((s + 1, s + 1))
+        system[:s, :s] = unit @ unit.T
+        system[s, s] = 0.0
+        inverse = np.linalg.pinv(system)
+        B = np.zeros_like(self._v)
+        b = np.zeros(len(self._v))
+        B[idx] = inverse[:s, :s] @ unit / self._scale
+        b[idx] = inverse[:s, s]
+        return B, b
+
+    def _block(self, y: np.ndarray, first: int) -> np.ndarray:
+        v = self._v
+        with np.errstate(over="ignore"):
+            threshold = self._tol * (1.0 + np.sqrt(_sum_last(y * y)))
+            finite = np.isfinite(threshold)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ProjectionError(f"point {first + i} {y[i].tolist()!r} has no finite norm")
+            # start from the nearest vertex
+            offset = v[None, :, :] - y[:, None, :]
+            nearest = np.argmin(_sum_last(offset * offset), axis=1)
+        out = np.empty_like(y)
+        rows = np.arange(len(y))
+        yc = y - self._center
+        mask = np.zeros((len(y), len(v)), dtype=bool)
+        mask[rows, nearest] = True
+        weights = mask.astype(float)
+        for _ in range(self._max_iter):
+            p = _sum_last(weights[:, None, :] * v.T[None, :, :])
+            # certificate and gap test at once: <y - p, v_i - p> over all i
+            gaps = _sum_last((y - p)[:, None, :] * (v[None, :, :] - p[:, None, :]))
+            entering = np.argmax(gaps, axis=1)
+            residual = gaps[np.arange(len(gaps)), entering]
+            done = residual <= threshold
+            out[rows[done]] = p[done]
+            live = ~done
+            if not live.any():
+                return out
+            rows, y, yc, threshold, residual = rows[live], y[live], yc[live], threshold[live], residual[live]
+            mask, weights, entering = mask[live], weights[live], entering[live]
+            every = np.arange(len(rows))
+            stuck = mask[every, entering]
+            if stuck.any():
+                i = int(np.argmax(stuck))
+                raise ProjectionError(
+                    f"point {first + rows[i]}: min-norm point stuck with the best vertex "
+                    f"already active: residual {residual[i]:.3e} > threshold {threshold[i]:.3e}"
+                )
+            mask[every, entering] = True
+            self._minor_cycles(mask, weights, yc)
+        raise ProjectionError(
+            f"point {first + rows[0]}: min-norm point did not certify within "
+            f"{self._max_iter} iterations: residual {residual[0]:.3e} > threshold {threshold[0]:.3e}"
+        )
+
+    def _minor_cycles(self, mask: np.ndarray, weights: np.ndarray, yc: np.ndarray):
+        """Move each row to the affine minimiser of its active set, in place.
+
+        Where the minimiser leaves the simplex, step from the current weights
+        toward it until a weight reaches zero, drop that vertex and repeat,
+        until the minimiser is strictly positive or one vertex is left.
+        """
+        cycling = np.arange(len(mask))
+        while len(cycling):
+            active, current = mask[cycling], weights[cycling]
+            candidate = self._affine_weights(active, yc[cycling])
+            inside = np.all((candidate > _WEIGHT_FLOOR) | ~active, axis=1)
+            accepted = candidate[inside]
+            weights[cycling[inside]] = accepted / _sum_last(accepted)[:, None]
+            cycling, active, current, candidate = (
+                cycling[~inside], active[~inside], current[~inside], candidate[~inside]
+            )
+            shrinking = active & (candidate < current)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(shrinking, current / (current - candidate), np.inf)
+            step = np.minimum(1.0, ratios.min(axis=1))[:, None]
+            current = (1.0 - step) * current + step * candidate
+            keep = active & (current > _WEIGHT_FLOOR)
+            empty = np.flatnonzero(~keep.any(axis=1))
+            keep[empty, np.argmax(np.where(active[empty], current[empty], -np.inf), axis=1)] = True
+            current = np.where(keep, current, 0.0)
+            mask[cycling] = keep
+            weights[cycling] = current / _sum_last(current)[:, None]
+            cycling = cycling[keep.sum(axis=1) > 1]
+
+
+def project_polytope_batch(P: ConvexPolytope, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Euclidean projection of the rows of an (n, d) array onto a polytope in any dimension.
+
+    Runs Wolfe's min-norm-point iteration (Wolfe 1976) on blocks of rows,
+    each row with its own active set.  A row leaves its block once its
+    projection q, a convex combination of the vertices, is certified by the
+    variational inequality
 
         max_i <y - q, v_i - q>  <=  tol * (1 + ||y||),
 
-    which bounds ||q - projection||^2 by the same quantity.  Raises
-    :class:`ProjectionError` with the residual if the iteration cap is hit
-    before certification.
+    which bounds ||q - projection||^2 by the same quantity.  A row with no
+    finite norm, or whose iteration gets stuck or reaches ``64 K + 256``
+    iterations uncertified, raises :class:`ProjectionError` naming the row
+    and its residual.  Each row's result depends on that row alone, bit for
+    bit, whatever the batch it is projected in.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != P.dim:
+        raise ValueError(f"Y must be an (n, {P.dim}) array")
+    return _MinNormPoint(P, tol).project(Y)
+
+
+def project_polytope(P: ConvexPolytope, y, tol: float = 1e-9) -> np.ndarray:
+    """Euclidean projection of one point onto a polytope in any dimension.
+
+    One row of :func:`project_polytope_batch`, certified and raising as it does.
+    """
     y = np.asarray(y, dtype=float)
     if y.shape != (P.dim,):
         raise ValueError(f"y must be a {P.dim}-vector")
-    v = P.vertices
-    k = P.n_vertices
-    if k == 1:
-        return v[0].copy()
-    shifted = v - y
-    threshold = tol * (1.0 + float(np.linalg.norm(y)))
-    start = int(np.argmin(np.einsum("ij,ij->i", shifted, shifted)))
-    active = [start]
-    weights = np.array([1.0])
-    w = shifted[start].copy()
-    max_iter = 64 * k + 256
-    residual = math.inf
-    for _ in range(max_iter):
-        gaps = float(w @ w) - shifted @ w
-        entering = int(np.argmax(gaps))
-        residual = float(gaps[entering])
-        if residual <= threshold:
-            return y + w
-        if entering in active:
-            break  # numerically stuck: the best vertex is already active
-        active.append(entering)
-        weights = np.append(weights, 0.0)
-        while True:
-            candidate = _affine_min_norm_weights(shifted[active])
-            if np.all(candidate > 1e-12):
-                weights = candidate
-                break
-            # step from weights toward candidate until a coordinate hits zero
-            shrinking = candidate < weights
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = weights[shrinking] / (weights[shrinking] - candidate[shrinking])
-            step = min(1.0, float(np.min(ratios)))
-            weights = (1.0 - step) * weights + step * candidate
-            keep = weights > 1e-12
-            if not np.any(keep):
-                keep[int(np.argmax(weights))] = True
-            active = [a for a, flag in zip(active, keep) if flag]
-            weights = weights[keep]
-            weights = weights / weights.sum()
-            if len(active) == 1:
-                break
-        w = weights @ shifted[active]
-    raise ProjectionError(
-        f"min-norm point did not certify within {max_iter} iterations: "
-        f"residual {residual:.3e} > threshold {threshold:.3e}"
-    )
+    return project_polytope_batch(P, y[None, :], tol)[0]
 
 
 def exposed_face_vertex(P: ConvexPolytope, u) -> int:

@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -23,9 +24,10 @@ from .geometry import (
     _PROJECT_BLOCK,
     ConvexPolytope,
     ProjectionError,
+    _MinNormPoint,
     _PolygonBlocks,
     project_polygon_2d_batch,
-    project_polytope,
+    project_polytope_batch,
 )
 
 DEFAULT_SEED = 20240613
@@ -147,7 +149,7 @@ def _require_members(P: ConvexPolytope, thetas: np.ndarray):
     if P.dim == 2:
         nearest = project_polygon_2d_batch(P, thetas)
     else:
-        nearest = np.array([project_polytope(P, theta) for theta in thetas])
+        nearest = project_polytope_batch(P, thetas)
     outside = np.linalg.norm(nearest - thetas, axis=1) > 1e-9
     if np.any(outside):
         raise ValueError(f"theta_star {thetas[int(np.argmax(outside))]} must belong to the polytope")
@@ -182,17 +184,14 @@ def _polygon_losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: 
 
 def _pointwise_losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: np.ndarray):
     """Losses on a point, a segment, or a polytope in dimension d != 2."""
+    if P.dim == 2:
+        project = partial(project_polygon_2d_batch, P)
+    else:
+        # one kernel per chunk shares its active-set table across candidates,
+        # and its errors count samples from the chunk's first
+        project = partial(_MinNormPoint(P, 1e-9).project, first=start)
     for theta in thetas:
-        y = theta + sigma * z
-        if P.dim == 2:
-            projected = project_polygon_2d_batch(P, y)
-        else:
-            projected = np.empty_like(y)
-            for i in range(len(y)):
-                try:
-                    projected[i] = project_polytope(P, y[i])
-                except ProjectionError as err:
-                    raise ProjectionError(f"sample {start + i}: {err}") from err
+        projected = project(theta + sigma * z)
         yield np.einsum("ij,ij->i", projected - theta, projected - theta)
 
 
@@ -204,8 +203,9 @@ def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[Ris
     normals of each chunk are drawn only once (common random numbers).
     Polygons with K >= 3 vertices use the blocked polygon projection, one
     block of samples at a time; other planar sets use the batch projection,
-    and other dimensions project sample by sample with the min-norm-point
-    method, where a projection failure aborts with the failing sample index.
+    and other dimensions the batch min-norm-point projection, one block of
+    samples at a time.  A projection failure aborts with the failing sample
+    index.
     Every per-sample loss is checked against the squared diameter of ``P``,
     which bounds it because both points lie in the set.
     """
@@ -261,27 +261,19 @@ def mc_risk_effective(
 def sample_unit_sphere(d: int, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """(n, d) directions uniform on the unit sphere (normalized Gaussians).
 
-    The measure-zero zero draw is rejected and resampled from the same
-    stream, keeping the output deterministic in ``seed``.
+    The Gaussians are the normals of chunk 0 of ``seed``'s Monte Carlo
+    stream.  A zero draw (every coordinate exactly at the median) has
+    probability 2^-53 per coordinate and raises ``ValueError`` naming the
+    row, rather than being resampled.
     """
     d = int(d)
     n = int(n)
     if d < 1 or n < 1:
         raise ValueError("d and n must be at least 1")
-    key = np.array([int(seed) & _UINT64_MASK, 0], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-
-    def draw(count):
-        u = rng.random((count, d))
-        np.maximum(u, _U_FLOOR, out=u)
-        return special.ndtri(u)
-
-    z = draw(n)
+    z = _chunk_normals(int(seed), 0, n, d)
     norms = np.linalg.norm(z, axis=1)
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        z[bad] = draw(int(bad.sum()))
-        norms = np.linalg.norm(z, axis=1)
+    if np.any(norms == 0.0):
+        raise ValueError(f"seed {seed} draws a zero vector at row {int(np.argmin(norms))}; use another seed")
     return z / norms[:, None]
 
 

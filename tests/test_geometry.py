@@ -16,6 +16,7 @@ import pytest
 from scipy.optimize import nnls
 
 from riskrev.geometry import (
+    _POLYTOPE_BLOCK,
     _PROJECT_BLOCK,
     Cone2D,
     ConeKind,
@@ -30,6 +31,7 @@ from riskrev.geometry import (
     project_polygon_2d,
     project_polygon_2d_batch,
     project_polytope,
+    project_polytope_batch,
     project_segment,
     project_triangle_example,
     tangent_cone_2d,
@@ -294,11 +296,19 @@ class TestBlockedKernel:
             got = project_polygon_2d_batch(poly, Y)
             want = _reference_project_batch(poly, Y)
             assert got.shape == want.shape == (n, 2)
-            assert got.tobytes() == want.tobytes(), f"K={k}, n={n}"
+            if k == 2:
+                # the segment path adds the two products elementwise where
+                # the reference takes a matrix-vector product, whose rounding
+                # may differ by an ulp of each product
+                e = poly.vertices[1] - poly.vertices[0]
+                d = Y - poly.vertices[0]
+                len_sq = float(e @ e)
+                bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(d * e).sum(axis=1) / len_sq)
+                assert np.all(np.abs(got - want).max(axis=1) <= bound * np.abs(e).max()), f"n={n}"
+            else:
+                assert got.tobytes() == want.tobytes(), f"K={k}, n={n}"
 
-    # K = 2 is left out: its matrix-vector product may round differently
-    # for a one-row batch than for a longer one
-    @pytest.mark.parametrize("k", [1, 3, 4, 8])
+    @pytest.mark.parametrize("k", sorted(KERNEL_POLYTOPES))
     def test_single_point_is_one_batch_row(self, k):
         poly = KERNEL_POLYTOPES[k]
         Y = _kernel_points(np.random.default_rng(2000 + k), poly, 200)
@@ -470,3 +480,129 @@ class TestMinNormPointEdgeCases:
             p = project_polytope(poly, y)
             q = project_segment(base, base + 2.0 * direction, y)
             assert np.linalg.norm(p - q) <= 1e-8
+
+
+SIDE = math.sqrt(2.0)
+CUBE = ConvexPolytope([[a, b, c] for a in (0.0, SIDE) for b in (0.0, SIDE) for c in (0.0, SIDE)])
+
+
+def _exact_polytope_projection(poly, Y):
+    """Nearest feasible affine projection over all vertex subsets of size <= d + 1.
+
+    The projection lies in the hull of an affinely independent vertex subset
+    and is the projection onto that subset's affine hull, so the nearest of
+    the affine projections whose weights come out nonnegative is exact.
+    """
+    v = poly.vertices
+    best = np.full_like(Y, np.nan)
+    best_d2 = np.full(len(Y), np.inf)
+    for size in range(1, min(len(v), poly.dim + 1) + 1):
+        for subset in itertools.combinations(range(len(v)), size):
+            base, spans = v[subset[0]], v[list(subset[1:])] - v[subset[0]]
+            if size > 1 and np.linalg.matrix_rank(spans) < size - 1:
+                continue
+            t = np.zeros((len(Y), size - 1))
+            if size > 1:
+                t = np.linalg.lstsq(spans.T, (Y - base).T, rcond=None)[0].T
+            weights = np.column_stack([1.0 - t.sum(axis=1), t])
+            proj = base + t @ spans
+            d2 = np.sum((Y - proj) ** 2, axis=1)
+            better = np.all(weights >= -1e-12, axis=1) & (d2 < best_d2)
+            best[better], best_d2[better] = proj[better], d2[better]
+    return best
+
+
+def _certificate(poly, Y, Q):
+    """max_i <y - q, v_i - q> per row."""
+    return np.max(np.einsum("nd,nkd->nk", Y - Q, poly.vertices[None] - Q[:, None]), axis=1)
+
+
+class TestMinNormPointBatch:
+    # agreement with an exact oracle, relative to the scale of the point:
+    # far out, rounding of y alone moves the answer by ulps of ||y||
+    RTOL = 1e-13
+
+    def _close(self, got, want, Y):
+        err = np.max(np.abs(got - want), axis=1)
+        assert np.all(err <= self.RTOL * (1.0 + np.linalg.norm(Y, axis=1)))
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e2, 1e5, 1e10])
+    def test_cube_is_a_clip(self, scale):
+        rng = np.random.default_rng(5150)
+        Y = SIDE * rng.uniform(size=(3000, 3)) + scale * rng.normal(size=(3000, 3))
+        Q = project_polytope_batch(CUBE, Y)
+        self._close(Q, np.clip(Y, 0.0, SIDE), Y)
+        assert np.all(_certificate(CUBE, Y, Q) <= 1e-9 * (1.0 + np.linalg.norm(Y, axis=1)))
+
+    def test_coplanar_square_in_3d(self):
+        # the square [0, 1]^2 x {0.5}: a clip in the plane, the height dropped
+        square = ConvexPolytope([[0.0, 0.0, 0.5], [1.0, 0.0, 0.5], [1.0, 1.0, 0.5], [0.0, 1.0, 0.5]])
+        Y = np.random.default_rng(5151).normal(scale=2.0, size=(2000, 3))
+        want = np.column_stack([np.clip(Y[:, :2], 0.0, 1.0), np.full(len(Y), 0.5)])
+        self._close(project_polytope_batch(square, Y), want, Y)
+
+    def test_collinear_points_are_a_segment(self):
+        rng = np.random.default_rng(5152)
+        base, direction = rng.normal(size=(2, 3))
+        line = ConvexPolytope([base + t * direction for t in (0.0, 0.5, 1.0, 2.0)])
+        Y = rng.normal(scale=2.0, size=(500, 3))
+        want = np.array([project_segment(base, base + 2.0 * direction, y) for y in Y])
+        self._close(project_polytope_batch(line, Y), want, Y)
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 5])
+    def test_random_polytopes_match_subset_enumeration(self, d):
+        rng = np.random.default_rng(5160 + d)
+        for _ in range(3):
+            poly = ConvexPolytope(rng.normal(size=(int(rng.integers(d + 1, d + 5)), d)))
+            Y = rng.normal(scale=2.0, size=(300, d))
+            Q = project_polytope_batch(poly, Y)
+            self._close(Q, _exact_polytope_projection(poly, Y), Y)
+            assert np.all(_certificate(poly, Y, Q) <= 1e-9 * (1.0 + np.linalg.norm(Y, axis=1)))
+
+    @pytest.mark.parametrize("n", [0, 1, _POLYTOPE_BLOCK - 1, _POLYTOPE_BLOCK, _POLYTOPE_BLOCK + 1])
+    def test_block_edges(self, n):
+        Y = np.random.default_rng(n).normal(size=(n, 3))
+        Q = project_polytope_batch(CUBE, Y)
+        assert Q.shape == (n, 3)
+        self._close(Q, np.clip(Y, 0.0, SIDE), Y)
+
+    def test_mixed_iteration_counts_in_one_block(self):
+        # far points in a vertex cone certify at their start vertex, interior
+        # points take at least d + 1 iterations; both interleaved in one block
+        rng = np.random.default_rng(5170)
+        corner = CUBE.vertices[rng.integers(8, size=500)]
+        outward = np.where(corner > 0.0, 1.0, -1.0) * rng.uniform(1.0, 5.0, size=(500, 3))
+        Y = np.empty((1000, 3))
+        Y[0::2] = corner + outward
+        Y[1::2] = SIDE * rng.uniform(0.05, 0.95, size=(500, 3))
+        Q = project_polytope_batch(CUBE, Y)
+        np.testing.assert_array_equal(Q[0::2], corner)
+        self._close(Q, np.clip(Y, 0.0, SIDE), Y)
+        for i in range(0, 1000, 37):
+            assert project_polytope(CUBE, Y[i]).tobytes() == Q[i].tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_single_row_equals_batch_row(self, d):
+        rng = np.random.default_rng(5180 + d)
+        poly = ConvexPolytope(rng.normal(size=(9, d)))
+        n = _POLYTOPE_BLOCK + 50
+        Y = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8.0, 10.0, size=(n, 1))
+        Q = project_polytope_batch(poly, Y)
+        for i in list(range(0, len(Y), 101)) + [len(Y) - 1]:
+            assert project_polytope(poly, Y[i]).tobytes() == Q[i].tobytes()
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [1e160, 0.0, -1e160]])
+    def test_rows_without_finite_norm_raise_across_blocks(self, bad):
+        Y = np.full((2 * _POLYTOPE_BLOCK + 10, 3), 0.5)
+        Y[_POLYTOPE_BLOCK + 3] = bad
+        Y[_POLYTOPE_BLOCK + 5] = [math.nan] * 3
+        with pytest.raises(ProjectionError, match=rf"^point {_POLYTOPE_BLOCK + 3} "):
+            project_polytope_batch(CUBE, Y)
+        with pytest.raises(ProjectionError, match=r"^point 0 "):
+            project_polytope(CUBE, bad)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            project_polytope_batch(CUBE, np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            project_polytope_batch(CUBE, np.zeros((4, 3)), tol=0.0)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from riskrev import montecarlo
 from riskrev.exact_risk import RiskQuery, risk_segment_exact, risk_triangle_exact
 from riskrev.asymptotics import _sup_candidates
 from riskrev.geometry import _PROJECT_BLOCK, ConvexPolytope, ExampleGeometry, ProjectionError
@@ -156,6 +157,19 @@ class TestSharedCandidates:
         with pytest.raises(ProjectionError, match="no finite distance"):
             mc_risk(tri, q, MCConfig(n=1000))
 
+    # at 1e154 only draws with |z|^2 > 1.8 overflow; seed 31 has its first in the second chunk
+    @pytest.mark.parametrize("sigma, seed", [(1e160, 1), (1e154, 31)])
+    def test_overflowing_noise_names_the_sample_in_3d(self, sigma, seed):
+        simplex, _ = SHARED_CASES["simplex_3d"]
+        cfg = MCConfig(n=12, seed=seed, chunk=4)
+        z = np.vstack([_chunk_normals(seed, j, 4, 3) for j in range(3)])
+        with np.errstate(over="ignore"):
+            overflow = ~np.isfinite(np.sum((sigma * z) ** 2, axis=1))
+        first = int(np.argmax(overflow))
+        q = RiskQuery(theta_star=(0.0, 0.0, 0.0), sigma=sigma)
+        with pytest.raises(ProjectionError, match=rf"^point {first} .*no finite norm"):
+            mc_risk(simplex, q, cfg)
+
 
 class TestStatisticalAgreement:
     def test_triangle_matches_exact(self):
@@ -193,7 +207,7 @@ class TestStatisticalAgreement:
             )
 
     def test_higher_dimensional_route(self):
-        # a 3D simplex runs through the min-norm-point projector per sample
+        # a 3D simplex runs through the batch min-norm-point projector
         poly = ConvexPolytope(
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         )
@@ -230,6 +244,22 @@ class TestUnitSphere:
         a = sample_unit_sphere(2, 1000, seed=12)
         b = sample_unit_sphere(2, 1000, seed=12)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_is_the_normalised_chunk_draw(self, d):
+        z = _chunk_normals(12, 0, 1000, d)
+        want = z / np.linalg.norm(z, axis=1)[:, None]
+        assert sample_unit_sphere(d, 1000, seed=12).tobytes() == want.tobytes()
+
+    def test_zero_draw_raises(self, monkeypatch):
+        def zero_row(seed, chunk_index, m, d):
+            z = np.ones((m, d))
+            z[2] = 0.0
+            return z
+
+        monkeypatch.setattr(montecarlo, "_chunk_normals", zero_row)
+        with pytest.raises(ValueError, match="zero vector at row 2"):
+            sample_unit_sphere(3, 5, seed=1)
 
     def test_directions_cover_all_quadrants(self):
         pts = sample_unit_sphere(2, 4000, seed=4)

@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -434,9 +435,9 @@ class _MinNormPoint:
     A alone, so the weights are an affine map a = B_A (y - c) + b_A, with c
     the vertex centroid, computed once per distinct active set (by
     pseudo-inverse, which also covers affinely dependent sets) and cached
-    for the life of the object.  Not safe for
-    concurrent use: make one per call, since Monte Carlo chunks run on
-    worker threads.
+    for the life of the object.  A cached map is a function of its active
+    set alone, so results do not depend on what the object projected
+    before, and one object may serve concurrent callers.
     """
 
     def __init__(self, P: ConvexPolytope, tol: float):
@@ -465,18 +466,24 @@ class _MinNormPoint:
     def _affine_weights(self, mask: np.ndarray, yc: np.ndarray) -> np.ndarray:
         """Affine minimiser weights of each row over its active set, zero off it."""
         packed = np.packbits(mask, axis=1)
+        if len(mask) == 1:
+            linear, offset = self._cached_map(packed[0].tobytes(), mask[0])
+            return _sum_last(linear * yc[:, None, :]) + offset
         # one opaque byte string per row sorts far faster than unique(axis=0)
         keys = packed.view(f"V{packed.shape[1]}").ravel()
         unique, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        entries = []
-        for key, i in zip(unique, first):
-            entry = self._affine.get(key.tobytes())
-            if entry is None:
-                entry = self._affine[key.tobytes()] = self._affine_map(mask[i])
-            entries.append(entry)
+        entries = [self._cached_map(key.tobytes(), mask[i]) for key, i in zip(unique, first)]
         linear = np.stack([entry[0] for entry in entries])[group]
         offset = np.stack([entry[1] for entry in entries])[group]
         return _sum_last(linear * yc[:, None, :]) + offset
+
+    def _cached_map(self, key: bytes, active: np.ndarray):
+        entry = self._affine.get(key)
+        if entry is None:
+            # concurrent callers may both compute a missing entry; the two
+            # are equal, so either may stay
+            entry = self._affine[key] = self._affine_map(active)
+        return entry
 
     def _affine_map(self, active: np.ndarray):
         """(B, b) with a = B (y - center) + b the affine minimiser weights over ``active``."""
@@ -569,6 +576,12 @@ class _MinNormPoint:
             cycling = cycling[keep.sum(axis=1) > 1]
 
 
+@lru_cache(maxsize=16)
+def _min_norm_point(P: ConvexPolytope, tol: float) -> _MinNormPoint:
+    """The projector onto ``P`` at ``tol``, shared so its active-set maps outlive one call."""
+    return _MinNormPoint(P, tol)
+
+
 def project_polytope_batch(P: ConvexPolytope, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Euclidean projection of the rows of an (n, d) array onto a polytope in any dimension.
 
@@ -590,7 +603,7 @@ def project_polytope_batch(P: ConvexPolytope, Y: np.ndarray, tol: float = 1e-9) 
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != P.dim:
         raise ValueError(f"Y must be an (n, {P.dim}) array")
-    return _MinNormPoint(P, tol).project(Y)
+    return _min_norm_point(P, float(tol)).project(Y)
 
 
 def project_polytope(P: ConvexPolytope, y, tol: float = 1e-9) -> np.ndarray:

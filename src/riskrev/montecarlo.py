@@ -24,8 +24,8 @@ from .geometry import (
     _PROJECT_BLOCK,
     ConvexPolytope,
     ProjectionError,
-    _MinNormPoint,
     _PolygonBlocks,
+    _min_norm_point,
     project_polygon_2d_batch,
     project_polytope_batch,
 )
@@ -187,9 +187,8 @@ def _pointwise_losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start
     if P.dim == 2:
         project = partial(project_polygon_2d_batch, P)
     else:
-        # one kernel per chunk shares its active-set table across candidates,
-        # and its errors count samples from the chunk's first
-        project = partial(_MinNormPoint(P, 1e-9).project, first=start)
+        # errors count samples from the chunk's first
+        project = partial(_min_norm_point(P, 1e-9).project, first=start)
     for theta in thetas:
         projected = project(theta + sigma * z)
         yield np.einsum("ij,ij->i", projected - theta, projected - theta)

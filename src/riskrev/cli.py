@@ -4,10 +4,22 @@ Subcommands: ``risk`` (one evaluation point), ``diff-curve`` and ``heatmap``
 (segment-minus-triangle risk difference over noise/slope grids), ``envelope``
 (limiting-risk envelope over the movable-vertex family), ``statdim``
 (statistical dimension, analytic or Monte Carlo), and ``reversal``
-(finite-noise worst-case reversal scan).  Output is byte-stable: JSON is a
-single line with sorted keys, CSV uses fixed 15-significant-digit decimals,
-and every file starts with a ``# {...}`` metadata line from which
-``--verify`` can recompute and re-check a sample of rows.
+(finite-noise worst-case reversal scan).
+
+``SUBCOMMANDS`` is the one table of these commands: each entry holds the
+help text, the flags, the computation and an optional plot body.  The
+argument parser, the metadata dict (``command``, the command's own flags,
+``seed``, ``samples`` and ``n_obs``) and the ``--emit-plot-script`` lookup
+are all built from it.  A computation takes the metadata dict and returns
+an :class:`Output`: a table of rows, rendered as CSV by default, or a flat
+record, rendered as JSON by default.  :func:`_table` turns either into the
+metadata, header, rows and footer that CSV output holds and that
+``--verify`` compares.
+
+Output is byte-stable: JSON is a single line with sorted keys, CSV uses
+fixed 15-significant-digit decimals and starts with a ``# {...}`` metadata
+line.  ``--verify`` reads either format back, recomputes from its metadata
+and re-checks a sample of rows.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 """
@@ -16,6 +28,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,7 +40,7 @@ from .asymptotics import (
     statistical_dimension_2d,
     statistical_dimension_mc,
 )
-from .exact_risk import RiskQuery, risk_difference, risk_segment_exact, risk_triangle_exact
+from .exact_risk import RiskQuery, risk_segment_exact, risk_triangle_exact
 from .geometry import ConvexPolytope, ExampleGeometry, ProjectionError, tangent_cone_2d
 from .montecarlo import DEFAULT_SEED, MCConfig, mc_risk
 
@@ -172,7 +185,7 @@ class Output:
 # command computations, callable both from the CLI and from --verify
 
 
-def compute_risk(params: dict) -> dict:
+def compute_risk(params: dict) -> Output:
     which = params["set"]
     sigma = float(params["sigma"])
     n_obs = int(params["n_obs"])
@@ -220,46 +233,45 @@ def compute_risk(params: dict) -> dict:
         )
         record["mc_mean"] = estimate.mean
         record["mc_stderr"] = estimate.stderr
-    return record
+    return Output(params, record=record)
 
 
-def compute_diff_curve(params: dict):
-    c_list = [float(c) for c in params["c_list"]]
-    if not c_list:
-        raise ValueError("--c-list must contain at least one value")
-    sigmas = parse_sweep(params["sigma_sweep"])
+def _diff_rows(c_values, sigmas) -> list:
+    """Rows ``c, sigma, risk_S, risk_L, diff`` of the segment-minus-triangle difference."""
     rows = []
-    for c in c_list:
-        geometry = ExampleGeometry(c=c)
+    for c in c_values:
+        geometry = ExampleGeometry(c=float(c))
         for sigma in sigmas:
             risk_s = risk_segment_exact(geometry, 0.0, float(sigma))
             risk_l = risk_triangle_exact(geometry, float(sigma)).total
-            rows.append([c, float(sigma), risk_s, risk_l, risk_s - risk_l])
-    return ["c", "sigma", "risk_S", "risk_L", "diff"], rows, None
+            rows.append([float(c), float(sigma), risk_s, risk_l, risk_s - risk_l])
+    return rows
 
 
-def compute_heatmap(params: dict):
-    c_grid = parse_sweep(params["c_sweep"])
-    sigmas = parse_sweep(params["sigma_sweep"])
-    rows = []
-    for c in c_grid:
-        geometry = ExampleGeometry(c=float(c))
-        for sigma in sigmas:
-            rows.append([float(c), float(sigma), risk_difference(geometry, float(sigma))])
-    return ["c", "sigma", "diff"], rows, None
+def compute_diff_curve(params: dict) -> Output:
+    c_list = [float(c) for c in params["c_list"]]
+    if not c_list:
+        raise ValueError("--c-list must contain at least one value")
+    rows = _diff_rows(c_list, parse_sweep(params["sigma_sweep"]))
+    return Output(params, header=["c", "sigma", "risk_S", "risk_L", "diff"], rows=rows)
 
 
-def compute_envelope(params: dict):
+def compute_heatmap(params: dict) -> Output:
+    rows = _diff_rows(parse_sweep(params["c_sweep"]), parse_sweep(params["sigma_sweep"]))
+    return Output(params, header=["c", "sigma", "diff"], rows=[[c, s, d] for c, s, _, _, d in rows])
+
+
+def compute_envelope(params: dict) -> Output:
     c = float(params["c"])
     grid = parse_sweep(params["x_sweep"])
     points = envelope_curve(c, grid)
     rows = [[p.x, p.risk_v1, p.risk_v2, p.risk_vx, p.envelope] for p in points]
     best = min(range(len(points)), key=lambda i: points[i].envelope)
     footer = {"argmin_x": points[best].x, "envelope_min": points[best].envelope}
-    return ["x", "risk_v1", "risk_v2", "risk_vx", "envelope"], rows, footer
+    return Output(params, header=["x", "risk_v1", "risk_v2", "risk_vx", "envelope"], rows=rows, footer=footer)
 
 
-def compute_statdim(params: dict) -> dict:
+def compute_statdim(params: dict) -> Output:
     has_polytope = params.get("polytope_file") is not None
     has_generators = params.get("generators") is not None
     if has_polytope == has_generators:
@@ -269,15 +281,15 @@ def compute_statdim(params: dict) -> dict:
             raise ValueError("--polytope-file requires --theta")
         polytope = load_polytope(params["polytope_file"])
         cone = tangent_cone_2d(polytope, np.asarray(params["theta"], dtype=float))
-        return {"delta": statistical_dimension_2d(cone), "method": "analytic"}
+        return Output(params, record={"delta": statistical_dimension_2d(cone), "method": "analytic"})
     generators = [parse_point(part) for part in params["generators"].split(";") if part.strip()]
     estimate = statistical_dimension_mc(
         generators, n=int(params["samples"]), seed=int(params["seed"])
     )
-    return {"delta": estimate.mean, "stderr": estimate.stderr, "method": "mc"}
+    return Output(params, record={"delta": estimate.mean, "stderr": estimate.stderr, "method": "mc"})
 
 
-def compute_reversal(params: dict) -> dict:
+def compute_reversal(params: dict) -> Output:
     x_small = float(params["x_small"])
     x_large = float(params["x_large"])
     if x_small <= x_large:
@@ -293,7 +305,7 @@ def compute_reversal(params: dict) -> dict:
         n=int(params["samples"]),
         seed=int(params["seed"]),
     )
-    return {
+    return Output(params, record={
         "reversal_sigma": scan.reversal_sigma,
         "sigma_grid": [row.sigma for row in scan.rows],
         "sup_small": [row.sup_small for row in scan.rows],
@@ -301,141 +313,162 @@ def compute_reversal(params: dict) -> dict:
         "sup_large": [row.sup_large for row in scan.rows],
         "stderr_large": [row.stderr_large for row in scan.rows],
         "edge_points": scan.edge_points,
-    }
+    })
 
 
 # ---------------------------------------------------------------------------
-# argument handling and rendering
+# the command table
 
 
-def _common_params(args) -> dict:
-    return {
-        "seed": int(args.seed),
-        "samples": int(args.samples),
-        "n_obs": int(args.n_obs),
-    }
+def _arg(parse):
+    """An argparse ``type`` that reports ``parse``'s own ValueError message."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return convert
 
 
-def cmd_risk(args) -> Output:
-    params = {
-        "command": "risk",
-        "set": args.set,
-        "c": args.c,
-        "sigma": args.sigma,
-        "t_star": args.t_star,
-        "file": args.file,
-        "theta": list(parse_point(args.theta)) if args.theta is not None else None,
-        "mc": bool(args.mc),
-        **_common_params(args),
-    }
-    if params["sigma"] is None:
-        raise ValueError("--sigma is required")
-    return Output(metadata=params, record=compute_risk(params))
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: help text, flags, computation and optional plot body.
+
+    ``flags`` holds ``(option, argparse keyword arguments)`` pairs; each
+    flag's parsed value goes into the metadata under its argparse dest,
+    beside ``command``, ``seed``, ``samples`` and ``n_obs``.
+    ``plot`` is the body of the ``--emit-plot-script`` companion script,
+    which reads the CSV columns as ``rows[name]``.
+    """
+
+    help: str
+    flags: tuple
+    compute: Callable[[dict], Output]
+    plot: str | None = None
 
 
-def cmd_diff_curve(args) -> Output:
-    params = {
-        "command": "diff-curve",
-        "c_list": parse_float_list(args.c_list),
-        "sigma_sweep": args.sigma_sweep,
-        **_common_params(args),
-    }
-    header, rows, footer = compute_diff_curve(params)
-    return Output(metadata=params, header=header, rows=rows, footer=footer)
-
-
-def cmd_heatmap(args) -> Output:
-    params = {
-        "command": "heatmap",
-        "c_sweep": args.c_sweep,
-        "sigma_sweep": args.sigma_sweep,
-        **_common_params(args),
-    }
-    header, rows, footer = compute_heatmap(params)
-    return Output(metadata=params, header=header, rows=rows, footer=footer)
-
-
-def cmd_envelope(args) -> Output:
-    params = {
-        "command": "envelope",
-        "c": args.c,
-        "x_sweep": args.x_sweep,
-        **_common_params(args),
-    }
-    if params["c"] is None:
-        raise ValueError("--c is required")
-    header, rows, footer = compute_envelope(params)
-    return Output(metadata=params, header=header, rows=rows, footer=footer)
-
-
-def cmd_statdim(args) -> Output:
-    params = {
-        "command": "statdim",
-        "polytope_file": args.polytope_file,
-        "theta": list(parse_point(args.theta)) if args.theta is not None else None,
-        "generators": args.generators,
-        **_common_params(args),
-    }
-    return Output(metadata=params, record=compute_statdim(params))
-
-
-def cmd_reversal(args) -> Output:
-    for flag, value in (("--c", args.c), ("--x-small", args.x_small), ("--x-large", args.x_large)):
-        if value is None:
-            raise ValueError(f"{flag} is required")
-    params = {
-        "command": "reversal",
-        "c": args.c,
-        "x_small": args.x_small,
-        "x_large": args.x_large,
-        "sigma_sweep": args.sigma_sweep,
-        **_common_params(args),
-    }
-    return Output(metadata=params, record=compute_reversal(params))
-
-
-_COMMANDS = {
-    "risk": cmd_risk,
-    "diff-curve": cmd_diff_curve,
-    "heatmap": cmd_heatmap,
-    "envelope": cmd_envelope,
-    "statdim": cmd_statdim,
-    "reversal": cmd_reversal,
+SUBCOMMANDS = {
+    "risk": Command(
+        "risk at one (theta*, sigma) point",
+        (
+            ("--set", dict(required=True, choices=["segment", "triangle", "polytope-file"])),
+            ("--c", dict(type=float)),
+            ("--sigma", dict(type=float, required=True)),
+            ("--t-star", dict(type=float)),
+            ("--file", dict(help="polytope JSON file with dim and vertices")),
+            ("--theta", dict(type=_arg(parse_point), help="true parameter, comma-separated coordinates")),
+            ("--mc", dict(action="store_true", help="add a Monte Carlo estimate")),
+        ),
+        compute_risk,
+    ),
+    "diff-curve": Command(
+        "risk difference along a noise sweep",
+        (
+            ("--c-list", dict(required=True, type=_arg(parse_float_list))),
+            ("--sigma-sweep", dict(required=True)),
+        ),
+        compute_diff_curve,
+        """
+for c in sorted(set(rows["c"])):
+    part = rows[rows["c"] == c]
+    plt.plot(part["sigma"], part["diff"], label=f"c={c:g}")
+plt.axhline(0.0, color="black", linewidth=0.8)
+plt.xscale("log")
+plt.xlabel("sigma")
+plt.ylabel("risk difference (segment - triangle)")
+plt.legend()
+""",
+    ),
+    "heatmap": Command(
+        "risk difference over a (c, sigma) grid",
+        (("--c-sweep", dict(required=True)), ("--sigma-sweep", dict(required=True))),
+        compute_heatmap,
+        """
+plt.tripcolor(rows["c"], rows["sigma"], rows["diff"], shading="gouraud")
+plt.yscale("log")
+plt.xlabel("c")
+plt.ylabel("sigma")
+plt.colorbar(label="risk difference (segment - triangle)")
+""",
+    ),
+    "envelope": Command(
+        "limiting-risk envelope over x",
+        (("--c", dict(type=float, required=True)), ("--x-sweep", dict(required=True))),
+        compute_envelope,
+        """
+plt.plot(rows["x"], rows["risk_v1"], label="risk at v1")
+plt.plot(rows["x"], rows["risk_v2"], label="risk at v2")
+plt.plot(rows["x"], rows["risk_vx"], label="risk at vx")
+plt.plot(rows["x"], rows["envelope"], "k--", label="envelope")
+plt.xlabel("x")
+plt.ylabel("limiting risk")
+plt.legend()
+""",
+    ),
+    "statdim": Command(
+        "statistical dimension of a tangent cone",
+        (
+            ("--polytope-file", {}),
+            ("--theta", dict(type=_arg(parse_point))),
+            ("--generators", dict(help="semicolon-separated cone generators, e.g. '1,0;0,1'")),
+        ),
+        compute_statdim,
+    ),
+    "reversal": Command(
+        "worst-case reversal scan over sigma",
+        (
+            ("--c", dict(type=float, required=True)),
+            ("--x-small", dict(type=float, required=True)),
+            ("--x-large", dict(type=float, required=True)),
+            ("--sigma-sweep", dict(required=True)),
+        ),
+        compute_reversal,
+        """
+plt.errorbar(rows["sigma_grid"], rows["sup_small"], yerr=rows["stderr_small"],
+             label="sup-risk, smaller set")
+plt.errorbar(rows["sigma_grid"], rows["sup_large"], yerr=rows["stderr_large"],
+             label="sup-risk, larger set")
+plt.xscale("log")
+plt.xlabel("sigma")
+plt.ylabel("estimated sup-risk")
+plt.legend()
+""",
+    ),
 }
 
-_COMPUTE = {
-    "risk": compute_risk,
-    "diff-curve": compute_diff_curve,
-    "heatmap": compute_heatmap,
-    "envelope": compute_envelope,
-    "statdim": compute_statdim,
-    "reversal": compute_reversal,
-}
+
+# parsed options that steer a run but are not part of its metadata
+_RUN_OPTIONS = ("verify", "out", "format", "emit_plot_script")
 
 
-def _record_to_table(record: dict):
-    """Split a record into scalar extras and equal-length list columns."""
-    lists = {k: v for k, v in record.items() if isinstance(v, (list, tuple))}
-    scalars = {k: v for k, v in record.items() if not isinstance(v, (list, tuple))}
-    if not lists:
-        header = sorted(scalars)
-        return {}, header, [[scalars[k] for k in header]]
-    lengths = {len(v) for v in lists.values()}
-    if len(lengths) != 1:
+# ---------------------------------------------------------------------------
+# rendering
+
+
+def _table(output: Output):
+    """``(metadata, header, rows, footer)`` of an output, as its CSV holds them.
+
+    A record becomes its equal-length list columns, or, if it has none, one
+    row of its numeric scalars; its other entries join the metadata.
+    """
+    if output.record is None:
+        return output.metadata, output.header, output.rows, output.footer
+    record = output.record
+    columns = {k: v for k, v in record.items() if isinstance(v, (list, tuple))} or {
+        k: [v] for k, v in record.items() if isinstance(v, (int, float))
+    }
+    if len({len(v) for v in columns.values()}) != 1:
         raise ValueError("cannot tabulate record with unequal list lengths")
-    header = sorted(lists)
-    rows = [[lists[k][i] for k in header] for i in range(lengths.pop())]
-    return scalars, header, rows
+    extras = {k: v for k, v in record.items() if k not in columns}
+    header = sorted(columns)
+    rows = [list(row) for row in zip(*(columns[k] for k in header))]
+    return {**output.metadata, **extras}, header, rows, None
 
 
 def render_csv(output: Output) -> str:
-    metadata = dict(output.metadata)
-    if output.rows is not None:
-        header, rows, footer = output.header, output.rows, output.footer
-    else:
-        extras, header, rows = _record_to_table(output.record)
-        metadata.update(extras)
-        footer = None
+    metadata, header, rows, footer = _table(output)
     lines = ["# " + _json_line(metadata), ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -454,48 +487,7 @@ def render_json(output: Output) -> str:
     return _json_line(payload) + "\n"
 
 
-_PLOT_BODIES = {
-    "diff-curve": """
-for c in sorted(set(rows["c"])):
-    part = rows[rows["c"] == c]
-    plt.plot(part["sigma"], part["diff"], label=f"c={c:g}")
-plt.axhline(0.0, color="black", linewidth=0.8)
-plt.xscale("log")
-plt.xlabel("sigma")
-plt.ylabel("risk difference (segment - triangle)")
-plt.legend()
-""",
-    "heatmap": """
-plt.tripcolor(rows["c"], rows["sigma"], rows["diff"], shading="gouraud")
-plt.yscale("log")
-plt.xlabel("c")
-plt.ylabel("sigma")
-plt.colorbar(label="risk difference (segment - triangle)")
-""",
-    "envelope": """
-plt.plot(rows["x"], rows["risk_v1"], label="risk at v1")
-plt.plot(rows["x"], rows["risk_v2"], label="risk at v2")
-plt.plot(rows["x"], rows["risk_vx"], label="risk at vx")
-plt.plot(rows["x"], rows["envelope"], "k--", label="envelope")
-plt.xlabel("x")
-plt.ylabel("limiting risk")
-plt.legend()
-""",
-    "reversal": """
-plt.errorbar(rows["sigma_grid"], rows["sup_small"], yerr=rows["stderr_small"],
-             label="sup-risk, smaller set")
-plt.errorbar(rows["sigma_grid"], rows["sup_large"], yerr=rows["stderr_large"],
-             label="sup-risk, larger set")
-plt.xscale("log")
-plt.xlabel("sigma")
-plt.ylabel("estimated sup-risk")
-plt.legend()
-""",
-}
-
-
-def _plot_script(command: str, csv_path: str) -> str:
-    body = _PLOT_BODIES[command]
+def _plot_script(body: str, csv_path: str) -> str:
     return (
         f'"""Companion plot for {csv_path}: run with python."""\n'
         "import numpy as np\n"
@@ -514,14 +506,25 @@ def _plot_script(command: str, csv_path: str) -> str:
 # --verify
 
 
-def _parse_csv_text(text: str):
+def _read_output(text: str) -> Output:
+    """Parse a CSV or JSON file written by :func:`render_csv`/:func:`render_json`."""
+    if text.startswith("{"):
+        payload = json.loads(text)
+        metadata = payload.pop("metadata", None) if isinstance(payload, dict) else None
+        if not isinstance(metadata, dict):
+            raise ValueError("not a verifiable JSON output: missing metadata object")
+        if "rows" in payload:
+            return Output(metadata, header=payload.get("header"), rows=payload["rows"],
+                          footer=payload.get("footer"))
+        return Output(metadata, record=payload)
     lines = [line for line in text.split("\n") if line != ""]
     if not lines or not lines[0].startswith("# "):
         raise ValueError("not a verifiable CSV: missing leading metadata line")
     metadata = json.loads(lines[0][2:])
+    if not isinstance(metadata, dict):
+        raise ValueError("not a verifiable CSV: metadata line is not an object")
     if len(lines) < 2:
         raise ValueError("CSV has no header line")
-    header = lines[1].split(",")
     rows = []
     footer = None
     for line in lines[2:]:
@@ -529,10 +532,10 @@ def _parse_csv_text(text: str):
             footer = json.loads(line[2:])
             continue
         rows.append([float(part) for part in line.split(",")])
-    return metadata, header, rows, footer
+    return Output(metadata, header=lines[1].split(","), rows=rows, footer=footer)
 
 
-def _verify_value(name: str, got: float, want: float, stderr: float | None) -> bool:
+def _verify_value(got: float, want: float, stderr: float | None) -> bool:
     if stderr is not None:
         return abs(got - want) <= VERIFY_STDERR_FACTOR * stderr + 1e-12
     return abs(got - want) <= VERIFY_RTOL * (1.0 + abs(want))
@@ -540,16 +543,11 @@ def _verify_value(name: str, got: float, want: float, stderr: float | None) -> b
 
 def run_verify(path: str) -> int:
     with open(path, "r", encoding="utf-8") as handle:
-        metadata, header, rows, footer = _parse_csv_text(handle.read())
+        metadata, header, rows, footer = _table(_read_output(handle.read()))
     command = metadata.get("command")
-    if command not in _COMPUTE:
+    if command not in SUBCOMMANDS:
         raise ValueError(f"metadata names unknown command {command!r}")
-    result = _COMPUTE[command](metadata)
-    if command in ("diff-curve", "heatmap", "envelope"):
-        want_header, want_rows, want_footer = result
-    else:
-        extras, want_header, want_rows = _record_to_table(result)
-        want_footer = None
+    _, want_header, want_rows, want_footer = _table(SUBCOMMANDS[command].compute(metadata))
     if header != want_header:
         raise ValueError(f"header mismatch: file has {header}, recomputation has {want_header}")
     if len(rows) != len(want_rows):
@@ -564,12 +562,12 @@ def run_verify(path: str) -> int:
             stderr_name = _STDERR_COLUMN.get(name)
             if stderr_name in header:
                 stderr = want_rows[index][header.index(stderr_name)]
-            if not _verify_value(name, got, want, stderr):
+            if not _verify_value(got, want, stderr):
                 failures.append(f"row {index}, column {name}: file {got!r} vs recomputed {want!r}")
         checked += 1
     if footer is not None and want_footer is not None:
         for key in want_footer:
-            if key in footer and not _verify_value(key, footer[key], want_footer[key], None):
+            if key in footer and not _verify_value(footer[key], want_footer[key], None):
                 failures.append(f"footer {key}: file {footer[key]!r} vs {want_footer[key]!r}")
     if failures:
         raise _NumericalFailure("verification failed: " + "; ".join(failures))
@@ -588,62 +586,36 @@ def build_parser() -> argparse.ArgumentParser:
         "least squares in the planar Gaussian sequence model.",
     )
     parser.add_argument(
-        "--verify", metavar="PATH", help="recheck a previously emitted CSV instead of running a command"
+        "--verify", metavar="PATH", help="recheck a previously emitted CSV or JSON output instead of running a command"
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     common.add_argument("--out", metavar="PATH", help="write output to this file instead of stdout")
     common.add_argument("--format", choices=["csv", "json"], default=None)
-    common.add_argument("--n-obs", type=int, default=1, dest="n_obs")
+    common.add_argument("--n-obs", type=int, default=1)
     common.add_argument(
         "--emit-plot-script",
         action="store_true",
         help="write a matplotlib companion script next to the CSV named by --out",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p_risk = sub.add_parser("risk", parents=[common], help="risk at one (theta*, sigma) point")
-    p_risk.add_argument("--set", required=True, choices=["segment", "triangle", "polytope-file"])
-    p_risk.add_argument("--c", type=float)
-    p_risk.add_argument("--sigma", type=float)
-    p_risk.add_argument("--t-star", type=float, default=None, dest="t_star")
-    p_risk.add_argument("--file", help="polytope JSON file with dim and vertices")
-    p_risk.add_argument("--theta", help="true parameter, comma-separated coordinates")
-    p_risk.add_argument("--mc", action="store_true", help="add a Monte Carlo estimate")
-
-    p_diff = sub.add_parser("diff-curve", parents=[common], help="risk difference along a noise sweep")
-    p_diff.add_argument("--c-list", required=True, dest="c_list")
-    p_diff.add_argument("--sigma-sweep", required=True, dest="sigma_sweep")
-
-    p_heat = sub.add_parser("heatmap", parents=[common], help="risk difference over a (c, sigma) grid")
-    p_heat.add_argument("--c-sweep", required=True, dest="c_sweep")
-    p_heat.add_argument("--sigma-sweep", required=True, dest="sigma_sweep")
-
-    p_env = sub.add_parser("envelope", parents=[common], help="limiting-risk envelope over x")
-    p_env.add_argument("--c", type=float)
-    p_env.add_argument("--x-sweep", required=True, dest="x_sweep")
-
-    p_stat = sub.add_parser("statdim", parents=[common], help="statistical dimension of a tangent cone")
-    p_stat.add_argument("--polytope-file", dest="polytope_file")
-    p_stat.add_argument("--theta")
-    p_stat.add_argument("--generators", help="semicolon-separated cone generators, e.g. '1,0;0,1'")
-
-    p_rev = sub.add_parser("reversal", parents=[common], help="worst-case reversal scan over sigma")
-    p_rev.add_argument("--c", type=float)
-    p_rev.add_argument("--x-small", type=float, dest="x_small")
-    p_rev.add_argument("--x-large", type=float, dest="x_large")
-    p_rev.add_argument("--sigma-sweep", required=True, dest="sigma_sweep")
-
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for option, kwargs in command.flags:
+            p.add_argument(option, **kwargs)
     return parser
 
 
-def _default_format(command: str) -> str:
-    return "csv" if command in ("diff-curve", "heatmap", "envelope") else "json"
-
-
 def _emit(output: Output, args) -> None:
-    fmt = args.format or _default_format(args.command)
+    """Write the output, and its plot script if asked; check both before writing."""
+    fmt = args.format or ("csv" if output.rows is not None else "json")
+    plot = SUBCOMMANDS[args.command].plot
+    if args.emit_plot_script:
+        if not args.out or fmt != "csv":
+            raise ValueError("--emit-plot-script requires --out with CSV output")
+        if plot is None:
+            raise ValueError(f"no plot template for command {args.command!r}")
     text = render_csv(output) if fmt == "csv" else render_json(output)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -651,13 +623,8 @@ def _emit(output: Output, args) -> None:
     else:
         sys.stdout.write(text)
     if args.emit_plot_script:
-        if not args.out or fmt != "csv":
-            raise ValueError("--emit-plot-script requires --out with CSV output")
-        if args.command not in _PLOT_BODIES:
-            raise ValueError(f"no plot template for command {args.command!r}")
-        script_path = args.out + ".plot.py"
-        with open(script_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(_plot_script(args.command, args.out))
+        with open(args.out + ".plot.py", "w", encoding="utf-8", newline="") as handle:
+            handle.write(_plot_script(plot, args.out))
 
 
 def main(argv=None) -> int:
@@ -672,7 +639,8 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand or --verify is required", file=sys.stderr)
             return 2
-        output = _COMMANDS[args.command](args)
+        params = {k: v for k, v in vars(args).items() if k not in _RUN_OPTIONS}
+        output = SUBCOMMANDS[args.command].compute(params)
         if output.record is not None:
             _check_finite(output.record)
         if output.rows is not None:

@@ -273,6 +273,8 @@ class _PolygonBlocks:
         self._floats = np.empty((7, size))
         self._flags = np.empty((2, size), dtype=bool)
 
+    # rows with no finite distance go through inf/NaN arithmetic, then raise
+    @np.errstate(invalid="ignore", over="ignore")
     def project(self, y0: np.ndarray, y1: np.ndarray, first: int):
         """Project the points (y0[i], y1[i]) of one block.
 

@@ -3,8 +3,8 @@
 Runs the entry point in-process with explicit argv and captured output.
 Covers exit codes (0 success, 2 usage, 3 numerical), exact CSV headers,
 metadata lines, byte stability across repeat runs and thread counts,
-cross-command consistency, the verification mode, and the plot-script
-companion files.
+cross-command consistency, the verification mode on CSV and JSON output,
+and the plot-script companion files.
 """
 
 import json
@@ -51,9 +51,22 @@ class TestExitCodes:
         assert "subcommand" in err
 
     def test_missing_required_flag(self, capsys):
-        code, _, err = run_cli(capsys, ["risk", "--set", "triangle", "--sigma", "1"])
-        assert code == 2
-        assert "--c" in err
+        rev = ["reversal", "--c", "0.75", "--sigma-sweep", "1"]
+        cases = [
+            (["risk", "--set", "triangle", "--sigma", "1"], "--c"),
+            (["risk", "--set", "triangle", "--c", "1"], "--sigma"),
+            (["envelope", "--x-sweep", "0:1:5"], "--c"),
+            (rev + ["--x-large", "0.5"], "--x-small"),
+            (rev + ["--x-small", "1.3"], "--x-large"),
+        ]
+        for argv, flag in cases:
+            try:  # argparse exits by itself for the flags it requires
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert flag in err, argv
 
     def test_t_star_only_for_segment(self, capsys):
         code, _, err = run_cli(
@@ -373,6 +386,55 @@ class TestVerifyAndArtifacts:
         assert code == 3
         assert "verification failed" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["risk", "--set", "triangle", "--c", "1", "--sigma", "2"],
+            ["risk", "--set", "segment", "--c", "1", "--sigma", "1", "--mc",
+             "--samples", "20000"],
+            ["statdim", "--generators", "1,0;0,1", "--samples", "20000"],
+            ["reversal", "--c", "0.75", "--x-small", "1.3", "--x-large", "0.5",
+             "--sigma-sweep", "0.05,2", "--samples", "3000"],
+            ["diff-curve", "--c-list", "0.5,1", "--sigma-sweep", "0.1:10:150:log",
+             "--format", "json"],
+        ],
+        ids=["risk", "risk-mc", "statdim", "reversal", "diff-curve"],
+    )
+    def test_roundtrip_json(self, capsys, tmp_path, argv):
+        path = self._write(capsys, tmp_path, argv, "out.json")
+        assert path.read_text().startswith("{")
+        code, out, _ = run_cli(capsys, ["--verify", str(path)])
+        assert code == 0
+        assert "OK" in out
+
+    @pytest.mark.parametrize("method", ["analytic", "mc"])
+    def test_statdim_csv_roundtrip(self, capsys, tmp_path, method):
+        poly = tmp_path / "tri.json"
+        poly.write_text(json.dumps(TRIANGLE_FILE))
+        route = {
+            "analytic": ["--polytope-file", str(poly), "--theta", "0.5,0"],
+            "mc": ["--generators", "1,0;0,1", "--samples", "20000"],
+        }[method]
+        path = self._write(capsys, tmp_path, ["statdim", *route, "--format", "csv"], "sd.csv")
+        metadata, header = path.read_text().split("\n")[:2]
+        assert json.loads(metadata[2:])["method"] == method
+        assert header == {"analytic": "delta", "mc": "delta,stderr"}[method]
+        code, _, _ = run_cli(capsys, ["--verify", str(path)])
+        assert code == 0
+
+    def test_tampered_json_detected(self, capsys, tmp_path):
+        path = self._write(
+            capsys, tmp_path,
+            ["risk", "--set", "triangle", "--c", "1", "--sigma", "2"],
+            "risk.json",
+        )
+        payload = json.loads(path.read_text())
+        payload["exact"] += 1e-3
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, ["--verify", str(path)])
+        assert code == 3
+        assert "exact" in err
+
     def test_verify_rejects_plain_csv(self, capsys, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("a,b\n1,2\n")
@@ -391,12 +453,74 @@ class TestVerifyAndArtifacts:
         text = script.read_text()
         assert "matplotlib" in text and str(path) in text
 
+    def test_plot_script_refused_before_writing(self, capsys, tmp_path):
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(
+            capsys,
+            ["risk", "--set", "triangle", "--c", "1", "--sigma", "2", "--format", "csv",
+             "--out", str(out), "--emit-plot-script"],
+        )
+        assert code == 2
+        assert "plot template" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_plot_script_requires_out(self, capsys):
         code, _, _ = run_cli(
             capsys,
             ["envelope", "--c", "0.75", "--x-sweep", "0:1:5", "--emit-plot-script"],
         )
         assert code == 2
+
+
+# The metadata line and header of each subcommand, as they were before the
+# command table replaced the per-command wrappers.  statdim's CSV line also
+# carries the record's string "method", which could not be rendered before.
+CONTRACT = [
+    (
+        ["risk", "--set", "triangle", "--c", "1", "--sigma", "2", "--format", "csv"],
+        '# {"c":1.0,"command":"risk","file":null,"mc":false,"n_obs":1,"samples":1000000,'
+        '"seed":20240613,"set":"triangle","sigma":2.0,"t_star":null,"theta":null}',
+        "exact,sigma_effective",
+    ),
+    (
+        ["diff-curve", "--c-list", "0.5,1", "--sigma-sweep", "1:2:2"],
+        '# {"c_list":[0.5,1.0],"command":"diff-curve","n_obs":1,"samples":1000000,'
+        '"seed":20240613,"sigma_sweep":"1:2:2"}',
+        "c,sigma,risk_S,risk_L,diff",
+    ),
+    (
+        ["heatmap", "--c-sweep", "0.5:1:2", "--sigma-sweep", "1:2:2"],
+        '# {"c_sweep":"0.5:1:2","command":"heatmap","n_obs":1,"samples":1000000,'
+        '"seed":20240613,"sigma_sweep":"1:2:2"}',
+        "c,sigma,diff",
+    ),
+    (
+        ["envelope", "--c", "0.75", "--x-sweep", "0:1:3"],
+        '# {"c":0.75,"command":"envelope","n_obs":1,"samples":1000000,"seed":20240613,'
+        '"x_sweep":"0:1:3"}',
+        "x,risk_v1,risk_v2,risk_vx,envelope",
+    ),
+    (
+        ["statdim", "--generators", "1,0;0,1", "--samples", "1000", "--format", "csv"],
+        '# {"command":"statdim","generators":"1,0;0,1","method":"mc","n_obs":1,'
+        '"polytope_file":null,"samples":1000,"seed":20240613,"theta":null}',
+        "delta,stderr",
+    ),
+    (
+        ["reversal", "--c", "0.75", "--x-small", "1.3", "--x-large", "0.5",
+         "--sigma-sweep", "0.05", "--samples", "1000", "--format", "csv"],
+        '# {"c":0.75,"command":"reversal","edge_points":32,"n_obs":1,"reversal_sigma":null,'
+        '"samples":1000,"seed":20240613,"sigma_sweep":"0.05","x_large":0.5,"x_small":1.3}',
+        "sigma_grid,stderr_large,stderr_small,sup_large,sup_small",
+    ),
+]
+
+
+def test_metadata_and_header_contract(capsys):
+    for argv, metadata, header in CONTRACT:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        assert out.split("\n")[:2] == [metadata, header], argv
 
 
 def test_console_script_end_to_end():

@@ -541,19 +541,31 @@ def _verify_value(got: float, want: float, stderr: float | None) -> bool:
     return abs(got - want) <= VERIFY_RTOL * (1.0 + abs(want))
 
 
+def _entry_failures(kind: str, got: dict, want: dict) -> list:
+    """Entries of ``want`` that ``got`` lacks or differs in; floats compare as table cells do."""
+    def same(mine, value):
+        if isinstance(value, float) and type(mine) in (int, float):
+            return _verify_value(mine, value, None)
+        return type(mine) is type(value) and mine == value
+
+    return [f"{kind} {key}: file {got.get(key)!r} vs recomputed {value!r}"
+            for key, value in want.items() if key not in got or not same(got[key], value)]
+
+
 def run_verify(path: str) -> int:
     with open(path, "r", encoding="utf-8") as handle:
         metadata, header, rows, footer = _table(_read_output(handle.read()))
     command = metadata.get("command")
     if command not in SUBCOMMANDS:
         raise ValueError(f"metadata names unknown command {command!r}")
-    _, want_header, want_rows, want_footer = _table(SUBCOMMANDS[command].compute(metadata))
+    want_metadata, want_header, want_rows, want_footer = _table(SUBCOMMANDS[command].compute(metadata))
     if header != want_header:
         raise ValueError(f"header mismatch: file has {header}, recomputation has {want_header}")
     if len(rows) != len(want_rows):
         raise ValueError(f"row count mismatch: file has {len(rows)}, expected {len(want_rows)}")
     checked = 0
-    failures = []
+    # the metadata line also holds the record's scalar entries
+    failures = _entry_failures("metadata", metadata, want_metadata)
     for index in range(0, len(rows), VERIFY_STRIDE):
         for col, name in enumerate(header):
             got = rows[index][col]
@@ -565,10 +577,7 @@ def run_verify(path: str) -> int:
             if not _verify_value(got, want, stderr):
                 failures.append(f"row {index}, column {name}: file {got!r} vs recomputed {want!r}")
         checked += 1
-    if footer is not None and want_footer is not None:
-        for key in want_footer:
-            if key in footer and not _verify_value(footer[key], want_footer[key], None):
-                failures.append(f"footer {key}: file {footer[key]!r} vs {want_footer[key]!r}")
+    failures += _entry_failures("footer", footer or {}, want_footer or {})
     if failures:
         raise _NumericalFailure("verification failed: " + "; ".join(failures))
     print(f"verified {checked} of {len(rows)} rows of {path}: OK")

@@ -78,17 +78,28 @@ class RegionRiskBreakdown:
 
 
 def _int_z2_phi(a: float, b: float) -> float:
-    """integral_a^b z^2 phi(z) dz = Phi(b) - Phi(a) - b phi(b) + a phi(a).
+    """integral_a^b z^2 phi(z) dz; for a <= 0 <= b the two halves from 0 add."""
+    return _half_z2_phi(b) - _half_z2_phi(a)
 
-    The CDF difference goes through erf so the case of small |a|, |b| keeps
-    absolute accuracy near machine precision.
+
+def _half_z2_phi(x: float) -> float:
+    """integral_0^x z^2 phi(z) dz = sign(x) P(3/2, x^2/2) / 2, to a few ulps for every x.
+
+    Below |x| = 1, where Phi(x) - 1/2 - x phi(x) cancels, it sums the positive
+    series of P: phi(x) (|x|^3/3 + |x|^5/(3*5) + |x|^7/(3*5*7) + ...).
     """
-    return (
-        std_normal_cdf_minus_half(b)
-        - std_normal_cdf_minus_half(a)
-        - b * std_normal_pdf(b)
-        + a * std_normal_pdf(a)
-    )
+    r = abs(x)
+    if r >= 1.0:
+        value = std_normal_cdf_minus_half(r) - r * std_normal_pdf(r)
+    else:
+        term = total = r * r * r / 3.0
+        k = 5.0
+        while term > 1e-17 * total:
+            term *= r * r / k
+            total += term
+            k += 2.0
+        value = total * std_normal_pdf(r)
+    return math.copysign(value, x)
 
 
 def risk_segment_exact(g: ExampleGeometry, t_star: float, sigma: float) -> float:

@@ -1,14 +1,15 @@
 """Convex polytopes in vertex form: projections, faces, and cones.
 
-Polytopes are given by their vertices, conv{v_1, ..., v_K}.  Projections are
-exact in the plane (segment clip formula, polygon edge search, and a
-region-table projector for the running triangle family).  In general
-dimension, Wolfe's min-norm-point iteration runs on blocks of points at
-once, each point with its own active set, and certifies every result.
-The polygon and polytope batch projections are row independent: a point
-projected alone gives the same bits as inside any batch.  Tangent and normal cones are classified for
-planar polytopes, and cones given by generators support nonnegative
-least-squares projection.
+Polytopes are given by their vertices, conv{v_1, ..., v_K}.  One function,
+``_block_projector``, picks the projector for a polytope: in the plane an
+exact edge search (a segment is one edge, a point one edge of length zero),
+in any other dimension Wolfe's min-norm-point iteration, each point with its
+own active set and a certified result.  Both work on blocks of points, and
+the batch projections are row independent: a point projected alone gives
+the same bits as inside any batch.  The running triangle family also has a
+region-table projector.  Tangent and normal cones are classified for planar
+polytopes, and cones given by generators support nonnegative least-squares
+projection.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe for shared concurrent use.
@@ -246,62 +247,70 @@ def project_polygon_2d(P: ConvexPolytope, y) -> np.ndarray:
     """
     if P.dim != 2:
         raise ValueError("project_polygon_2d requires a planar polytope")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (2,):
-        raise ValueError("y must be a 2-vector")
-    return project_polygon_2d_batch(P, y[None, :])[0]
+    return project_polytope(P, y)
 
 
-# points per block of the K >= 3 polygon projection: the block's seven float
-# and two flag scratch arrays (under 1 MB) stay in cache across the edges
+# points per block of the planar projection: the block's seven float and two
+# flag scratch rows (under 1 MB) stay in cache across the edges
 _PROJECT_BLOCK = 1 << 14
 
 
 class _PolygonBlocks:
-    """Projection onto a polygon with K >= 3 vertices, one block at a time.
+    """Projection onto a planar polytope, one block of points at a time.
 
-    Holds the edge table and scratch for blocks of up to ``size`` points.
-    Not safe for concurrent use: make one per call, since Monte Carlo chunks
-    run on worker threads.
+    The polytope is a chain of edges v_i -> v_i+1: closed for K >= 3, one
+    edge for a segment, one edge of length zero for a point.  Holds scratch
+    for blocks of up to ``size`` points, so it is not safe for concurrent
+    use: :func:`_block_projector` makes a new one per call.
     """
 
     def __init__(self, P: ConvexPolytope, size: int):
         v = P.vertices
         edge = np.roll(v, -1, axis=0) - v
         len_sq = np.einsum("ij,ij->i", edge, edge)
-        self._edges = [(v[i, 0], v[i, 1], edge[i, 0], edge[i, 1], len_sq[i]) for i in range(len(v))]
+        self._closed = len(v) >= 3
+        # a point's zero edge divides by 1, so its foot is the vertex
+        self._edges = [
+            (v[i, 0], v[i, 1], edge[i, 0], edge[i, 1], len_sq[i] or 1.0)
+            for i in range(len(v) if self._closed else 1)
+        ]
+        self.size = size
         self._floats = np.empty((7, size))
         self._flags = np.empty((2, size), dtype=bool)
 
     # rows with no finite distance go through inf/NaN arithmetic, then raise
     @np.errstate(invalid="ignore", over="ignore")
-    def project(self, y0: np.ndarray, y1: np.ndarray, first: int):
-        """Project the points (y0[i], y1[i]) of one block.
+    def project(self, y: np.ndarray, first: int) -> np.ndarray:
+        """Project the (2, b) block of coordinate rows ``y``, into a view of the scratch.
 
-        Returns the coordinate columns of the projections as views of this
-        object's scratch, valid until the next call.  Per edge it evaluates
-        the foot t = clip(<y - v, e> / ||e||^2, 0, 1), v + t e and its squared
-        distance, and keeps the first edge that is strictly nearest.  A point
-        with no finite distance to any edge (NaN or infinite coordinates, or
-        so far out that the square overflows) raises :class:`ProjectionError`
-        naming its index, counted from ``first``.
+        Per edge it evaluates the foot v + t e, t = clip(<y - v, e> / ||e||^2,
+        0, 1); on a polygon it keeps the first strictly nearest foot, and
+        points inside stay.  A point with no finite distance to the set (NaN
+        or infinite coordinates, or, on a polygon, an overflowing squared
+        distance) raises :class:`ProjectionError` naming its index from ``first``.
         """
-        b = len(y0)
-        d0, d1, t, d2, best, x0, x1 = (a[:b] for a in self._floats)
-        inside, better = (a[:b] for a in self._flags)
-        best.fill(np.inf)
-        inside.fill(True)
+        b = y.shape[1]
+        y0, y1 = y
+        d, x = self._floats[:2, :b], self._floats[5:, :b]
+        (d0, d1), (x0, x1) = d, x
+        t, d2, best = self._floats[2:5, :b]
+        inside, better = flags = self._flags[:, :b]
+        closed = self._closed
+        if closed:
+            best.fill(np.inf)
+            inside.fill(True)
         # every step rounds as e0 * d1 - e1 * d0, (d0 * e0 + d1 * e1) / len_sq,
-        # v + t * e and (y0 - fx) ** 2 + (y1 - fy) ** 2 do on whole arrays
+        # v + t * e and (y0 - fx) ** 2 + (y1 - fy) ** 2 do on whole arrays; the
+        # passes are one-dimensional, which costs less than broadcasting (2, b)
         for vx, vy, e0, e1, len_sq in self._edges:
             np.subtract(y0, vx, out=d0)
             np.subtract(y1, vy, out=d1)
-            # counterclockwise vertices: inside iff left of every edge
-            np.multiply(d1, e0, out=t)
-            np.multiply(d0, e1, out=d2)
-            np.subtract(t, d2, out=t)
-            np.greater_equal(t, 0.0, out=better)
-            inside &= better
+            if closed:
+                # counterclockwise vertices: inside iff left of every edge
+                np.multiply(d1, e0, out=t)
+                np.multiply(d0, e1, out=d2)
+                np.subtract(t, d2, out=t)
+                inside &= np.greater_equal(t, 0.0, out=better)
             np.multiply(d0, e0, out=t)
             np.multiply(d1, e1, out=d2)
             t += d2
@@ -311,56 +320,44 @@ class _PolygonBlocks:
             fx += vx
             fy = np.multiply(t, e1, out=d1)
             fy += vy
-            np.subtract(y0, fx, out=d2)
-            np.square(d2, out=d2)
-            np.subtract(y1, fy, out=t)
-            np.square(t, out=t)
-            d2 += t
-            np.less(d2, best, out=better)
-            np.copyto(best, d2, where=better)
-            np.copyto(x0, fx, where=better)
-            np.copyto(x1, fy, where=better)
-        finite = np.isfinite(best, out=better)
+            if closed:
+                np.subtract(y0, fx, out=d2)
+                np.square(d2, out=d2)
+                np.subtract(y1, fy, out=t)
+                np.square(t, out=t)
+                d2 += t
+                np.less(d2, best, out=better)
+                np.copyto(best, d2, where=better)
+                np.copyto(x0, fx, where=better)
+                np.copyto(x1, fy, where=better)
+        if closed:
+            finite = np.isfinite(best, out=better)
+            np.copyto(x, y, where=inside)
+        else:
+            # a point or a segment: the one foot is the projection, and its
+            # distance may overflow, since no comparison needs it
+            x = d
+            finite = np.isfinite(y, out=flags).all(axis=0)
+            finite &= np.isfinite(d0, out=inside)
         if not finite.all():
             i = int(np.argmin(finite))
             raise ProjectionError(
                 f"point {first + i} ({float(y0[i])!r}, {float(y1[i])!r}) has no finite "
                 "distance to the polygon"
             )
-        np.copyto(x0, y0, where=inside)
-        np.copyto(x1, y1, where=inside)
-        return x0, x1
+        return x
 
 
 def project_polygon_2d_batch(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
     """Vectorized :func:`project_polygon_2d` for an (n, 2) array of points.
 
-    Polygons with K >= 3 vertices are projected in blocks of
-    ``_PROJECT_BLOCK`` points; a point with no finite distance to the
-    polygon raises :class:`ProjectionError` naming its row.
+    Points are projected in blocks of ``_PROJECT_BLOCK``; a point with no
+    finite distance to the polytope raises :class:`ProjectionError` naming
+    its row.
     """
     if P.dim != 2:
         raise ValueError("project_polygon_2d_batch requires a planar polytope")
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != 2:
-        raise ValueError("Y must be an (n, 2) array")
-    v = P.vertices
-    k = P.n_vertices
-    if k == 1:
-        return np.broadcast_to(v[0], Y.shape).copy()
-    if k == 2:
-        edge = v[1] - v[0]
-        # elementwise, not a BLAS product, so no row's rounding depends on n
-        t = (Y[:, 0] - v[0, 0]) * edge[0] + (Y[:, 1] - v[0, 1]) * edge[1]
-        t /= np.einsum("i,i", edge, edge)
-        np.clip(t, 0.0, 1.0, out=t)
-        return v[0] + t[:, None] * edge
-    out = np.empty_like(Y)
-    blocks = _PolygonBlocks(P, min(len(Y), _PROJECT_BLOCK))
-    for start in range(0, len(Y), _PROJECT_BLOCK):
-        rows = slice(start, start + _PROJECT_BLOCK)
-        out[rows, 0], out[rows, 1] = blocks.project(Y[rows, 0], Y[rows, 1], start)
-    return out
+    return project_polytope_batch(P, Y)
 
 
 def project_triangle_example(g: ExampleGeometry, y):
@@ -413,6 +410,9 @@ _POLYTOPE_BLOCK = 1 << 12
 # weights at or below this count as zero when the minimiser leaves the simplex
 _WEIGHT_FLOOR = 1e-12
 
+# bound on max_i <y - q, v_i - q> / (1 + ||y||) that certifies a min-norm point q
+_CERTIFICATE_TOL = 1e-9
+
 
 def _sum_last(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis, left to right, one elementwise add per term.
@@ -442,7 +442,9 @@ class _MinNormPoint:
     before, and one object may serve concurrent callers.
     """
 
-    def __init__(self, P: ConvexPolytope, tol: float):
+    size = _POLYTOPE_BLOCK
+
+    def __init__(self, P: ConvexPolytope):
         v = P.vertices
         self._v = v
         # centred and scaled vertices keep the bordered system well scaled
@@ -450,20 +452,8 @@ class _MinNormPoint:
         centred = v - self._center
         self._scale = float(np.max(np.abs(centred))) or 1.0
         self._unit = centred / self._scale
-        self._tol = tol
         self._max_iter = 64 * len(v) + 256
         self._affine = {}
-
-    def project(self, Y: np.ndarray, first: int = 0) -> np.ndarray:
-        """Projections of the rows of the (n, d) array ``Y``, ``_POLYTOPE_BLOCK`` at a time.
-
-        Error messages count rows from ``first``.
-        """
-        out = np.empty_like(Y)
-        for start in range(0, len(Y), _POLYTOPE_BLOCK):
-            rows = slice(start, start + _POLYTOPE_BLOCK)
-            out[rows] = self._block(Y[rows], first + start)
-        return out
 
     def _affine_weights(self, mask: np.ndarray, yc: np.ndarray) -> np.ndarray:
         """Affine minimiser weights of each row over its active set, zero off it."""
@@ -502,10 +492,13 @@ class _MinNormPoint:
         b[idx] = inverse[:s, s]
         return B, b
 
-    def _block(self, y: np.ndarray, first: int) -> np.ndarray:
+    def project(self, y: np.ndarray, first: int) -> np.ndarray:
+        """Project the (d, b) block of coordinate rows ``y``; errors count points from ``first``."""
+        # iterate on row-major (b, d) points; the result is their transpose
+        y = np.ascontiguousarray(y.T)
         v = self._v
         with np.errstate(over="ignore"):
-            threshold = self._tol * (1.0 + np.sqrt(_sum_last(y * y)))
+            threshold = _CERTIFICATE_TOL * (1.0 + np.sqrt(_sum_last(y * y)))
             finite = np.isfinite(threshold)
             if not finite.all():
                 i = int(np.argmin(finite))
@@ -529,7 +522,7 @@ class _MinNormPoint:
             out[rows[done]] = p[done]
             live = ~done
             if not live.any():
-                return out
+                return out.T
             rows, y, yc, threshold, residual = rows[live], y[live], yc[live], threshold[live], residual[live]
             mask, weights, entering = mask[live], weights[live], entering[live]
             every = np.arange(len(rows))
@@ -579,20 +572,42 @@ class _MinNormPoint:
 
 
 @lru_cache(maxsize=16)
-def _min_norm_point(P: ConvexPolytope, tol: float) -> _MinNormPoint:
-    """The projector onto ``P`` at ``tol``, shared so its active-set maps outlive one call."""
-    return _MinNormPoint(P, tol)
+def _min_norm_point(P: ConvexPolytope) -> _MinNormPoint:
+    """The projector onto ``P``, shared so its active-set maps outlive one call."""
+    return _MinNormPoint(P)
 
 
-def project_polytope_batch(P: ConvexPolytope, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _block_projector(P: ConvexPolytope, rows: int):
+    """The projector for ``P`` and a call of ``rows`` points: a new edge search
+    in the plane, the shared min-norm-point solver elsewhere.  ``project(y,
+    first)`` projects a (d, b) block of coordinate rows, b <= ``size``, and
+    counts points from ``first`` in its errors.
+    """
+    if P.dim == 2:
+        return _PolygonBlocks(P, min(max(rows, 1), _PROJECT_BLOCK))
+    return _min_norm_point(P)
+
+
+def _project_rows(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
+    """Projections of the rows of the (n, d) array ``Y``, one projector block at a time."""
+    projector = _block_projector(P, len(Y))
+    out = np.empty_like(Y, order="C")
+    for start in range(0, len(Y), projector.size):
+        rows = slice(start, start + projector.size)
+        out[rows] = projector.project(Y[rows].T, start).T
+    return out
+
+
+def project_polytope_batch(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
     """Euclidean projection of the rows of an (n, d) array onto a polytope in any dimension.
 
-    Runs Wolfe's min-norm-point iteration (Wolfe 1976) on blocks of rows,
-    each row with its own active set.  A row leaves its block once its
-    projection q, a convex combination of the vertices, is certified by the
-    variational inequality
+    In the plane this is :func:`project_polygon_2d_batch`.  In any other
+    dimension it runs Wolfe's min-norm-point iteration (Wolfe 1976) on
+    blocks of rows, each row with its own active set.  A row leaves its
+    block once its projection q, a convex combination of the vertices, is
+    certified by the variational inequality
 
-        max_i <y - q, v_i - q>  <=  tol * (1 + ||y||),
+        max_i <y - q, v_i - q>  <=  1e-9 * (1 + ||y||),
 
     which bounds ||q - projection||^2 by the same quantity.  A row with no
     finite norm, or whose iteration gets stuck or reaches ``64 K + 256``
@@ -600,15 +615,13 @@ def project_polytope_batch(P: ConvexPolytope, Y: np.ndarray, tol: float = 1e-9) 
     and its residual.  Each row's result depends on that row alone, bit for
     bit, whatever the batch it is projected in.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != P.dim:
         raise ValueError(f"Y must be an (n, {P.dim}) array")
-    return _min_norm_point(P, float(tol)).project(Y)
+    return _project_rows(P, Y)
 
 
-def project_polytope(P: ConvexPolytope, y, tol: float = 1e-9) -> np.ndarray:
+def project_polytope(P: ConvexPolytope, y) -> np.ndarray:
     """Euclidean projection of one point onto a polytope in any dimension.
 
     One row of :func:`project_polytope_batch`, certified and raising as it does.
@@ -616,7 +629,7 @@ def project_polytope(P: ConvexPolytope, y, tol: float = 1e-9) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (P.dim,):
         raise ValueError(f"y must be a {P.dim}-vector")
-    return project_polytope_batch(P, y[None, :], tol)[0]
+    return project_polytope_batch(P, y[None, :])[0]
 
 
 def exposed_face_vertex(P: ConvexPolytope, u) -> int:

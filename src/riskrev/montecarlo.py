@@ -8,6 +8,9 @@ order with a pairwise-stable update.  A result is therefore bitwise
 identical for a given ``(seed, n, chunk)`` no matter how many worker
 threads execute the chunks.  The ``RISKREV_THREADS`` environment variable
 sets the worker count; unset, it is 1 and the chunks run serially.
+
+Within a chunk, one loss loop serves every polytope, one block of samples
+at a time, with the projector that ``geometry`` picks for it.
 """
 
 import math
@@ -20,15 +23,7 @@ import numpy as np
 from scipy import special
 
 from .exact_risk import RiskQuery
-from .geometry import (
-    _PROJECT_BLOCK,
-    ConvexPolytope,
-    ProjectionError,
-    _PolygonBlocks,
-    _min_norm_point,
-    project_polygon_2d_batch,
-    project_polytope_batch,
-)
+from .geometry import ConvexPolytope, ProjectionError, _block_projector, _project_rows
 
 DEFAULT_SEED = 20240613
 DEFAULT_CHUNK = 1 << 18
@@ -145,53 +140,39 @@ def _chunked_estimate(d: int, cfg: MCConfig, chunk_losses) -> list[RiskEstimate]
     return estimates
 
 
-def _require_members(P: ConvexPolytope, thetas: np.ndarray):
-    if P.dim == 2:
-        nearest = project_polygon_2d_batch(P, thetas)
-    else:
-        nearest = project_polytope_batch(P, thetas)
-    outside = np.linalg.norm(nearest - thetas, axis=1) > 1e-9
-    if np.any(outside):
-        raise ValueError(f"theta_star {thetas[int(np.argmax(outside))]} must belong to the polytope")
+def _losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: np.ndarray):
+    """Losses ||Pi(theta + sigma z) - theta||^2 of one chunk, one reused vector per theta.
 
-
-def _polygon_losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: np.ndarray):
-    """Losses on a K >= 3 polygon, built block by block into one reused buffer."""
-    m = len(z)
-    z0, z1 = np.ascontiguousarray(z[:, 0]), np.ascontiguousarray(z[:, 1])
-    size = min(m, _PROJECT_BLOCK)
-    blocks = _PolygonBlocks(P, size)
-    y0, y1 = np.empty(size), np.empty(size)
+    Rounds as theta + sigma * z, the batch projection and einsum over (m, d)
+    rows do on the whole chunk.  A loss above the squared diameter raises.
+    """
+    diam_sq = P.squared_diameter()
+    loss_cap = diam_sq * (1.0 + 1e-9) + 1e-12
+    m, d = z.shape
+    projector = _block_projector(P, m)
+    block = projector.size
+    # contiguous coordinate rows, as the projectors take them; one array per
+    # coordinate, since a single (d, m) copy measured 1 MB more peak memory
+    zt = [np.ascontiguousarray(z[:, j]) for j in range(d)]
+    y = np.empty((d, min(m, block)))
     loss = np.empty(m)
-    for t0, t1 in thetas:
-        for first in range(0, m, _PROJECT_BLOCK):
-            rows = slice(first, min(m, first + _PROJECT_BLOCK))
-            u0, u1 = y0[: rows.stop - first], y1[: rows.stop - first]
-            # theta + sigma z and ||Pi(y) - theta||^2, in the operation order
-            # of the (m, 2) expressions in _pointwise_losses
-            np.multiply(z0[rows], sigma, out=u0)
-            u0 += t0
-            np.multiply(z1[rows], sigma, out=u1)
-            u1 += t1
-            x0, x1 = blocks.project(u0, u1, start + first)
-            x0 -= t0
-            np.square(x0, out=x0)
-            x1 -= t1
-            np.square(x1, out=x1)
-            np.add(x0, x1, out=loss[rows])
-        yield loss
-
-
-def _pointwise_losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: np.ndarray):
-    """Losses on a point, a segment, or a polytope in dimension d != 2."""
-    if P.dim == 2:
-        project = partial(project_polygon_2d_batch, P)
-    else:
-        # errors count samples from the chunk's first
-        project = partial(_min_norm_point(P, 1e-9).project, first=start)
     for theta in thetas:
-        projected = project(theta + sigma * z)
-        yield np.einsum("ij,ij->i", projected - theta, projected - theta)
+        shift = theta[:, None]
+        for first in range(0, m, block):
+            rows = slice(first, min(m, first + block))
+            u = y[:, : rows.stop - first]
+            for j in range(d):
+                np.multiply(zt[j][rows], sigma, out=u[j])
+            u += shift
+            x = projector.project(u, start + first)
+            x -= shift
+            np.einsum("ji,ji->i", x, x, out=loss[rows])
+        worst = int(np.argmax(loss))
+        if loss[worst] > loss_cap:
+            raise ProjectionError(
+                f"sample {start + worst}: loss {loss[worst]!r} exceeds squared diameter {diam_sq!r}"
+            )
+        yield loss
 
 
 def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[RiskEstimate]:
@@ -200,13 +181,9 @@ def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[Ris
     Returns one estimate per row of ``thetas``, each bitwise identical to
     :func:`mc_risk` at that theta* with the same configuration, while the
     normals of each chunk are drawn only once (common random numbers).
-    Polygons with K >= 3 vertices use the blocked polygon projection, one
-    block of samples at a time; other planar sets use the batch projection,
-    and other dimensions the batch min-norm-point projection, one block of
-    samples at a time.  A projection failure aborts with the failing sample
-    index.
-    Every per-sample loss is checked against the squared diameter of ``P``,
-    which bounds it because both points lie in the set.
+    Samples are projected one block at a time by the projector that
+    ``geometry`` picks for ``P``.  A projection failure aborts with the
+    failing sample index, and so does a loss above the squared diameter.
     """
     thetas = np.array(thetas, dtype=float, ndmin=2)
     if thetas.ndim != 2 or thetas.shape[1] != P.dim or len(thetas) < 1:
@@ -216,22 +193,10 @@ def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[Ris
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
-    _require_members(P, thetas)
-    diam_sq = P.squared_diameter()
-    loss_cap = diam_sq * (1.0 + 1e-9) + 1e-12
-    losses = _polygon_losses if P.dim == 2 and P.n_vertices >= 3 else _pointwise_losses
-
-    def chunk_losses(start: int, z: np.ndarray):
-        for loss in losses(P, thetas, sigma, start, z):
-            worst = int(np.argmax(loss))
-            if loss[worst] > loss_cap:
-                raise ProjectionError(
-                    f"sample {start + worst}: loss {loss[worst]!r} exceeds "
-                    f"squared diameter {diam_sq!r}"
-                )
-            yield loss
-
-    return _chunked_estimate(P.dim, cfg, chunk_losses)
+    outside = np.linalg.norm(_project_rows(P, thetas) - thetas, axis=1) > 1e-9
+    if np.any(outside):
+        raise ValueError(f"theta_star {thetas[int(np.argmax(outside))]} must belong to the polytope")
+    return _chunked_estimate(P.dim, cfg, partial(_losses, P, thetas, sigma))
 
 
 def mc_risk(P: ConvexPolytope, q: RiskQuery, cfg: MCConfig) -> RiskEstimate:

@@ -435,6 +435,32 @@ class TestVerifyAndArtifacts:
         assert code == 3
         assert "exact" in err
 
+    REVERSAL = ["reversal", "--c", "0.75", "--x-small", "1.3", "--x-large", "0.5",
+                "--sigma-sweep", "0.05,2", "--samples", "3000"]
+
+    @pytest.mark.parametrize("key, value", [("reversal_sigma", 0.05), ("edge_points", 7)])
+    def test_tampered_json_record_entry_detected(self, capsys, tmp_path, key, value):
+        path = self._write(capsys, tmp_path, self.REVERSAL, "rev.json")
+        payload = json.loads(path.read_text())
+        assert payload[key] != value
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, ["--verify", str(path)])
+        assert code == 3
+        assert key in err
+
+    @pytest.mark.parametrize("key, value", [("reversal_sigma", 0.05), ("edge_points", 7)])
+    def test_tampered_csv_metadata_extra_detected(self, capsys, tmp_path, key, value):
+        path = self._write(capsys, tmp_path, self.REVERSAL + ["--format", "csv"], "rev.csv")
+        first, rest = path.read_text().split("\n", 1)
+        metadata = json.loads(first[2:])
+        assert metadata[key] != value
+        metadata[key] = value
+        path.write_text("# " + json.dumps(metadata) + "\n" + rest)
+        code, _, err = run_cli(capsys, ["--verify", str(path)])
+        assert code == 3
+        assert key in err
+
     def test_verify_rejects_plain_csv(self, capsys, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("a,b\n1,2\n")

@@ -16,6 +16,7 @@ import pytest
 
 from riskrev.exact_risk import (
     RegionRiskBreakdown,
+    _int_z2_phi,
     RiskQuery,
     large_noise_limit_diff,
     risk_difference,
@@ -156,6 +157,29 @@ class TestDisplayFormAgreement:
         got = risk_triangle_exact(ExampleGeometry(c=c), sigma).total
         want = triangle_risk_display(c, sigma)
         assert abs(got - want) <= DISPLAY_TOL * max(1.0, abs(want))
+
+
+# integral_a^b z^2 phi(z) dz at the exact binary values of a and b, computed
+# once with mpmath at 150 digits (incomplete gamma and Phi routes agreeing to
+# 60 digits) and rounded to 50
+INT_Z2_PHI_REFERENCE = [
+    (0.0, 1e-07, "1.3298076013381047565147682456135990366174937747739e-22"),
+    (0.0, 0.001, "1.3298072023958998477640061810894715949040017616148e-10"),
+    (0.0, 0.5, "0.015429797891863364750364389810078913328444585366722"),
+    (0.0, 2.0, "0.3692679350254446888985889620120393990485946954046"),
+    (0.0, 40.0, "0.5"),
+    (-1e-07, 2e-07, "1.1968268412042847062485617867556225527401763832759e-21"),
+    (-3e-05, 1e-05, "3.7234612827732861356029922439817262726929613312435e-15"),
+    (-0.7, 1.9, "0.38607198653230675463613104583761432600465570883395"),
+    (-2.5, -0.1, "0.44983700091097471649123915322520999672023821714493"),
+    (-1e8, 1e8, "1.0"),
+]
+
+
+class TestIntZ2Phi:
+    @pytest.mark.parametrize("a, b, want", INT_Z2_PHI_REFERENCE)
+    def test_matches_high_precision_reference(self, a, b, want):
+        assert _int_z2_phi(a, b) == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
 class TestSegmentRisk:

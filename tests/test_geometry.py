@@ -113,6 +113,11 @@ class TestExampleGeometry:
         )
 
 
+def _min_norm_point_row(poly, y):
+    """One point projected by the min-norm-point solver, whatever the dimension."""
+    return _MinNormPoint(poly).project(np.asarray(y, dtype=float)[:, None], 0)[:, 0]
+
+
 class TestProjectionAxioms:
     """Idempotency, nonexpansiveness, variational inequality; 10^4 instances."""
 
@@ -138,12 +143,13 @@ class TestProjectionAxioms:
                 self._check_axioms(poly, project_polygon_2d, y, y2)
 
     def test_min_norm_point_projector_planar(self):
+        # the public projections use the edge search in the plane
         rng = np.random.default_rng(90211)
         for _ in range(200):
             poly = _random_polygon(rng, rng.integers(3, 9))
             for _ in range(5):
                 y, y2 = rng.normal(scale=3.0, size=(2, 2))
-                self._check_axioms(poly, project_polytope, y, y2)
+                self._check_axioms(poly, _min_norm_point_row, y, y2)
 
     def test_min_norm_point_projector_higher_dim(self):
         rng = np.random.default_rng(90212)
@@ -176,7 +182,7 @@ class TestTriangleRegions:
         batch = project_polygon_2d_batch(tri, Y)
         for y, via_batch in zip(Y, batch):
             region_point, _ = project_triangle_example(g, y)
-            generic = project_polytope(tri, y)
+            generic = _min_norm_point_row(tri, y)
             assert np.linalg.norm(region_point - generic) <= 1e-8
             assert np.linalg.norm(region_point - via_batch) <= 1e-8
 
@@ -324,6 +330,26 @@ class TestBlockedKernel:
             project_polygon_2d_batch(tri, np.array(bad))
         with pytest.raises(ProjectionError, match=r"^point 0 "):
             project_polygon_2d(tri, bad[row])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("bad", [[math.nan, 0.5], [math.inf, 0.2], [0.1, -math.inf]])
+    def test_point_and_segment_refuse_non_finite_rows(self, k, bad):
+        poly = KERNEL_POLYTOPES[k]
+        Y = np.full((_PROJECT_BLOCK + 10, 2), 0.5)
+        Y[_PROJECT_BLOCK + 3] = bad
+        with pytest.raises(ProjectionError, match=rf"^point {_PROJECT_BLOCK + 3} .*no finite distance"):
+            project_polygon_2d_batch(poly, Y)
+        with pytest.raises(ProjectionError, match=r"^point 0 "):
+            project_polygon_2d(poly, bad)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_point_and_segment_project_huge_finite_rows(self, k, scale):
+        # the squared distance overflows, but neither projection needs it
+        poly = KERNEL_POLYTOPES[k]
+        Y = scale * np.random.default_rng(7).normal(size=(500, 2))
+        got = project_polygon_2d_batch(poly, Y)
+        assert got.tobytes() == _reference_project_batch(poly, Y).tobytes()
 
     def test_bad_row_index_counts_across_blocks(self):
         tri = ExampleGeometry(c=0.75).triangle()
@@ -591,7 +617,7 @@ class TestMinNormPointBatch:
         poly = ConvexPolytope(rng.normal(size=(10, 4)))
         project_polytope_batch(poly, rng.normal(scale=3.0, size=(500, 4)))
         Y = rng.normal(size=(700, 4)) * 10.0 ** rng.uniform(-4.0, 6.0, size=(700, 1))
-        fresh = _MinNormPoint(poly, 1e-9).project(Y)
+        fresh = _MinNormPoint(poly).project(Y.T, 0).T
         assert project_polytope_batch(poly, Y).tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [1e160, 0.0, -1e160]])
@@ -607,5 +633,3 @@ class TestMinNormPointBatch:
     def test_validation(self):
         with pytest.raises(ValueError):
             project_polytope_batch(CUBE, np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            project_polytope_batch(CUBE, np.zeros((4, 3)), tol=0.0)

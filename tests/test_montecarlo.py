@@ -16,15 +16,20 @@ from scipy import stats
 from riskrev import montecarlo
 from riskrev.exact_risk import RiskQuery, risk_segment_exact, risk_triangle_exact
 from riskrev.asymptotics import _sup_candidates
-from riskrev.geometry import _PROJECT_BLOCK, ConvexPolytope, ExampleGeometry, ProjectionError
+from riskrev.geometry import (
+    _PROJECT_BLOCK,
+    ConvexPolytope,
+    ExampleGeometry,
+    ProjectionError,
+    project_polytope_batch,
+)
 from riskrev.montecarlo import (
     DEFAULT_SEED,
     KS_CRITICAL_0P1,
     MCConfig,
     RiskEstimate,
     _chunk_normals,
-    _pointwise_losses,
-    _polygon_losses,
+    _losses,
     cauchy_cdf,
     cauchy_ratio_check,
     mc_risk,
@@ -133,18 +138,39 @@ class TestSharedCandidates:
             single = mc_risk(poly, RiskQuery(theta_star=tuple(theta), sigma=1.7), cfg)
             assert est == single
 
-    @pytest.mark.parametrize("case", ["triangle", "pentagon"])
+    @pytest.mark.parametrize("case", sorted(SHARED_CASES) + ["point"])
     def test_blocked_losses_match_whole_chunk_expressions(self, case):
-        # the per-block loss path against theta + sigma z, the batch
+        # the per-block loss loop against theta + sigma z, the public batch
         # projection and einsum over the whole chunk
-        poly, cfg = SHARED_CASES[case]
-        thetas = _sup_candidates(poly, 1)
-        z = _chunk_normals(cfg.seed, 1, cfg.chunk - 1, 2)
-        blocked = [loss.copy() for loss in _polygon_losses(poly, thetas, 1.7, cfg.chunk, z)]
-        whole = list(_pointwise_losses(poly, thetas, 1.7, cfg.chunk, z))
-        assert len(blocked) == len(whole) == len(thetas)
-        for got, want in zip(blocked, whole):
+        if case == "point":
+            poly, cfg = ConvexPolytope([[0.3, -0.2]]), SHARED_CASES["segment"][1]
+        else:
+            poly, cfg = SHARED_CASES[case]
+        if poly.dim == 2 and poly.n_vertices > 1:
+            thetas = _sup_candidates(poly, 1)
+        else:
+            thetas = np.vstack([poly.vertices, poly.vertices.mean(axis=0)])
+        z = _chunk_normals(cfg.seed, 1, cfg.chunk - 1, poly.dim)
+        blocked = [loss.copy() for loss in _losses(poly, thetas, 1.7, cfg.chunk, z)]
+        assert len(blocked) == len(thetas)
+        for theta, got in zip(thetas, blocked):
+            projected = project_polytope_batch(poly, theta + 1.7 * z)
+            want = np.einsum("ij,ij->i", projected - theta, projected - theta)
             assert got.tobytes() == want.tobytes()
+
+    def test_segment_at_huge_noise(self):
+        # |y| ~ 1e200 overflows a squared distance but not the segment's
+        # foot, so these samples project to an endpoint and do not raise
+        seg = ExampleGeometry(c=2.0).segment()
+        cfg = MCConfig(n=5000, seed=3)
+        est = mc_risk(seg, RiskQuery(theta_star=(0.0, 0.0), sigma=1e200), cfg)
+        z = _chunk_normals(cfg.seed, 0, cfg.n, 2)
+        projected = project_polytope_batch(seg, 1e200 * z)
+        loss = np.einsum("ij,ij->i", projected, projected)
+        assert est.mean == float(loss.mean())
+        m2 = float(np.sum((loss - est.mean) ** 2))
+        assert est.stderr == math.sqrt(m2 / (cfg.n - 1) / cfg.n)
+        assert set(np.unique(loss)) == {0.0, seg.squared_diameter()}
 
     def test_candidate_outside_rejected(self):
         tri = ExampleGeometry(c=1.0).triangle()

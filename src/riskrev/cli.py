@@ -162,14 +162,6 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _check_finite(record: dict):
-    for key, value in record.items():
-        scalars = value if isinstance(value, (list, tuple)) else [value]
-        for v in scalars:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise _NumericalFailure(f"non-finite value for {key!r}: {v!r}")
-
-
 @dataclass
 class Output:
     """One command's result: flat record and/or tabular rows plus metadata."""
@@ -179,6 +171,17 @@ class Output:
     header: list | None = None
     rows: list | None = None
     footer: dict | None = None
+
+
+def _check_finite(output: Output):
+    """Raise on the first non-finite float of the record or of a table column, naming its key."""
+    columns = {k: v for k, v in (output.record or {}).items() if isinstance(v, (float, list, tuple))}
+    if output.rows:
+        columns.update(zip(output.header, np.array(output.rows, dtype=float).T))
+    for key, values in columns.items():
+        bad = np.asarray(values, dtype=float)[~np.isfinite(values)]
+        if bad.size:
+            raise _NumericalFailure(f"non-finite value for {key!r}: {float(bad[0])!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +239,27 @@ def compute_risk(params: dict) -> Output:
     return Output(params, record=record)
 
 
-def _diff_rows(c_values, sigmas) -> list:
-    """Rows ``c, sigma, risk_S, risk_L, diff`` of the segment-minus-triangle difference."""
-    rows = []
+def _diff_table(c_values, sigmas: np.ndarray) -> np.ndarray:
+    """Columns ``c, sigma, risk_S, risk_L, diff``: one closed-form call per ``c`` covers all ``sigmas``."""
+    blocks = []
     for c in c_values:
         geometry = ExampleGeometry(c=float(c))
-        for sigma in sigmas:
-            risk_s = risk_segment_exact(geometry, 0.0, float(sigma))
-            risk_l = risk_triangle_exact(geometry, float(sigma)).total
-            rows.append([float(c), float(sigma), risk_s, risk_l, risk_s - risk_l])
-    return rows
+        risk_s = risk_segment_exact(geometry, 0.0, sigmas)
+        risk_l = risk_triangle_exact(geometry, sigmas).total
+        blocks.append(np.column_stack([np.full_like(sigmas, c), sigmas, risk_s, risk_l, risk_s - risk_l]))
+    return np.concatenate(blocks)
 
 
 def compute_diff_curve(params: dict) -> Output:
-    c_list = [float(c) for c in params["c_list"]]
-    if not c_list:
+    if not params["c_list"]:
         raise ValueError("--c-list must contain at least one value")
-    rows = _diff_rows(c_list, parse_sweep(params["sigma_sweep"]))
+    rows = _diff_table(params["c_list"], parse_sweep(params["sigma_sweep"])).tolist()
     return Output(params, header=["c", "sigma", "risk_S", "risk_L", "diff"], rows=rows)
 
 
 def compute_heatmap(params: dict) -> Output:
-    rows = _diff_rows(parse_sweep(params["c_sweep"]), parse_sweep(params["sigma_sweep"]))
-    return Output(params, header=["c", "sigma", "diff"], rows=[[c, s, d] for c, s, _, _, d in rows])
+    table = _diff_table(parse_sweep(params["c_sweep"]), parse_sweep(params["sigma_sweep"]))
+    return Output(params, header=["c", "sigma", "diff"], rows=table[:, [0, 1, 4]].tolist())
 
 
 def compute_envelope(params: dict) -> Output:
@@ -650,11 +651,7 @@ def main(argv=None) -> int:
             return 2
         params = {k: v for k, v in vars(args).items() if k not in _RUN_OPTIONS}
         output = SUBCOMMANDS[args.command].compute(params)
-        if output.record is not None:
-            _check_finite(output.record)
-        if output.rows is not None:
-            for row in output.rows:
-                _check_finite(dict(zip(output.header, row)))
+        _check_finite(output)
         _emit(output, args)
         return 0
     except (ValueError, OSError) as err:

@@ -6,7 +6,9 @@ segment conv{v1, v2} and the triangle conv{v1, v2, v3} the risk
 E||thetahat - theta*||^2 admits exact expressions in Phi and Owen's T; this
 module evaluates them in numerically stable form, exposes the triangle risk
 as a sum of per-region contributions, and provides the two noise-limit
-coefficients of the segment/triangle risk difference.
+coefficients of the segment/triangle risk difference.  Each risk takes a
+scalar sigma, giving floats, or a 1-D array of them, giving arrays entry by
+entry equal to the scalar calls: a whole sigma grid is one call.
 """
 
 import math
@@ -16,6 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .gaussfn import (
+    _result,
     owens_t,
     std_normal_cdf,
     std_normal_cdf_minus_half,
@@ -39,10 +42,7 @@ class RiskQuery:
         if not all(math.isfinite(t) for t in theta):
             raise ValueError("theta_star must be finite")
         object.__setattr__(self, "theta_star", theta)
-        sigma = float(self.sigma)
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise ValueError(f"sigma must be a positive finite real, got {self.sigma!r}")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", float(_sigmas(self.sigma)))
 
     @property
     def theta(self) -> np.ndarray:
@@ -54,55 +54,64 @@ class RegionRiskBreakdown:
     """Triangle risk split over the seven projector regions.
 
     ``total`` is the full risk; ``regions`` maps each :class:`RegionLabel`
-    to its contribution E[||thetahat - theta*||^2 ; Y in region].  The
-    contributions are individually nonnegative (up to roundoff) and sum to
-    the total within ``BREAKDOWN_TOL``.
+    to its contribution E[||thetahat - theta*||^2 ; Y in region], a float or
+    an array over sigma, validated as a whole: the contributions are
+    nonnegative (up to roundoff) and sum to the total within ``BREAKDOWN_TOL``.
     """
 
-    regions: Mapping[RegionLabel, float]
-    total: float
+    regions: Mapping[RegionLabel, float | np.ndarray]
+    total: float | np.ndarray
 
     def __post_init__(self):
         regions = dict(self.regions)
         if set(regions) != set(RegionLabel):
             raise ValueError("breakdown must cover all seven regions")
         for label, value in regions.items():
-            if not math.isfinite(value) or value < -BREAKDOWN_TOL:
-                raise ValueError(f"region {label.value} contribution {value!r} is invalid")
-        if abs(sum(regions.values()) - self.total) > BREAKDOWN_TOL * max(1.0, abs(self.total)):
+            bad = np.asarray(value)[~np.isfinite(value) | (value < -BREAKDOWN_TOL)]
+            if bad.size:
+                raise ValueError(f"region {label.value} contribution {float(bad[0])!r} is invalid")
+        if np.any(abs(sum(regions.values()) - self.total) > BREAKDOWN_TOL * np.maximum(1.0, abs(self.total))):
             raise ValueError("total does not match the sum of region contributions")
         object.__setattr__(self, "regions", regions)
 
-    def __getitem__(self, label: RegionLabel) -> float:
+    def __getitem__(self, label: RegionLabel) -> float | np.ndarray:
         return self.regions[label]
 
 
-def _int_z2_phi(a: float, b: float) -> float:
-    """integral_a^b z^2 phi(z) dz; for a <= 0 <= b the two halves from 0 add."""
+def _sigmas(sigma) -> np.ndarray:
+    """``sigma`` as a float array; raises naming its first non-positive or non-finite entry."""
+    sigma = np.asarray(sigma, dtype=float)
+    bad = sigma[~(np.isfinite(sigma) & (sigma > 0.0))]
+    if bad.size:
+        raise ValueError(f"sigma must be a positive finite real, got {float(bad[0])!r}")
+    return sigma
+
+
+def _int_z2_phi(a, b):
+    """integral_a^b z^2 phi(z) dz elementwise; for a <= 0 <= b the two halves from 0 add."""
     return _half_z2_phi(b) - _half_z2_phi(a)
 
 
-def _half_z2_phi(x: float) -> float:
+def _half_z2_phi(x):
     """integral_0^x z^2 phi(z) dz = sign(x) P(3/2, x^2/2) / 2, to a few ulps for every x.
 
     Below |x| = 1, where Phi(x) - 1/2 - x phi(x) cancels, it sums the positive
     series of P: phi(x) (|x|^3/3 + |x|^5/(3*5) + |x|^7/(3*5*7) + ...).
     """
-    r = abs(x)
-    if r >= 1.0:
-        value = std_normal_cdf_minus_half(r) - r * std_normal_pdf(r)
-    else:
-        term = total = r * r * r / 3.0
-        k = 5.0
-        while term > 1e-17 * total:
-            term *= r * r / k
-            total += term
-            k += 2.0
-        value = total * std_normal_pdf(r)
-    return math.copysign(value, x)
+    r = np.abs(x)
+    rs = np.minimum(r, 1.0)
+    term = total = rs * rs * rs / 3.0
+    k = 5.0
+    # a converged sum ignores terms below 1e-17 of it while other entries go on
+    while (term > 1e-17 * total).any():
+        term = term * (rs * rs / k)
+        total = total + term
+        k += 2.0
+    pdf = std_normal_pdf(r)
+    return np.copysign(np.where(r < 1.0, total * pdf, std_normal_cdf_minus_half(r) - r * pdf), x)
 
 
-def risk_segment_exact(g: ExampleGeometry, t_star: float, sigma: float) -> float:
+def risk_segment_exact(g: ExampleGeometry, t_star: float, sigma):
     """Exact risk of projection onto the segment conv{v1, v2}.
 
     The true parameter is theta* = t_star * v2 with t_star in [0, 1].  With
@@ -114,21 +123,19 @@ def risk_segment_exact(g: ExampleGeometry, t_star: float, sigma: float) -> float
     t_star = float(t_star)
     if not (math.isfinite(t_star) and 0.0 <= t_star <= 1.0):
         raise ValueError(f"t_star must lie in [0, 1], got {t_star!r}")
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+    sigma = _sigmas(sigma)
     alpha = g.alpha_c
     root = math.sqrt(alpha)
     a = -root * t_star / sigma
     b = root * (1.0 - t_star) / sigma
-    return alpha * (
+    return _result(alpha * (
         t_star * t_star * std_normal_cdf(a)
         + (sigma * sigma / alpha) * _int_z2_phi(a, b)
         + (1.0 - t_star) ** 2 * std_normal_cdf(-b)
-    )
+    ))
 
 
-def risk_triangle_exact(g: ExampleGeometry, sigma: float) -> RegionRiskBreakdown:
+def risk_triangle_exact(g: ExampleGeometry, sigma) -> RegionRiskBreakdown:
     """Exact risk of projection onto the triangle conv{v1, v2, v3} at theta* = v1.
 
     Each of the seven projector regions contributes in closed form.  Writing
@@ -144,9 +151,7 @@ def risk_triangle_exact(g: ExampleGeometry, sigma: float) -> RegionRiskBreakdown
         A13:      (sigma^2/2) integral_0^u z^2 phi(z) dz
         A23:      Phi(-u) [ (Phi(x) - 1/2) + sigma^2 integral_0^x z^2 phi(z) dz ]
     """
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+    sigma = _sigmas(sigma)
     c = g.c
     alpha = g.alpha_c
     root = math.sqrt(alpha)
@@ -163,9 +168,8 @@ def risk_triangle_exact(g: ExampleGeometry, sigma: float) -> RegionRiskBreakdown
     # the bracket above cancels to O(sigma^-4) as sigma grows, so the sigma^2
     # prefactor amplifies machine roundoff; clamp negatives inside that
     # roundoff envelope to zero instead of reporting them as contributions
-    roundoff = 32.0 * np.finfo(float).eps * max(1.0, sig2)
-    if -roundoff <= interior < 0.0:
-        interior = 0.0
+    roundoff = 32.0 * np.finfo(float).eps * np.maximum(1.0, sig2)
+    interior = np.where((-roundoff <= interior) & (interior < 0.0), 0.0, interior)
     a2 = alpha * (
         std_normal_cdf(-s) * std_normal_cdf(-x)
         + owens_t(x, c * root)
@@ -173,25 +177,19 @@ def risk_triangle_exact(g: ExampleGeometry, sigma: float) -> RegionRiskBreakdown
         - owens_t(x, c)
     )
     a3 = 0.5 * std_normal_cdf(-u)
-    a12 = 0.5 * sig2 * _int_z2_phi(0.0, s)
-    a13 = 0.5 * sig2 * _int_z2_phi(0.0, u)
+    a12 = 0.5 * sig2 * _half_z2_phi(s)
+    a13 = 0.5 * sig2 * _half_z2_phi(u)
     a23 = std_normal_cdf(-u) * (
-        std_normal_cdf_minus_half(x) + sig2 * _int_z2_phi(0.0, x)
+        std_normal_cdf_minus_half(x) + sig2 * _half_z2_phi(x)
     )
 
-    regions = {
-        RegionLabel.INTERIOR: interior,
-        RegionLabel.A1: 0.0,
-        RegionLabel.A2: a2,
-        RegionLabel.A3: a3,
-        RegionLabel.A12: a12,
-        RegionLabel.A13: a13,
-        RegionLabel.A23: a23,
-    }
+    # in RegionLabel order: Interior, A1, A2, A3, A12, A13, A23
+    values = (interior, np.zeros_like(sigma), a2, a3, a12, a13, a23)
+    regions = {label: _result(value) for label, value in zip(RegionLabel, values)}
     return RegionRiskBreakdown(regions=regions, total=sum(regions.values()))
 
 
-def risk_difference(g: ExampleGeometry, sigma: float) -> float:
+def risk_difference(g: ExampleGeometry, sigma):
     """Segment risk minus triangle risk at theta* = v1.
 
     Negative means the smaller set wins (expected for small noise);
@@ -202,9 +200,7 @@ def risk_difference(g: ExampleGeometry, sigma: float) -> float:
 
 def small_noise_diff_coeff(c: float) -> float:
     """sigma^2 coefficient of the risk difference as sigma -> 0: -arctan(1/c)/pi."""
-    c = float(c)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be a positive finite real, got {c!r}")
+    c = ExampleGeometry(c=c).c
     return -math.atan(1.0 / c) / math.pi
 
 
@@ -214,8 +210,6 @@ def large_noise_limit_diff(c: float) -> float:
     g(c) = 1/(4 c^2) - ((1 + c^2)/(2 pi c^2)) arctan(1/c); positive exactly
     when 0 < c < 1 (reversal in the noise limit), zero at c = 1.
     """
-    c = float(c)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be a positive finite real, got {c!r}")
+    c = ExampleGeometry(c=c).c
     c2 = c * c
     return 0.25 / c2 - (1.0 + c2) / (2.0 * math.pi * c2) * math.atan(1.0 / c)

@@ -1,9 +1,9 @@
-"""Scalar Gaussian special functions.
+"""Gaussian special functions of scalars or arrays.
 
 Standard normal density and distribution, Owen's T-function, and a set of
-closed-form Gaussian integrals expressed through it.  These are the scalar
-primitives behind the exact risk formulas.  Every function is pure, validates
-its input, and is safe to call concurrently.
+closed-form Gaussian integrals expressed through it.  The first four take a
+scalar, giving a float, or an array, validated once per call; the ``int_*``
+integrals take scalars.  Every function is pure and safe to call concurrently.
 
 The module-level tolerances are the ones the test suite holds these functions
 to: ``IDENTITY_TOL`` for algebraic identities and ``QUADRATURE_TOL`` for
@@ -12,6 +12,7 @@ agreement with adaptive quadrature of the defining integrals.
 
 import math
 
+import numpy as np
 from scipy import special
 
 IDENTITY_TOL = 1e-12
@@ -21,52 +22,56 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
 
+def _result(value):
+    """A Python float for a 0-d value, the array otherwise."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def _require_finite(name, value):
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    array = np.asarray(value, dtype=float)
+    bad = array[~np.isfinite(array)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
+    return _result(array)
 
 
-def std_normal_pdf(x: float) -> float:
+def std_normal_pdf(x):
     """Standard normal density phi(x)."""
     x = _require_finite("x", x)
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    return _result(_INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
-def std_normal_cdf(x: float) -> float:
+def std_normal_cdf(x):
     """Standard normal distribution function Phi(x).
 
     Evaluated through the complementary error function so both tails keep
     full relative accuracy.
     """
-    x = _require_finite("x", x)
-    return float(special.ndtr(x))
+    return _result(special.ndtr(_require_finite("x", x)))
 
 
-def std_normal_cdf_minus_half(x: float) -> float:
+def std_normal_cdf_minus_half(x):
     """Phi(x) - 1/2 without cancellation for small ``x``."""
-    x = _require_finite("x", x)
-    return 0.5 * float(special.erf(x / _SQRT_2))
+    return _result(0.5 * special.erf(_require_finite("x", x) / _SQRT_2))
 
 
-def owens_t(h: float, a: float) -> float:
+def owens_t(h, a):
     """Owen's T-function T(h, a) = phi(h) * integral_0^a phi(h*z)/(1+z^2) dz.
 
     ``h`` must be finite; ``a`` may be +/-inf, handled exactly through
-    T(h, inf) = Phi(-|h|)/2 and oddness in ``a``.  Useful identities, all of
-    which hold here to ``IDENTITY_TOL`` or better:
+    T(h, inf) = Phi(-|h|)/2 and oddness in ``a``.  ``h`` and ``a`` broadcast
+    against each other.  Useful identities, all of which hold here to
+    ``IDENTITY_TOL`` or better:
 
         T(h, 0) = 0,  T(0, a) = arctan(a) / (2 pi),
         T(h, -a) = -T(h, a),  T(-h, a) = T(h, a).
     """
     h = _require_finite("h", h)
-    a = float(a)
-    if math.isnan(a):
+    a = np.asarray(a, dtype=float)
+    if np.isnan(a).any():
         raise ValueError("a must not be NaN")
-    if math.isinf(a):
-        return math.copysign(0.5 * float(special.ndtr(-abs(h))), a)
-    return float(special.owens_t(h, a))
+    limit = np.copysign(0.5 * special.ndtr(-np.abs(h)), a)
+    return _result(np.where(np.isinf(a), limit, special.owens_t(h, a)))
 
 
 def int_phi_cdf(m: float, a: float, b: float) -> float:

@@ -259,9 +259,9 @@ class _PolygonBlocks:
     """Projection onto a planar polytope, one block of points at a time.
 
     The polytope is a chain of edges v_i -> v_i+1: closed for K >= 3, one
-    edge for a segment, one edge of length zero for a point.  Holds scratch
-    for blocks of up to ``size`` points, so it is not safe for concurrent
-    use: :func:`_block_projector` makes a new one per call.
+    edge for a segment, none for a point, whose foot is its vertex.  Holds
+    scratch for blocks of up to ``size`` points, so it is not safe for
+    concurrent use: :func:`_block_projector` makes a new one per call.
     """
 
     def __init__(self, P: ConvexPolytope, size: int):
@@ -269,10 +269,10 @@ class _PolygonBlocks:
         edge = np.roll(v, -1, axis=0) - v
         len_sq = np.einsum("ij,ij->i", edge, edge)
         self._closed = len(v) >= 3
-        # a point's zero edge divides by 1, so its foot is the vertex
+        self._point = v.T if len(v) == 1 else None
         self._edges = [
-            (v[i, 0], v[i, 1], edge[i, 0], edge[i, 1], len_sq[i] or 1.0)
-            for i in range(len(v) if self._closed else 1)
+            (v[i, 0], v[i, 1], edge[i, 0], edge[i, 1], len_sq[i])
+            for i in range(len(v) if self._closed else len(v) - 1)
         ]
         self.size = size
         self._floats = np.empty((7, size))
@@ -337,6 +337,9 @@ class _PolygonBlocks:
             # a point or a segment: the one foot is the projection, and its
             # distance may overflow, since no comparison needs it
             x = d
+            if self._point is not None:
+                # the vertex's own bits, signed zeros included
+                np.copyto(x, self._point)
             finite = np.isfinite(y, out=flags).all(axis=0)
             finite &= np.isfinite(d0, out=inside)
         if not finite.all():

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from riskrev import cli, exact_risk
 from riskrev.cli import main, parse_sweep
 from riskrev.exact_risk import risk_segment_exact, risk_triangle_exact
 from riskrev.geometry import ExampleGeometry
@@ -211,6 +212,36 @@ class TestCurveCommands:
         heat_diffs = [line.split(",")[2] for line in heat[2:]]
         curve_diffs = [line.split(",")[4] for line in curve[2:]]
         assert heat_diffs == curve_diffs
+
+    def test_one_closed_form_call_per_c(self, capsys, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "risk_segment_exact")
+        counted(cli, "risk_triangle_exact")
+        counted(exact_risk, "owens_t")
+        code, out, _ = run_cli(
+            capsys, ["heatmap", "--c-sweep", "0.2:3:200", "--sigma-sweep", "0.01:1e4:200:log"]
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2 + 200 * 200
+        # the triangle's closed form calls Owen's T four times
+        assert calls == {"risk_segment_exact": 200, "risk_triangle_exact": 200, "owens_t": 800}
+
+    def test_non_finite_cell_names_its_column(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "risk_segment_exact", lambda g, t, sigma: np.where(sigma > 1.0, np.nan, 1.0))
+        code, out, err = run_cli(capsys, ["diff-curve", "--c-list", "1", "--sigma-sweep", "0.5:2:4"])
+        assert code == 3
+        assert out == ""
+        assert "non-finite value for 'risk_S': nan" in err
 
     def test_formatted_fields_carry_full_precision(self, capsys):
         _, out, _ = run_cli(capsys, ["diff-curve", "--c-list", "1", "--sigma-sweep", "0.7:1.3:3"])

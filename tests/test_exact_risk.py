@@ -182,6 +182,86 @@ class TestIntZ2Phi:
         assert _int_z2_phi(a, b) == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
+# sigma grid of the array tests: the documented domain, 1e-8 to 1e12
+SIGMA_SWEEP = np.geomspace(1e-8, 1e12, 241)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestArrayValuedSigma:
+    """A 1-D sigma gives, entry by entry, the bits of the scalar call."""
+
+    @pytest.mark.parametrize("c", GRID_C)
+    def test_triangle_entries_equal_scalar_calls(self, c):
+        g = ExampleGeometry(c=c)
+        arrays = risk_triangle_exact(g, SIGMA_SWEEP)
+        assert arrays.total.shape == SIGMA_SWEEP.shape
+        for i, sigma in enumerate(SIGMA_SWEEP):
+            one = risk_triangle_exact(g, float(sigma))
+            assert _bits(one.total) == _bits(arrays.total[i]), sigma
+            for label in RegionLabel:
+                assert _bits(one[label]) == _bits(arrays[label][i]), (sigma, label)
+
+    @pytest.mark.parametrize("c", GRID_C)
+    @pytest.mark.parametrize("t_star", [0.0, 0.3, 1.0])
+    def test_segment_entries_equal_scalar_calls(self, c, t_star):
+        g = ExampleGeometry(c=c)
+        arrays = risk_segment_exact(g, t_star, SIGMA_SWEEP)
+        assert arrays.shape == SIGMA_SWEEP.shape
+        for i, sigma in enumerate(SIGMA_SWEEP):
+            assert _bits(risk_segment_exact(g, t_star, float(sigma))) == _bits(arrays[i]), sigma
+
+    def test_difference_entries_equal_scalar_calls(self):
+        g = ExampleGeometry(c=0.5)
+        arrays = risk_difference(g, SIGMA_SWEEP)
+        assert [_bits(risk_difference(g, float(s))) for s in SIGMA_SWEEP] == [_bits(v) for v in arrays]
+
+    @pytest.mark.parametrize("sigma", [2.0, np.float64(2.0), np.array(2.0), 2])
+    def test_scalar_sigma_gives_python_floats(self, sigma):
+        g = ExampleGeometry(c=0.75)
+        b = risk_triangle_exact(g, sigma)
+        assert type(b.total) is float
+        assert all(type(b[label]) is float for label in RegionLabel)
+        for t_star in (0.0, 0.3, 1.0):
+            assert type(risk_segment_exact(g, t_star, sigma)) is float
+        assert type(risk_difference(g, sigma)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_one_bad_entry_raises(self, bad, position):
+        g = ExampleGeometry(c=0.75)
+        sigma = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        sigma[position] = bad
+        for call in (
+            lambda: risk_triangle_exact(g, sigma),
+            lambda: risk_segment_exact(g, 0.3, sigma),
+            lambda: risk_difference(g, sigma),
+        ):
+            with pytest.raises(ValueError, match=rf"^sigma must be a positive finite real, got {bad!r}$"):
+                call()
+
+    def test_breakdown_of_arrays_names_the_bad_region(self):
+        regions = {label: np.full(4, 0.125) for label in RegionLabel}
+        regions[RegionLabel.A13] = np.array([0.125, 0.125, -1e-3, 0.125])
+        with pytest.raises(ValueError, match=r"^region A13 contribution -0\.001 is invalid$"):
+            RegionRiskBreakdown(regions=regions, total=sum(regions.values()))
+        regions[RegionLabel.A13] = np.full(4, 0.125)
+        total = sum(regions.values())
+        total[3] += 1e-6
+        with pytest.raises(ValueError, match="total does not match"):
+            RegionRiskBreakdown(regions=regions, total=total)
+
+    def test_int_z2_phi_is_elementwise(self):
+        a = np.array([ref[0] for ref in INT_Z2_PHI_REFERENCE])
+        b = np.array([ref[1] for ref in INT_Z2_PHI_REFERENCE])
+        got = _int_z2_phi(a, b)
+        for i, (lo, hi, want) in enumerate(INT_Z2_PHI_REFERENCE):
+            assert _bits(got[i]) == _bits(_int_z2_phi(lo, hi))
+            assert got[i] == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
 class TestSegmentRisk:
     def test_endpoint_symmetry(self):
         # isotropic noise cannot tell the two segment endpoints apart

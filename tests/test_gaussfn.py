@@ -94,6 +94,44 @@ class TestOwensT:
             owens_t(1.0, math.nan)
 
 
+class TestArrayArguments:
+    """Arrays go through in one call, entry by entry equal to scalar calls."""
+
+    X = np.concatenate([-np.geomspace(1e-8, 40.0, 60), [0.0, -0.0], np.geomspace(1e-8, 40.0, 60)])
+
+    @pytest.mark.parametrize("fn", [std_normal_pdf, std_normal_cdf, std_normal_cdf_minus_half])
+    def test_one_argument_functions(self, fn):
+        got = fn(self.X)
+        assert isinstance(got, np.ndarray) and got.shape == self.X.shape
+        for x, value in zip(self.X, got):
+            scalar = fn(float(x))
+            assert type(scalar) is float
+            assert np.float64(scalar).tobytes() == value.tobytes()
+
+    def test_owens_t_broadcasts(self):
+        slopes = np.array([-math.inf, -3.0, -0.4, 0.0, 0.4, 3.0, 40.0, math.inf])
+        got = owens_t(self.X[:, None], slopes)
+        assert got.shape == (len(self.X), len(slopes))
+        for i, h in enumerate(self.X):
+            for j, a in enumerate(slopes):
+                scalar = owens_t(float(h), float(a))
+                assert type(scalar) is float
+                assert np.float64(scalar).tobytes() == got[i, j].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_bad_entry_raises_like_a_scalar(self, bad):
+        values = np.array([0.1, 0.2, bad, 0.3])
+        for fn in (std_normal_pdf, std_normal_cdf, std_normal_cdf_minus_half):
+            with pytest.raises(ValueError, match=rf"^x must be finite, got {bad!r}$"):
+                fn(values)
+            with pytest.raises(ValueError, match=rf"^x must be finite, got {bad!r}$"):
+                fn(bad)
+        with pytest.raises(ValueError, match=rf"^h must be finite, got {bad!r}$"):
+            owens_t(values, 1.0)
+        with pytest.raises(ValueError, match="^a must not be NaN$"):
+            owens_t(0.5, np.array([1.0, math.nan]))
+
+
 class TestIntPhiCdf:
     """The truncated integral of phi(z) Phi(a + b z)."""
 

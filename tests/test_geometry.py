@@ -40,6 +40,19 @@ from riskrev.geometry import (
 
 C_VALUES = [0.2, 0.5, 1.0, 2.0, 5.0]
 
+# offsets of a near-collinear quadrilateral's middle vertices from the line
+# through its outer two
+SLIVER_DELTAS = (1e-6, 1e-12, 1e-15, 1e-17)
+
+
+def _sliver(delta):
+    """Vertices (0, 0), (1, -delta), (2, -delta), (3, 0): counterclockwise for delta > 0.
+
+    Every coordinate and every difference the hull forms is exact, so all
+    four points are extreme for any delta != 0.
+    """
+    return [[0.0, 0.0], [1.0, -delta], [2.0, -delta], [3.0, 0.0]]
+
 
 def _random_polygon(rng, k):
     while True:
@@ -79,6 +92,17 @@ class TestConvexPolytope:
                 v[:, 1] - prv[:, 1]
             ) * (nxt[:, 0] - v[:, 0])
             assert np.all(cross > 0)
+
+    @pytest.mark.parametrize("delta", SLIVER_DELTAS)
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_near_collinear_quadrilateral_keeps_exactly_its_extreme_points(self, delta, side):
+        quad = _sliver(side * delta)
+        # one point on each long edge: boundary points, but not extreme ones
+        on_edges = [[1.5, 0.0], [1.5, -side * delta]]
+        rng = np.random.default_rng(6160)
+        poly = ConvexPolytope(rng.permutation(quad + on_edges))
+        a, b, c, d = quad
+        assert poly.vertices.tolist() == ([a, b, c, d] if side > 0 else [a, d, c, b])
 
     def test_squared_diameter(self):
         poly = ConvexPolytope([[0, 0], [3, 0], [0, 4]])
@@ -274,7 +298,14 @@ KERNEL_POLYTOPES = {
     3: ExampleGeometry(c=0.75, x=0.5).theta_x_polytope(),
     4: ConvexPolytope([[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [0.0, 1.5]]),
     8: _regular_polygon(8),
+    **{f"sliver{delta:g}": ConvexPolytope(_sliver(delta)) for delta in SLIVER_DELTAS},
 }
+
+
+def _kernel_rng(base, key):
+    """Generator for a kernel polytope's points: offset by K, or past 100 for a sliver."""
+    offset = key if isinstance(key, int) else 100 + list(KERNEL_POLYTOPES).index(key)
+    return np.random.default_rng(base + offset)
 
 
 def _kernel_points(rng, poly, n):
@@ -296,21 +327,22 @@ def _kernel_points(rng, poly, n):
 
 
 class TestBlockedKernel:
-    @pytest.mark.parametrize("k", sorted(KERNEL_POLYTOPES))
+    @pytest.mark.parametrize("k", list(KERNEL_POLYTOPES))
     def test_bitwise_equal_to_per_edge_loop(self, k):
         poly = KERNEL_POLYTOPES[k]
-        rng = np.random.default_rng(1000 + k)
+        rng = _kernel_rng(1000, k)
         for n in (0, 1, _PROJECT_BLOCK - 1, _PROJECT_BLOCK, _PROJECT_BLOCK + 1, 3 * _PROJECT_BLOCK + 7):
             Y = _kernel_points(rng, poly, n)
             got = project_polygon_2d_batch(poly, Y)
             want = _reference_project_batch(poly, Y)
             assert got.shape == want.shape == (n, 2)
             assert got.tobytes() == want.tobytes(), f"K={k}, n={n}"
+            assert project_polytope_batch(poly, Y).tobytes() == want.tobytes(), f"K={k}, n={n}"
 
-    @pytest.mark.parametrize("k", sorted(KERNEL_POLYTOPES))
+    @pytest.mark.parametrize("k", list(KERNEL_POLYTOPES))
     def test_single_point_is_one_batch_row(self, k):
         poly = KERNEL_POLYTOPES[k]
-        Y = _kernel_points(np.random.default_rng(2000 + k), poly, 200)
+        Y = _kernel_points(_kernel_rng(2000, k), poly, 200)
         batch = project_polygon_2d_batch(poly, Y)
         for y, row in zip(Y, batch):
             assert project_polygon_2d(poly, y).tobytes() == row.tobytes()
@@ -350,6 +382,23 @@ class TestBlockedKernel:
         Y = scale * np.random.default_rng(7).normal(size=(500, 2))
         got = project_polygon_2d_batch(poly, Y)
         assert got.tobytes() == _reference_project_batch(poly, Y).tobytes()
+
+    @pytest.mark.parametrize("vertex", [[-0.0, 0.5], [0.5, -0.0], [-0.0, -0.0], [0.0, -0.0]])
+    def test_point_returns_its_stored_vertex_bits(self, vertex):
+        poly = ConvexPolytope([vertex])
+        Y = np.array([
+            [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0],
+            [1e300, 1e300], [1e300, -1e300], [-1e300, 1e300], [-1e300, -1e300],
+        ])
+        want = np.broadcast_to(np.array(vertex), Y.shape)
+        got = project_polygon_2d_batch(poly, Y)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.tobytes() == want.tobytes() == _reference_project_batch(poly, Y).tobytes()
+        for y in Y:
+            assert np.array_equal(np.signbit(project_polygon_2d(poly, y)), np.signbit(vertex))
+        for bad in ([math.nan, 1.0], [1.0, math.inf], [-math.inf, -1e300]):
+            with pytest.raises(ProjectionError, match=r"^point 3 .*no finite distance"):
+                project_polygon_2d_batch(poly, np.vstack([Y[:3], [bad], Y[3:]]))
 
     def test_bad_row_index_counts_across_blocks(self):
         tri = ExampleGeometry(c=0.75).triangle()

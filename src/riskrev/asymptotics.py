@@ -30,6 +30,7 @@ from .montecarlo import (
     MCConfig,
     RiskEstimate,
     _chunked_estimate,
+    _integer,
     mc_risks,
     sample_unit_sphere,
 )
@@ -339,6 +340,9 @@ def detect_finite_sigma_reversal(
         raise ValueError("sigma_grid must contain positive finite values")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError("sigma_grid must be strictly increasing")
+    edge_points = _integer("edge_points", edge_points)
+    if edge_points < 0:
+        raise ValueError(f"edge_points must be at least 0, got {edge_points}")
     cfg = MCConfig(n=n, seed=seed, chunk=chunk)
     small_set = g_small.theta_x_polytope()
     large_set = g_large.theta_x_polytope()
@@ -365,7 +369,7 @@ def detect_finite_sigma_reversal(
     return ReversalScan(
         reversal_sigma=reversal_sigma,
         rows=tuple(rows),
-        edge_points=int(edge_points),
-        n=int(n),
-        seed=int(seed),
+        edge_points=edge_points,
+        n=cfg.n,
+        seed=cfg.seed,
     )

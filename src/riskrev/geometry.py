@@ -251,7 +251,8 @@ def project_polygon_2d(P: ConvexPolytope, y) -> np.ndarray:
 
 
 # points per block of the planar projection: the block's seven float and two
-# flag scratch rows (under 1 MB) stay in cache across the edges
+# flag scratch rows (see _PolygonBlocks), under 1 MB, stay in cache across the
+# edges
 _PROJECT_BLOCK = 1 << 14
 
 
@@ -261,7 +262,11 @@ class _PolygonBlocks:
     The polytope is a chain of edges v_i -> v_i+1: closed for K >= 3, one
     edge for a segment, none for a point, whose foot is its vertex.  Holds
     scratch for blocks of up to ``size`` points, so it is not safe for
-    concurrent use: :func:`_block_projector` makes a new one per call.
+    concurrent use: :func:`_block_projector` makes a new one per call.  The
+    scratch is seven float rows, whatever K: the offsets y - v, which later
+    hold an edge's foot; t, also read as int64 bits; the squared distance,
+    also read as the int64 select mask; the best squared distance so far;
+    and the two result rows.  Two flag rows hold inside and better.
     """
 
     def __init__(self, P: ConvexPolytope, size: int):
@@ -284,10 +289,11 @@ class _PolygonBlocks:
         """Project the (2, b) block of coordinate rows ``y``, into a view of the scratch.
 
         Per edge it evaluates the foot v + t e, t = clip(<y - v, e> / ||e||^2,
-        0, 1); on a polygon it keeps the first strictly nearest foot, and
-        points inside stay.  A point with no finite distance to the set (NaN
-        or infinite coordinates, or, on a polygon, an overflowing squared
-        distance) raises :class:`ProjectionError` naming its index from ``first``.
+        0, 1); on a polygon it keeps the foot of the last edge whose distance
+        is strictly below the best so far, and points inside stay.  A point
+        with no finite distance to the set (NaN or infinite coordinates, or,
+        on a polygon, an overflowing squared distance) raises
+        :class:`ProjectionError` naming its index from ``first``.
         """
         b = y.shape[1]
         y0, y1 = y
@@ -295,30 +301,35 @@ class _PolygonBlocks:
         (d0, d1), (x0, x1) = d, x
         t, d2, best = self._floats[2:5, :b]
         inside, better = flags = self._flags[:, :b]
+        # the select works on int64 bits: a masked copy, whose branches
+        # depend on the data, costs more than three plain passes
+        bits, mask = t.view(np.int64), d2.view(np.int64)
         closed = self._closed
-        if closed:
-            best.fill(np.inf)
-            inside.fill(True)
-        # every step rounds as e0 * d1 - e1 * d0, (d0 * e0 + d1 * e1) / len_sq,
+        # every step rounds as e0 * d1 >= e1 * d0, (d0 * e0 + d1 * e1) / len_sq,
         # v + t * e and (y0 - fx) ** 2 + (y1 - fy) ** 2 do on whole arrays; the
         # passes are one-dimensional, which costs less than broadcasting (2, b)
-        for vx, vy, e0, e1, len_sq in self._edges:
+        for i, (vx, vy, e0, e1, len_sq) in enumerate(self._edges):
             np.subtract(y0, vx, out=d0)
             np.subtract(y1, vy, out=d1)
             if closed:
-                # counterclockwise vertices: inside iff left of every edge
+                # counterclockwise vertices: inside iff left of every edge;
+                # e0 * d1 - e1 * d0 >= 0 agrees on every row that does not raise
                 np.multiply(d1, e0, out=t)
                 np.multiply(d0, e1, out=d2)
-                np.subtract(t, d2, out=t)
-                inside &= np.greater_equal(t, 0.0, out=better)
+                if i == 0:
+                    np.greater_equal(t, d2, out=inside)
+                else:
+                    inside &= np.greater_equal(t, d2, out=better)
             np.multiply(d0, e0, out=t)
             np.multiply(d1, e1, out=d2)
             t += d2
             t /= len_sq
             np.clip(t, 0.0, 1.0, out=t)
-            fx = np.multiply(t, e0, out=d0)
+            # the first edge's foot is the result so far; later ones wait in d
+            fx, fy = x if i == 0 else d
+            np.multiply(t, e0, out=fx)
             fx += vx
-            fy = np.multiply(t, e1, out=d1)
+            np.multiply(t, e1, out=fy)
             fy += vy
             if closed:
                 np.subtract(y0, fx, out=d2)
@@ -326,22 +337,29 @@ class _PolygonBlocks:
                 np.subtract(y1, fy, out=t)
                 np.square(t, out=t)
                 d2 += t
+                if i == 0:
+                    # a NaN distance is no distance: best stays inf
+                    np.fmin(d2, np.inf, out=best)
+                    continue
                 np.less(d2, best, out=better)
-                np.copyto(best, d2, where=better)
-                np.copyto(x0, fx, where=better)
-                np.copyto(x1, fy, where=better)
+                np.fmin(best, d2, out=best)
+                # x = foot where better, as x ^= (x ^ foot) & -better
+                np.negative(better.view(np.int8), out=mask)
+                for xc, fc in zip(x.view(np.int64), d.view(np.int64)):
+                    np.bitwise_xor(xc, fc, out=bits)
+                    bits &= mask
+                    xc ^= bits
         if closed:
             finite = np.isfinite(best, out=better)
             np.copyto(x, y, where=inside)
         else:
             # a point or a segment: the one foot is the projection, and its
             # distance may overflow, since no comparison needs it
-            x = d
             if self._point is not None:
                 # the vertex's own bits, signed zeros included
                 np.copyto(x, self._point)
             finite = np.isfinite(y, out=flags).all(axis=0)
-            finite &= np.isfinite(d0, out=inside)
+            finite &= np.isfinite(x0, out=inside)
         if not finite.all():
             i = int(np.argmin(finite))
             raise ProjectionError(

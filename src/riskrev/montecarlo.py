@@ -52,6 +52,17 @@ class RiskEstimate:
             raise ValueError("mean must be finite and stderr nonnegative")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is integral and not a bool; else ValueError naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MCConfig:
     """Sample count, stream seed, and chunk size of one Monte Carlo run.
@@ -65,11 +76,10 @@ class MCConfig:
     chunk: int = DEFAULT_CHUNK
 
     def __post_init__(self):
-        if int(self.n) < 1 or int(self.chunk) < 1:
+        for name in ("n", "seed", "chunk"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.n < 1 or self.chunk < 1:
             raise ValueError("n and chunk must be at least 1")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "chunk", int(self.chunk))
 
 
 def _worker_count() -> int:
@@ -109,10 +119,10 @@ def _chunked_estimate(d: int, cfg: MCConfig, chunk_losses) -> list[RiskEstimate]
     """Deterministic chunked Monte Carlo means of one or more losses.
 
     ``chunk_losses(chunk_start, Z)`` yields one loss vector per estimate for
-    the chunk of normals ``Z``.  Each vector is reduced to its moments before
-    the next is requested, so all of them may share one buffer.  Every
-    estimate sees the same draws (common random numbers), and each is
-    bitwise identical to a run of its loss alone.
+    the chunk of normals ``Z``.  Each vector is reduced to its moments, which
+    overwrites it, before the next is requested, so all of them may share one
+    buffer.  Every estimate sees the same draws (common random numbers), and
+    each is bitwise identical to a run of its loss alone.
     """
     n, seed, chunk = cfg.n, cfg.seed, cfg.chunk
     n_chunks = (n + chunk - 1) // chunk
@@ -123,7 +133,9 @@ def _chunked_estimate(d: int, cfg: MCConfig, chunk_losses) -> list[RiskEstimate]
         moments = []
         for loss in chunk_losses(j * chunk, z):
             mean = float(loss.mean())
-            moments.append((m, mean, float(np.sum((loss - mean) ** 2))))
+            loss -= mean
+            np.square(loss, out=loss)
+            moments.append((m, mean, float(np.sum(loss))))
         return moments
 
     workers = _worker_count()
@@ -151,9 +163,10 @@ def _losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: 
     m, d = z.shape
     projector = _block_projector(P, m)
     block = projector.size
-    # contiguous coordinate rows, as the projectors take them; one array per
-    # coordinate, since a single (d, m) copy measured 1 MB more peak memory
-    zt = [np.ascontiguousarray(z[:, j]) for j in range(d)]
+    # sigma * z as contiguous coordinate rows, as the projectors take them;
+    # one array per coordinate, since a single (d, m) copy measured 1 MB more
+    # peak memory
+    zs = [np.multiply(z[:, j], sigma) for j in range(d)]
     y = np.empty((d, min(m, block)))
     loss = np.empty(m)
     for theta in thetas:
@@ -162,8 +175,7 @@ def _losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: 
             rows = slice(first, min(m, first + block))
             u = y[:, : rows.stop - first]
             for j in range(d):
-                np.multiply(zt[j][rows], sigma, out=u[j])
-            u += shift
+                np.add(zs[j][rows], theta[j], out=u[j])
             x = projector.project(u, start + first)
             x -= shift
             np.einsum("ji,ji->i", x, x, out=loss[rows])

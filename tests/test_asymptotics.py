@@ -330,3 +330,26 @@ class TestReversalScan:
                 [2.0, 1.0],
                 n=100,
             )
+
+    @pytest.mark.parametrize("edge_points", [-3, -1, 2.5, math.nan, True, "4"])
+    def test_edge_points_must_be_a_nonnegative_integer(self, edge_points):
+        with pytest.raises(ValueError, match="edge_points"):
+            detect_finite_sigma_reversal(
+                ExampleGeometry(c=0.75, x=1.3),
+                ExampleGeometry(c=0.75, x=0.5),
+                [1.0],
+                n=100,
+                edge_points=edge_points,
+            )
+
+    @pytest.mark.parametrize("edge_points", [0, 2, 2.0, np.int64(2)])
+    def test_integral_edge_points_scan(self, edge_points):
+        scan = detect_finite_sigma_reversal(
+            ExampleGeometry(c=0.75, x=1.3),
+            ExampleGeometry(c=0.75, x=0.5),
+            [1.0],
+            n=100,
+            edge_points=edge_points,
+        )
+        assert scan.edge_points == int(edge_points)
+        assert type(scan.edge_points) is int

@@ -354,6 +354,14 @@ class TestBlockedKernel:
             ([[0.1, 0.2], [math.inf, math.inf]], 1),
             ([[0.1, 0.2], [-math.inf, 0.0]], 1),
             ([[0.1, 0.2], [0.3, 0.1], [1e155, -1e155]], 2),
+            # products overflow to +-inf, every squared distance to inf
+            ([[0.1, 0.2], [1e307, -1e307]], 1),
+            ([[0.1, 0.2], [-1e307, 1e307], [0.3, 0.1]], 1),
+            ([[0.1, 0.2], [0.3, 0.1], [1.7e308, -1.7e308]], 2),
+            ([[-1.7e308, 1.7e308], [1.7e308, -1.7e308]], 0),
+            ([[0.5, 0.5]] * _PROJECT_BLOCK + [[0.1, 0.2], [1.7e308, -1.7e308]], _PROJECT_BLOCK + 1),
+            ([[0.5, 0.5]] * (_PROJECT_BLOCK - 1) + [[-1e307, 1.7e308], [1e307, -1e307]], _PROJECT_BLOCK - 1),
+            ([[0.5, 0.5]] * (_PROJECT_BLOCK - 1) + [[0.1, 0.2], [1e307, -1.7e308]], _PROJECT_BLOCK),
         ],
     )
     def test_rows_without_finite_distance_raise(self, bad, row):
@@ -362,6 +370,35 @@ class TestBlockedKernel:
             project_polygon_2d_batch(tri, np.array(bad))
         with pytest.raises(ProjectionError, match=r"^point 0 "):
             project_polygon_2d(tri, bad[row])
+
+    @pytest.mark.parametrize(
+        "bad, row",
+        [
+            ([[0.1, 0.2], [1e308, -1e308], [-1e308, 1e308]], 1),
+            ([[0.1, 0.2], [1e308, 1e308]], 1),
+            ([[0.5, 0.5]] * (_PROJECT_BLOCK - 1) + [[-1e308, -1e308], [1e308, -1e308]], _PROJECT_BLOCK - 1),
+            ([[0.5, 0.5]] * _PROJECT_BLOCK + [[1e307, -1e307], [-1e308, 1e308]], _PROJECT_BLOCK),
+        ],
+    )
+    def test_rows_with_nan_feet_raise(self, bad, row):
+        # both components of the first two edges exceed 1, so <y - v, e> is
+        # inf - inf and t NaN on one edge, while the others' distances are inf
+        poly = ConvexPolytope([[0.0, 0.0], [4.0, 3.0], [1.0, 5.0]])
+        with pytest.raises(ProjectionError, match=rf"^point {row} "):
+            project_polygon_2d_batch(poly, np.array(bad))
+        with pytest.raises(ProjectionError, match=r"^point 0 "):
+            project_polygon_2d(poly, bad[row])
+
+    def test_nan_distance_on_one_edge_leaves_the_others(self):
+        # ||e||^2 overflows on the long edges, so t is inf / inf = NaN there,
+        # on the first edge for one row and the last for the other, while
+        # another edge has a finite distance: neither row raises
+        poly = ConvexPolytope([[0.0, 0.0], [1e155, 0.0], [1e155, 1.0]])
+        Y = np.array([[1e155 + 1e140, 0.5], [-1e140, 0.5]])
+        got = project_polygon_2d_batch(poly, Y)
+        assert got.tolist() == [[1e155, 0.5], [0.0, 0.0]]
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert got.tobytes() == _reference_project_batch(poly, Y).tobytes()
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("bad", [[math.nan, 0.5], [math.inf, 0.2], [0.1, -math.inf]])

@@ -7,7 +7,9 @@ chunks.  Statistical correctness is checked against the exact formulas
 and against scipy's Kolmogorov-Smirnov machinery.
 """
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -56,6 +58,19 @@ class TestContainers:
             MCConfig(n=0)
         with pytest.raises(ValueError):
             MCConfig(n=100, chunk=0)
+
+    @pytest.mark.parametrize("field", ["n", "seed", "chunk"])
+    @pytest.mark.parametrize("value", [2.7, 1.9, True, False, np.True_, math.nan, math.inf, "5", None])
+    def test_mc_config_refuses_non_integral_values(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+            MCConfig(**{"n": 1000, field: value})
+
+    @pytest.mark.parametrize("value", [1e6, 5.0, np.int64(5), np.float64(8.0), np.uint8(3)])
+    def test_mc_config_keeps_integral_values(self, value):
+        for field in ("n", "seed", "chunk"):
+            cfg = MCConfig(**{"n": 1000, field: value})
+            assert getattr(cfg, field) == int(value)
+            assert type(getattr(cfg, field)) is int
 
 
 class TestDeterminism:
@@ -120,6 +135,28 @@ SHARED_CASES = {
         MCConfig(n=700, seed=11, chunk=256),
     ),
 }
+
+
+# sha256 of the 99 means, then the 99 stderrs, packed little-endian, of the
+# reversal candidates of theta_x_polytope(c=0.75, x=1.3) at sigma = 5
+PINNED_REVERSAL_DIGESTS = {
+    1: "e67fa7cebefee9233cadcb7fa2c67e3b010acd2b57ed5fec541c07f33ee685d3",
+    7: "52d8fbf0042a586fe09dcd3a62d8dfc9b3a5d8badd40300e997b65513cac3565",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("seed", sorted(PINNED_REVERSAL_DIGESTS))
+    def test_reversal_candidates_keep_their_bits(self, seed):
+        # two chunks, the second with a partial last block
+        poly = ExampleGeometry(c=0.75, x=1.3).theta_x_polytope()
+        candidates = _sup_candidates(poly, 32)
+        assert len(candidates) == 99
+        cfg = MCConfig(n=3 * _PROJECT_BLOCK + 7, seed=seed, chunk=2 * _PROJECT_BLOCK)
+        estimates = mc_risks(poly, candidates, 5.0, cfg)
+        values = [e.mean for e in estimates] + [e.stderr for e in estimates]
+        digest = hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+        assert digest == PINNED_REVERSAL_DIGESTS[seed]
 
 
 class TestSharedCandidates:

@@ -43,12 +43,11 @@ def limiting_table():
 
 def envelope_minimum():
     grid = np.linspace(0.0, 1.0 / C - 1e-9, 2001)
-    points = envelope_curve(C, grid)
-    env = np.array([p.envelope for p in points])
+    x, _, _, _, env = envelope_curve(C, grid)
     k = int(np.argmin(env))
     print("worst-case limiting risk along the family x -> conv{v1, v2, (x, 1)}:")
     print(f"  at x = 0       envelope = {env[0]:.6f}")
-    print(f"  minimum        envelope = {env[k]:.6f} at x = {grid[k]:.4f}")
+    print(f"  minimum        envelope = {env[k]:.6f} at x = {x[k]:.4f}")
     print(f"  at x = 1/c     envelope = {env[-1]:.6f}")
     print("  the dip means shrinking the set first helps, then hurts, the worst case")
     print()

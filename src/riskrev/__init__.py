@@ -10,7 +10,6 @@ constraint set whose estimator has strictly larger risk.
 """
 
 from .asymptotics import (
-    EnvelopePoint,
     ReversalRow,
     ReversalScan,
     VertexDistribution,
@@ -81,7 +80,6 @@ __all__ = [
     "ConvexPolytope",
     "CauchyRatioReport",
     "DEFAULT_SEED",
-    "EnvelopePoint",
     "ExampleGeometry",
     "MCConfig",
     "ProjectionError",

@@ -62,21 +62,6 @@ class VertexDistribution:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
-class EnvelopePoint:
-    """Limiting risks of the three vertices of conv{v1, v2, vx} and their max."""
-
-    x: float
-    risk_v1: float
-    risk_v2: float
-    risk_vx: float
-    envelope: float
-
-    def __post_init__(self):
-        if abs(self.envelope - max(self.risk_v1, self.risk_v2, self.risk_vx)) > 1e-12:
-            raise ValueError("envelope must equal the maximum of the vertex risks")
-
-
 def statistical_dimension_2d(cone: Cone2D) -> float:
     """delta(C) = E||Pi_C(Z)||^2 for a planar cone.
 
@@ -156,7 +141,7 @@ def vertex_probabilities_mc(P: ConvexPolytope, n: int, seed: int = DEFAULT_SEED)
     Each direction selects the vertex maximizing <v_i, u> (smallest index on
     ties, which happen with probability zero); deterministic in ``seed``.
     """
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     directions = sample_unit_sphere(P.dim, n, seed)
@@ -230,9 +215,10 @@ def worst_case_limiting_risk(P: ConvexPolytope, dist: VertexDistribution):
     return float(risks[best]), best
 
 
-def envelope_curve(c: float, x_grid) -> list[EnvelopePoint]:
+def envelope_curve(c: float, x_grid) -> tuple[np.ndarray, ...]:
     """Per-vertex limiting risks of conv{v1, v2, (x, 1)} along a grid of x.
 
+    Returns the float columns ``(x, risk_v1, risk_v2, risk_vx, envelope)``.
     For each x the three worst-case candidates are the vertices; the
     envelope column is their maximum.  Uses the closed-form selection
     probabilities p2 = 1/4 + arctan(1/c)/(2 pi), px = 1/4 - arctan(x)/(2 pi),
@@ -241,7 +227,7 @@ def envelope_curve(c: float, x_grid) -> list[EnvelopePoint]:
     c = float(c)
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"c must be a positive finite real, got {c!r}")
-    x = np.asarray(x_grid, dtype=float)
+    x = np.array(x_grid, dtype=float)
     if x.ndim != 1 or len(x) < 1:
         raise ValueError("x_grid must be a nonempty 1-D array")
     if not np.all(np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0 / c):
@@ -257,16 +243,7 @@ def envelope_curve(c: float, x_grid) -> list[EnvelopePoint]:
     risk_v2 = alpha * p1 + gap_sq * px
     risk_vx = norm_sq * p1 + gap_sq * p2
     envelope = np.maximum(risk_v1, np.maximum(risk_v2, risk_vx))
-    return [
-        EnvelopePoint(
-            x=float(x[i]),
-            risk_v1=float(risk_v1[i]),
-            risk_v2=float(risk_v2[i]),
-            risk_vx=float(risk_vx[i]),
-            envelope=float(envelope[i]),
-        )
-        for i in range(len(x))
-    ]
+    return x, risk_v1, risk_v2, risk_vx, envelope
 
 
 @dataclass(frozen=True)

@@ -154,30 +154,30 @@ def load_polytope(path: str) -> ConvexPolytope:
     return polytope
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.15g}"
-
-
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
 class Output:
-    """One command's result: flat record and/or tabular rows plus metadata."""
+    """One command's result: flat record and/or tabular rows plus metadata.
+
+    A computed table's ``rows`` is a 2-D float array; one read back from a
+    file by ``--verify`` is a list of lists.
+    """
 
     metadata: dict
     record: dict | None = None
     header: list | None = None
-    rows: list | None = None
+    rows: np.ndarray | list | None = None
     footer: dict | None = None
 
 
 def _check_finite(output: Output):
     """Raise on the first non-finite float of the record or of a table column, naming its key."""
     columns = {k: v for k, v in (output.record or {}).items() if isinstance(v, (float, list, tuple))}
-    if output.rows:
-        columns.update(zip(output.header, np.array(output.rows, dtype=float).T))
+    if output.rows is not None:
+        columns.update(zip(output.header, np.asarray(output.rows, dtype=float).T))
     for key, values in columns.items():
         bad = np.asarray(values, dtype=float)[~np.isfinite(values)]
         if bad.size:
@@ -240,36 +240,34 @@ def compute_risk(params: dict) -> Output:
 
 
 def _diff_table(c_values, sigmas: np.ndarray) -> np.ndarray:
-    """Columns ``c, sigma, risk_S, risk_L, diff``: one closed-form call per ``c`` covers all ``sigmas``."""
-    blocks = []
-    for c in c_values:
-        geometry = ExampleGeometry(c=float(c))
-        risk_s = risk_segment_exact(geometry, 0.0, sigmas)
-        risk_l = risk_triangle_exact(geometry, sigmas).total
-        blocks.append(np.column_stack([np.full_like(sigmas, c), sigmas, risk_s, risk_l, risk_s - risk_l]))
-    return np.concatenate(blocks)
+    """Columns ``c, sigma, risk_S, risk_L, diff``, c-major: one closed-form call per set covers the grid."""
+    geometries = [ExampleGeometry(c=float(c)) for c in c_values]
+    risk_s = risk_segment_exact(geometries, 0.0, sigmas)
+    risk_l = risk_triangle_exact(geometries, sigmas).total
+    c_column = np.repeat(np.asarray(c_values, dtype=float), len(sigmas))
+    sigma_column = np.tile(sigmas, len(geometries))
+    return np.column_stack([c_column, sigma_column, risk_s.ravel(), risk_l.ravel(), (risk_s - risk_l).ravel()])
 
 
 def compute_diff_curve(params: dict) -> Output:
     if not params["c_list"]:
         raise ValueError("--c-list must contain at least one value")
-    rows = _diff_table(params["c_list"], parse_sweep(params["sigma_sweep"])).tolist()
-    return Output(params, header=["c", "sigma", "risk_S", "risk_L", "diff"], rows=rows)
+    table = _diff_table(params["c_list"], parse_sweep(params["sigma_sweep"]))
+    return Output(params, header=["c", "sigma", "risk_S", "risk_L", "diff"], rows=table)
 
 
 def compute_heatmap(params: dict) -> Output:
     table = _diff_table(parse_sweep(params["c_sweep"]), parse_sweep(params["sigma_sweep"]))
-    return Output(params, header=["c", "sigma", "diff"], rows=table[:, [0, 1, 4]].tolist())
+    return Output(params, header=["c", "sigma", "diff"], rows=table[:, [0, 1, 4]])
 
 
 def compute_envelope(params: dict) -> Output:
-    c = float(params["c"])
-    grid = parse_sweep(params["x_sweep"])
-    points = envelope_curve(c, grid)
-    rows = [[p.x, p.risk_v1, p.risk_v2, p.risk_vx, p.envelope] for p in points]
-    best = min(range(len(points)), key=lambda i: points[i].envelope)
-    footer = {"argmin_x": points[best].x, "envelope_min": points[best].envelope}
-    return Output(params, header=["x", "risk_v1", "risk_v2", "risk_vx", "envelope"], rows=rows, footer=footer)
+    columns = envelope_curve(float(params["c"]), parse_sweep(params["x_sweep"]))
+    x, *_, envelope = columns
+    best = int(np.argmin(envelope))
+    footer = {"argmin_x": float(x[best]), "envelope_min": float(envelope[best])}
+    header = ["x", "risk_v1", "risk_v2", "risk_vx", "envelope"]
+    return Output(params, header=header, rows=np.column_stack(columns), footer=footer)
 
 
 def compute_statdim(params: dict) -> Output:
@@ -469,20 +467,22 @@ def _table(output: Output):
 
 
 def render_csv(output: Output) -> str:
+    """The CSV text: every cell formatted ``%.15g`` by one ``%`` over the whole table."""
     metadata, header, rows, footer = _table(output)
-    lines = ["# " + _json_line(metadata), ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    cells = np.asarray(rows, dtype=float).ravel().tolist()
+    row_format = ",".join(["%.15g"] * len(header)) + "\n"
+    body = (row_format * len(rows)) % tuple(cells)
+    text = "# " + _json_line(metadata) + "\n" + ",".join(header) + "\n" + body
     if footer:
-        lines.append("# " + _json_line(footer))
-    return "\n".join(lines) + "\n"
+        text += "# " + _json_line(footer) + "\n"
+    return text
 
 
 def render_json(output: Output) -> str:
     if output.record is not None:
         payload = {"metadata": output.metadata, **output.record}
     else:
-        payload = {"metadata": output.metadata, "header": output.header, "rows": output.rows}
+        payload = {"metadata": output.metadata, "header": output.header, "rows": np.asarray(output.rows).tolist()}
         if output.footer:
             payload["footer"] = output.footer
     return _json_line(payload) + "\n"
@@ -560,6 +560,7 @@ def run_verify(path: str) -> int:
     if command not in SUBCOMMANDS:
         raise ValueError(f"metadata names unknown command {command!r}")
     want_metadata, want_header, want_rows, want_footer = _table(SUBCOMMANDS[command].compute(metadata))
+    want_rows = np.asarray(want_rows, dtype=float).tolist()
     if header != want_header:
         raise ValueError(f"header mismatch: file has {header}, recomputation has {want_header}")
     if len(rows) != len(want_rows):

@@ -7,8 +7,10 @@ E||thetahat - theta*||^2 admits exact expressions in Phi and Owen's T; this
 module evaluates them in numerically stable form, exposes the triangle risk
 as a sum of per-region contributions, and provides the two noise-limit
 coefficients of the segment/triangle risk difference.  Each risk takes a
-scalar sigma, giving floats, or a 1-D array of them, giving arrays entry by
-entry equal to the scalar calls: a whole sigma grid is one call.
+scalar sigma, giving floats, or an array of them, giving arrays entry by
+entry equal to the scalar calls: a whole sigma grid is one call.  Passing a
+sequence of geometries instead of one adds a leading slope axis, so a whole
+(c, sigma) grid is one call too, row by row equal to the one-geometry calls.
 """
 
 import math
@@ -111,7 +113,19 @@ def _half_z2_phi(x):
     return np.copysign(np.where(r < 1.0, total * pdf, std_normal_cdf_minus_half(r) - r * pdf), x)
 
 
-def risk_segment_exact(g: ExampleGeometry, t_star: float, sigma):
+def _slopes(g, sigma: np.ndarray):
+    """c, alpha_c, sqrt(alpha_c) and arctan(1/c)/pi of ``g``, each computed with math.
+
+    One geometry gives floats.  A sequence of m geometries gives arrays of
+    shape (m, 1, ..., 1) that broadcast against ``sigma``, one row per slope.
+    """
+    if isinstance(g, ExampleGeometry):
+        return g.c, g.alpha_c, math.sqrt(g.alpha_c), math.atan(1.0 / g.c) / math.pi
+    table = np.array([_slopes(e, sigma) for e in g], dtype=float).reshape(-1, 4)
+    return tuple(table.T.reshape((4, -1) + (1,) * sigma.ndim))
+
+
+def risk_segment_exact(g, t_star: float, sigma):
     """Exact risk of projection onto the segment conv{v1, v2}.
 
     The true parameter is theta* = t_star * v2 with t_star in [0, 1].  With
@@ -119,13 +133,15 @@ def risk_segment_exact(g: ExampleGeometry, t_star: float, sigma):
 
         alpha_c [ t*^2 Phi(a) + (sigma^2/alpha_c) integral_a^b z^2 phi(z) dz
                   + (1 - t*)^2 Phi(-b) ].
+
+    ``g`` is an :class:`ExampleGeometry` or a sequence of them; a sequence
+    gives one row per geometry, each equal to its own call bit for bit.
     """
     t_star = float(t_star)
     if not (math.isfinite(t_star) and 0.0 <= t_star <= 1.0):
         raise ValueError(f"t_star must lie in [0, 1], got {t_star!r}")
     sigma = _sigmas(sigma)
-    alpha = g.alpha_c
-    root = math.sqrt(alpha)
+    _, alpha, root, _ = _slopes(g, sigma)
     a = -root * t_star / sigma
     b = root * (1.0 - t_star) / sigma
     return _result(alpha * (
@@ -135,7 +151,7 @@ def risk_segment_exact(g: ExampleGeometry, t_star: float, sigma):
     ))
 
 
-def risk_triangle_exact(g: ExampleGeometry, sigma) -> RegionRiskBreakdown:
+def risk_triangle_exact(g, sigma) -> RegionRiskBreakdown:
     """Exact risk of projection onto the triangle conv{v1, v2, v3} at theta* = v1.
 
     Each of the seven projector regions contributes in closed form.  Writing
@@ -150,11 +166,13 @@ def risk_triangle_exact(g: ExampleGeometry, sigma) -> RegionRiskBreakdown:
         A12:      (sigma^2/2) integral_0^s z^2 phi(z) dz
         A13:      (sigma^2/2) integral_0^u z^2 phi(z) dz
         A23:      Phi(-u) [ (Phi(x) - 1/2) + sigma^2 integral_0^x z^2 phi(z) dz ]
+
+    ``g`` is an :class:`ExampleGeometry` or a sequence of them; a sequence
+    gives every region one row per geometry, each equal to its own call bit
+    for bit, and the four Owen's T evaluations cover the whole grid.
     """
     sigma = _sigmas(sigma)
-    c = g.c
-    alpha = g.alpha_c
-    root = math.sqrt(alpha)
+    c, alpha, root, arc = _slopes(g, sigma)
     u = 1.0 / sigma
     x = 1.0 / (c * sigma)
     s = root / sigma
@@ -163,7 +181,7 @@ def risk_triangle_exact(g: ExampleGeometry, sigma) -> RegionRiskBreakdown:
     interior = sig2 * (
         u * std_normal_pdf(u) * (-std_normal_cdf_minus_half(x))
         - 2.0 * owens_t(u, 1.0 / c)
-        + math.atan(1.0 / c) / math.pi
+        + arc
     )
     # the bracket above cancels to O(sigma^-4) as sigma grows, so the sigma^2
     # prefactor amplifies machine roundoff; clamp negatives inside that
@@ -183,14 +201,16 @@ def risk_triangle_exact(g: ExampleGeometry, sigma) -> RegionRiskBreakdown:
         std_normal_cdf_minus_half(x) + sig2 * _half_z2_phi(x)
     )
 
-    # in RegionLabel order: Interior, A1, A2, A3, A12, A13, A23
-    values = (interior, np.zeros_like(sigma), a2, a3, a12, a13, a23)
+    # in RegionLabel order: Interior, A1, A2, A3, A12, A13, A23; A3 and A13
+    # depend on sigma only and are spread over the slope axis
+    shape = np.shape(interior)
+    values = (interior, np.zeros(shape), a2, np.full(shape, a3), a12, np.full(shape, a13), a23)
     regions = {label: _result(value) for label, value in zip(RegionLabel, values)}
     return RegionRiskBreakdown(regions=regions, total=sum(regions.values()))
 
 
-def risk_difference(g: ExampleGeometry, sigma):
-    """Segment risk minus triangle risk at theta* = v1.
+def risk_difference(g, sigma):
+    """Segment risk minus triangle risk at theta* = v1, for one geometry or a sequence.
 
     Negative means the smaller set wins (expected for small noise);
     positive is a risk reversal.

@@ -227,7 +227,7 @@ def mc_risk_effective(
     Averaging n_obs independent observations of the same theta* is
     equivalent to a single observation with this reduced noise level.
     """
-    n_obs = int(n_obs)
+    n_obs = _integer("n_obs", n_obs)
     if n_obs < 1:
         raise ValueError("n_obs must be at least 1")
     sigma_eff = float(sigma) / math.sqrt(n_obs)
@@ -242,8 +242,8 @@ def sample_unit_sphere(d: int, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     probability 2^-53 per coordinate and raises ``ValueError`` naming the
     row, rather than being resampled.
     """
-    d = int(d)
-    n = int(n)
+    d = _integer("d", d)
+    n = _integer("n", n)
     if d < 1 or n < 1:
         raise ValueError("d and n must be at least 1")
     z = _chunk_normals(int(seed), 0, n, d)
@@ -295,7 +295,7 @@ class CauchyRatioReport:
 
 def cauchy_ratio_check(n: int, seed: int = DEFAULT_SEED) -> CauchyRatioReport:
     """Compare circle-coordinate ratios to the standard Cauchy distribution."""
-    n = int(n)
+    n = _integer("n", n)
     if n < 1000:
         raise ValueError("n must be at least 1000 for a meaningful KS statistic")
     u = sample_unit_sphere(2, n, seed)

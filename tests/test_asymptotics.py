@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from riskrev.asymptotics import (
-    EnvelopePoint,
     VertexDistribution,
     delta_x,
     detect_finite_sigma_reversal,
@@ -44,11 +43,6 @@ class TestContainers:
             VertexDistribution(probs=(1.2, -0.2))
         dist = VertexDistribution(probs=(0.25, 0.75))
         assert len(dist) == 2
-
-    def test_envelope_point_requires_max(self):
-        with pytest.raises(ValueError):
-            EnvelopePoint(x=0.1, risk_v1=1.0, risk_v2=2.0, risk_vx=0.5, envelope=1.0)
-        EnvelopePoint(x=0.1, risk_v1=1.0, risk_v2=2.0, risk_vx=0.5, envelope=2.0)
 
 
 class TestStatisticalDimension:
@@ -144,6 +138,16 @@ class TestVertexProbabilities:
         for p_hat, p in zip(emp.probs, ana.probs):
             assert abs(p_hat - p) <= _binomial_margin(p, n)
 
+    @pytest.mark.parametrize("n", [2.7, True])
+    def test_mc_rejects_non_integral_n(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer"):
+            vertex_probabilities_mc(ExampleGeometry(c=1.0).triangle(), n=n)
+
+    @pytest.mark.parametrize("n", [5.0, np.int64(5)])
+    def test_mc_integral_n_is_the_int(self, n):
+        tri = ExampleGeometry(c=1.0).triangle()
+        assert vertex_probabilities_mc(tri, n=n, seed=2) == vertex_probabilities_mc(tri, n=5, seed=2)
+
     def test_segment_splits_evenly(self):
         dist = vertex_probabilities_2d(ExampleGeometry(c=1.0).segment())
         np.testing.assert_allclose(dist.probs, [0.5, 0.5], atol=1e-15)
@@ -225,24 +229,36 @@ class TestEnvelope:
     def test_closed_form_matches_geometry_route(self):
         c = 0.75
         grid = np.array([0.05, 0.3, 0.7, 1.0, 1.25])
-        points = envelope_curve(c, grid)
-        for p in points:
-            g = ExampleGeometry(c=c, x=p.x)
-            poly = g.theta_x_polytope()
+        x, risk_v1, risk_v2, risk_vx, _ = envelope_curve(c, grid)
+        np.testing.assert_array_equal(x, grid)
+        for i in range(len(grid)):
+            poly = ExampleGeometry(c=c, x=x[i]).theta_x_polytope()
             dist = vertex_probabilities_2d(poly)
             np.testing.assert_allclose(
-                [p.risk_v1, p.risk_v2, p.risk_vx],
+                [risk_v1[i], risk_v2[i], risk_vx[i]],
                 [limiting_risk(poly, v, dist) for v in poly.vertices],
                 atol=1e-10,
             )
+
+    def test_columns_are_float_arrays_and_envelope_is_their_max(self):
+        grid = np.linspace(0.0, 1.0 / 0.75, 1001)
+        columns = envelope_curve(0.75, grid)
+        assert len(columns) == 5
+        for column in columns:
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == np.float64 and column.shape == grid.shape
+        _, risk_v1, risk_v2, risk_vx, envelope = columns
+        np.testing.assert_array_equal(envelope, np.max([risk_v1, risk_v2, risk_vx], axis=0))
+        # the worst-case vertex switches along the grid, so the max is a real envelope
+        assert len(set(np.argmax([risk_v1, risk_v2, risk_vx], axis=0).tolist())) >= 2
 
     def test_envelope_is_not_monotone(self):
         # dips below both endpoints near x = 0.43, so shrinking the set
         # first helps and then hurts
         c = 0.75
-        values = {p.x: p.envelope for p in envelope_curve(c, [0.1, 0.429, 1.25])}
-        assert values[0.429] < values[0.1]
-        assert values[0.429] < values[1.25]
+        _, _, _, _, envelope = envelope_curve(c, [0.1, 0.429, 1.25])
+        assert envelope[1] < envelope[0]
+        assert envelope[1] < envelope[2]
 
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ cross-command consistency, the verification mode on CSV and JSON output,
 and the plot-script companion files.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -213,7 +214,7 @@ class TestCurveCommands:
         curve_diffs = [line.split(",")[4] for line in curve[2:]]
         assert heat_diffs == curve_diffs
 
-    def test_one_closed_form_call_per_c(self, capsys, monkeypatch):
+    def test_one_closed_form_call_per_grid(self, capsys, monkeypatch):
         calls = {}
 
         def counted(module, name):
@@ -233,11 +234,16 @@ class TestCurveCommands:
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 2 + 200 * 200
-        # the triangle's closed form calls Owen's T four times
-        assert calls == {"risk_segment_exact": 200, "risk_triangle_exact": 200, "owens_t": 800}
+        # the whole (c, sigma) grid is one call per set, and the triangle's
+        # closed form calls Owen's T four times
+        assert calls == {"risk_segment_exact": 1, "risk_triangle_exact": 1, "owens_t": 4}
 
     def test_non_finite_cell_names_its_column(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "risk_segment_exact", lambda g, t, sigma: np.where(sigma > 1.0, np.nan, 1.0))
+        # risk_S comes from one segment call over the (c, sigma) grid
+        monkeypatch.setattr(
+            cli, "risk_segment_exact",
+            lambda gs, t, sigma: np.where(sigma > 1.0, np.nan, np.ones((len(gs), 1))),
+        )
         code, out, err = run_cli(capsys, ["diff-curve", "--c-list", "1", "--sigma-sweep", "0.5:2:4"])
         assert code == 3
         assert out == ""
@@ -401,6 +407,22 @@ class TestVerifyAndArtifacts:
         )
         code, _, _ = run_cli(capsys, ["--verify", str(path)])
         assert code == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heatmap", "--c-sweep", "0.2:3:40", "--sigma-sweep", "0.05:50:40:log"],
+            ["diff-curve", "--c-list", "0.5,1,2", "--sigma-sweep", "0.01:100:200:log"],
+            ["envelope", "--c", "0.75", "--x-sweep", "0:1.3333:13334"],
+        ],
+        ids=["heatmap", "diff-curve", "envelope"],
+    )
+    def test_roundtrip_readme_tables(self, capsys, tmp_path, argv, fmt):
+        path = self._write(capsys, tmp_path, argv + ["--format", fmt], "out." + fmt)
+        code, out, _ = run_cli(capsys, ["--verify", str(path)])
+        assert code == 0
+        assert "OK" in out
 
     def test_tampered_row_detected(self, capsys, tmp_path):
         path = self._write(
@@ -571,6 +593,79 @@ CONTRACT = [
         "sigma_grid,stderr_large,stderr_small,sup_large,sup_small",
     ),
 ]
+
+
+# sha256 of the CSV and JSON text of the README's exact-table examples,
+# recorded before the (c, sigma) grid became one closed-form call and the
+# CSV body one format operation; both changes keep every byte
+PINNED_TABLE_DIGESTS = {
+    ("heatmap", "--c-sweep", "0.2:3:40", "--sigma-sweep", "0.05:50:40:log"): (
+        "24624e1c868b70fd75c1af02beed018f35e366b030e66673ddc45aaaed729a34",
+        "193eec15dc2673bf77a35d34a598c1af191fe61875345538887a7bc986bb9695",
+    ),
+    ("diff-curve", "--c-list", "0.5,1,2", "--sigma-sweep", "0.01:100:200:log"): (
+        "de69ed2bd857f36da0dbd34196583daa913d2764cd9a8baf40da591265601ea7",
+        "f6bcaf3cb9ebc3a448c2598d586a38340888996d0395c12234f5e93b59f063b3",
+    ),
+    ("envelope", "--c", "0.75", "--x-sweep", "0:1.3333:13334"): (
+        "0a1318c7f8a17f9d77999015e46039a29156c722a96dd2b5ea3be9d08f0f670e",
+        "e49a42491f0aee6d6a0de5b9e828ab54d6147185b6b69a855b63fe4e0e055087",
+    ),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", sorted(PINNED_TABLE_DIGESTS), ids=lambda argv: argv[0])
+    def test_readme_table_keeps_its_bytes(self, capsys, argv, fmt):
+        code, out, _ = run_cli(capsys, [*argv, "--format", fmt])
+        assert code == 0
+        want = PINNED_TABLE_DIGESTS[argv][("csv", "json").index(fmt)]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+def _format_edge_values() -> np.ndarray:
+    """Doubles where ``%.15g`` changes notation or rounding, plus the extremes."""
+    tiny = np.nextafter(0.0, 1.0)  # 5e-324, the smallest subnormal
+    normal_min = np.finfo(float).tiny
+    big = np.finfo(float).max
+    edges = [0.0, -0.0, tiny, -tiny, 2 * tiny, 1e-310, np.nextafter(normal_min, 0.0), normal_min,
+             big, -big, np.nextafter(big, 0.0), 0.5, 1.0, 123456789012345.6, 0.1 + 0.2]
+    for decade in (1e-5, 1e-4, 1e15, 1e16):
+        for value in (decade, 0.99999999999999995 * decade, 0.9999999999999995 * decade,
+                      1.0000000000000005 * decade):
+            edges += [value, np.nextafter(value, 0.0), np.nextafter(value, np.inf), -value]
+    return np.array(edges, dtype=float)
+
+
+class TestFormatContract:
+    """CSV cells are ``f"{v:.15g}"`` joined by commas, whatever renders them."""
+
+    @staticmethod
+    def _check(values: np.ndarray):
+        columns = 5
+        values = np.concatenate([values, np.zeros(-len(values) % columns)])
+        table = values.reshape(-1, columns)
+        output = cli.Output({"command": "test"}, header=list("abcde"), rows=table)
+        body = cli.render_csv(output).split("\n")[2:-1]
+        want = [",".join(f"{v:.15g}" for v in row) for row in table.tolist()]
+        assert body == want
+
+    def test_edge_values(self):
+        self._check(_format_edge_values())
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20240613).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert len(values) > 100_000
+        self._check(values)
+
+    def test_list_rows_match_array_rows(self):
+        table = _format_edge_values()[:40].reshape(8, 5)
+        as_array = cli.Output({"command": "test"}, header=list("abcde"), rows=table)
+        as_lists = cli.Output({"command": "test"}, header=list("abcde"), rows=table.tolist())
+        assert cli.render_csv(as_array) == cli.render_csv(as_lists)
 
 
 def test_metadata_and_header_contract(capsys):

@@ -262,6 +262,48 @@ class TestArrayValuedSigma:
             assert got[i] == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
+class TestSlopeGrid:
+    """A sequence of geometries gives one row per slope, each the bits of its own call."""
+
+    # the benchmark heatmap's slopes include one (1.6211...) where numpy's
+    # arctan and math.atan differ in the last bit
+    GEOMETRIES = [ExampleGeometry(c=c) for c in GRID_C + [0.75, 3.0] + list(np.linspace(0.2, 3.0, 200))]
+
+    def test_triangle_rows_equal_per_c_calls(self):
+        grid = risk_triangle_exact(self.GEOMETRIES, SIGMA_SWEEP)
+        assert grid.total.shape == (len(self.GEOMETRIES), len(SIGMA_SWEEP))
+        for i, g in enumerate(self.GEOMETRIES):
+            one = risk_triangle_exact(g, SIGMA_SWEEP)
+            assert grid.total[i].tobytes() == one.total.tobytes(), g.c
+            for label in RegionLabel:
+                assert grid[label].shape == grid.total.shape, label
+                assert grid[label][i].tobytes() == one[label].tobytes(), (g.c, label)
+
+    @pytest.mark.parametrize("t_star", [0.0, 0.3, 1.0])
+    def test_segment_rows_equal_per_c_calls(self, t_star):
+        grid = risk_segment_exact(self.GEOMETRIES, t_star, SIGMA_SWEEP)
+        assert grid.shape == (len(self.GEOMETRIES), len(SIGMA_SWEEP))
+        for i, g in enumerate(self.GEOMETRIES):
+            assert grid[i].tobytes() == risk_segment_exact(g, t_star, SIGMA_SWEEP).tobytes(), g.c
+
+    def test_difference_rows_equal_per_c_calls(self):
+        grid = risk_difference(self.GEOMETRIES, SIGMA_SWEEP)
+        for i, g in enumerate(self.GEOMETRIES):
+            assert grid[i].tobytes() == risk_difference(g, SIGMA_SWEEP).tobytes(), g.c
+
+    def test_scalar_sigma_gives_one_entry_per_slope(self):
+        grid = risk_triangle_exact(self.GEOMETRIES, 2.0)
+        assert grid.total.shape == (len(self.GEOMETRIES),)
+        assert [_bits(v) for v in grid.total] == [
+            _bits(risk_triangle_exact(g, 2.0).total) for g in self.GEOMETRIES
+        ]
+
+    def test_bad_sigma_entry_raises(self):
+        sigma = np.array([0.5, 1.0, -2.0])
+        with pytest.raises(ValueError, match=r"^sigma must be a positive finite real, got -2\.0$"):
+            risk_triangle_exact(self.GEOMETRIES, sigma)
+
+
 class TestSegmentRisk:
     def test_endpoint_symmetry(self):
         # isotropic noise cannot tell the two segment endpoints apart

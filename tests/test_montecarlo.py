@@ -296,6 +296,19 @@ class TestEffectiveNoise:
         with pytest.raises(ValueError):
             mc_risk_effective(g.triangle(), (0.0, 0.0), 1.0, 0, MCConfig(n=100))
 
+    @pytest.mark.parametrize("n_obs", [2.7, True])
+    def test_rejects_non_integral_n_obs(self, n_obs):
+        g = ExampleGeometry(c=1.0)
+        with pytest.raises(ValueError, match=r"^n_obs must be an integer"):
+            mc_risk_effective(g.triangle(), (0.0, 0.0), 1.0, n_obs, MCConfig(n=100))
+
+    @pytest.mark.parametrize("n_obs", [5.0, np.int64(5)])
+    def test_integral_n_obs_is_the_int(self, n_obs):
+        g = ExampleGeometry(c=1.0)
+        cfg = MCConfig(n=1000, seed=3)
+        want = mc_risk_effective(g.triangle(), (0.0, 0.0), 1.0, 5, cfg)
+        assert mc_risk_effective(g.triangle(), (0.0, 0.0), 1.0, n_obs, cfg) == want
+
 
 class TestUnitSphere:
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -323,6 +336,17 @@ class TestUnitSphere:
         monkeypatch.setattr(montecarlo, "_chunk_normals", zero_row)
         with pytest.raises(ValueError, match="zero vector at row 2"):
             sample_unit_sphere(3, 5, seed=1)
+
+    @pytest.mark.parametrize("name, d, n", [("d", 2.9, 3), ("n", 2, 3.5), ("d", True, 3), ("n", 2, True)])
+    def test_rejects_non_integral_sizes(self, name, d, n):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            sample_unit_sphere(d, n, seed=1)
+
+    @pytest.mark.parametrize("value", [5.0, np.int64(5)])
+    def test_integral_sizes_are_the_ints(self, value):
+        want = sample_unit_sphere(5, 5, seed=1)
+        assert sample_unit_sphere(value, 5, seed=1).tobytes() == want.tobytes()
+        assert sample_unit_sphere(5, value, seed=1).tobytes() == want.tobytes()
 
     def test_directions_cover_all_quadrants(self):
         pts = sample_unit_sphere(2, 4000, seed=4)
@@ -356,3 +380,12 @@ class TestCauchyRatio:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             cauchy_ratio_check(n=10)
+
+    @pytest.mark.parametrize("n", [2000.7, True])
+    def test_rejects_non_integral_n(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer"):
+            cauchy_ratio_check(n=n)
+
+    @pytest.mark.parametrize("n", [2000.0, np.int64(2000)])
+    def test_integral_n_is_the_int(self, n):
+        assert cauchy_ratio_check(n=n, seed=4) == cauchy_ratio_check(n=2000, seed=4)

@@ -63,8 +63,8 @@ def finite_sigma(samples: int):
     )
     print(f"Monte Carlo sup-risk scan at n = {samples} (common random numbers):")
     print(f"  {'sigma':>6}  {'sup small set':>14}  {'sup large set':>14}")
-    for row in scan.rows:
-        print(f"  {row.sigma:6.1f}  {row.sup_small:14.6f}  {row.sup_large:14.6f}")
+    for sigma, small, large in zip(scan.sigma_grid, scan.sup_small, scan.sup_large):
+        print(f"  {sigma:6.1f}  {small:14.6f}  {large:14.6f}")
     if scan.reversal_sigma is None:
         print("  no certified reversal on this grid (try more samples)")
     else:

@@ -10,7 +10,6 @@ constraint set whose estimator has strictly larger risk.
 """
 
 from .asymptotics import (
-    ReversalRow,
     ReversalScan,
     VertexDistribution,
     delta_x,
@@ -85,7 +84,6 @@ __all__ = [
     "ProjectionError",
     "RegionLabel",
     "RegionRiskBreakdown",
-    "ReversalRow",
     "ReversalScan",
     "RiskEstimate",
     "RiskQuery",

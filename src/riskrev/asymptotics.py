@@ -12,9 +12,11 @@ for a finite-sigma worst-case risk reversal between nested sets.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from .exact_risk import _sigmas
 from .geometry import (
     Cone2D,
     ConeKind,
@@ -29,9 +31,10 @@ from .montecarlo import (
     DEFAULT_SEED,
     MCConfig,
     RiskEstimate,
+    _candidates,
     _chunked_estimate,
     _integer,
-    mc_risks,
+    _losses,
     sample_unit_sphere,
 )
 
@@ -113,9 +116,7 @@ def small_noise_risk(
     classification; otherwise pass the tangent cone's ``generators`` to use
     the Monte Carlo statistical dimension.
     """
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+    sigma = float(_sigmas(sigma))
     if generators is not None:
         return sigma * sigma * statistical_dimension_mc(generators, n, seed).mean
     if P.dim != 2:
@@ -157,6 +158,8 @@ def limiting_risk(P: ConvexPolytope, theta, dist: VertexDistribution) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (P.dim,):
         raise ValueError(f"theta must be a {P.dim}-vector")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"theta must be finite, got {theta}")
     diff = P.vertices - theta
     return float(np.asarray(dist.probs) @ np.einsum("ij,ij->i", diff, diff))
 
@@ -167,17 +170,11 @@ def theta_x_limiting_risk(c: float, x: float) -> float:
     Equals alpha_c (1/4 + arctan(1/c)/(2 pi)) + (1 + x^2)(1/4 - arctan(x)/(2 pi));
     at the degenerate x = 1/c this reduces to the segment value alpha_c / 2.
     """
-    c = float(c)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be a positive finite real, got {c!r}")
-    x = float(x)
-    if not (math.isfinite(x) and 0.0 <= x <= 1.0 / c):
-        raise ValueError(f"x must lie in [0, 1/c], got {x!r}")
-    alpha = 1.0 + 1.0 / (c * c)
+    g = ExampleGeometry(c=c, x=x)
     two_pi = 2.0 * math.pi
-    p2 = 0.25 + math.atan(1.0 / c) / two_pi
-    px = 0.25 - math.atan(x) / two_pi
-    return alpha * p2 + (1.0 + x * x) * px
+    p2 = 0.25 + math.atan(1.0 / g.c) / two_pi
+    px = 0.25 - math.atan(g.x) / two_pi
+    return g.alpha_c * p2 + (1.0 + g.x * g.x) * px
 
 
 def delta_x(c: float, x: float) -> float:
@@ -188,9 +185,7 @@ def delta_x(c: float, x: float) -> float:
     x in (1, 1/c) gives a strictly smaller set with strictly larger
     limiting risk at theta* = v1.
     """
-    c = float(c)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be a positive finite real, got {c!r}")
+    c = ExampleGeometry(c=c).c
     x = float(x)
     if not (math.isfinite(x) and 0.0 < x < 1.0 / c):
         raise ValueError(f"x must lie in (0, 1/c), got {x!r}")
@@ -224,15 +219,14 @@ def envelope_curve(c: float, x_grid) -> tuple[np.ndarray, ...]:
     probabilities p2 = 1/4 + arctan(1/c)/(2 pi), px = 1/4 - arctan(x)/(2 pi),
     p1 = 1 - p2 - px.
     """
-    c = float(c)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be a positive finite real, got {c!r}")
+    g = ExampleGeometry(c=c)
+    c = g.c
     x = np.array(x_grid, dtype=float)
     if x.ndim != 1 or len(x) < 1:
         raise ValueError("x_grid must be a nonempty 1-D array")
     if not np.all(np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0 / c):
         raise ValueError("x_grid values must lie in [0, 1/c]")
-    alpha = 1.0 + 1.0 / (c * c)
+    alpha = g.alpha_c
     two_pi = 2.0 * math.pi
     p2 = 0.25 + math.atan(1.0 / c) / two_pi
     px = 0.25 - np.arctan(x) / two_pi
@@ -247,33 +241,24 @@ def envelope_curve(c: float, x_grid) -> tuple[np.ndarray, ...]:
 
 
 @dataclass(frozen=True)
-class ReversalRow:
-    """Sup-risk estimates of the two nested sets at one noise level."""
-
-    sigma: float
-    sup_small: float
-    stderr_small: float
-    sup_large: float
-    stderr_large: float
-
-
-@dataclass(frozen=True)
 class ReversalScan:
-    """Result of a finite-sigma worst-case reversal search.
+    """Result of a finite-sigma worst-case reversal search: the CLI record's entries.
 
     ``reversal_sigma`` is the smallest grid noise level at which the smaller
     set's estimated sup-risk exceeds the larger set's by more than
-    ``REVERSAL_STDERR_FACTOR`` combined standard errors, or None.  The
-    sup-risk at each sigma maximizes the Monte Carlo risk over the polytope's
-    vertices plus ``edge_points`` interior points per edge, all sharing one
-    random stream, so the comparison uses common random numbers.
+    ``REVERSAL_STDERR_FACTOR`` combined standard errors, or None.  The other
+    tuples are columns over ``sigma_grid``: each set's sup-risk, the largest
+    Monte Carlo risk over its vertices plus ``edge_points`` interior points
+    per edge, and that candidate's standard error.
     """
 
     reversal_sigma: float | None
-    rows: tuple[ReversalRow, ...]
+    sigma_grid: tuple[float, ...]
+    sup_small: tuple[float, ...]
+    stderr_small: tuple[float, ...]
+    sup_large: tuple[float, ...]
+    stderr_large: tuple[float, ...]
     edge_points: int
-    n: int
-    seed: int
 
 
 def _sup_candidates(P: ConvexPolytope, edge_points: int) -> np.ndarray:
@@ -305,6 +290,10 @@ def detect_finite_sigma_reversal(
     never report a reversal).  The degenerate x = 1/c is routed to the
     segment.  Small noise levels cannot produce a reversal, so a grid capped
     at small sigma legitimately returns None.
+
+    The scan is one Monte Carlo pass: each chunk's normals are drawn once
+    and shared by every candidate of both sets at every sigma (common random
+    numbers), and each estimate is bitwise the ``mc_risks`` one at its sigma.
     """
     if g_small.x is None or g_large.x is None:
         raise ValueError("both geometries must carry a movable vertex x")
@@ -312,41 +301,34 @@ def detect_finite_sigma_reversal(
         raise ValueError("geometries must share the slope parameter c")
     if g_small.x < g_large.x:
         raise ValueError("sets are not nested: need x_small >= x_large")
-    sigmas = [float(s) for s in np.atleast_1d(np.asarray(sigma_grid, dtype=float))]
-    if len(sigmas) < 1 or any(not (math.isfinite(s) and s > 0.0) for s in sigmas):
-        raise ValueError("sigma_grid must contain positive finite values")
-    if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-        raise ValueError("sigma_grid must be strictly increasing")
+    sigmas = np.atleast_1d(_sigmas(sigma_grid))
+    if sigmas.ndim != 1 or len(sigmas) < 1 or np.any(sigmas[1:] <= sigmas[:-1]):
+        raise ValueError("sigma_grid must be a nonempty, strictly increasing 1-D array")
+    sigmas = sigmas.tolist()
     edge_points = _integer("edge_points", edge_points)
     if edge_points < 0:
         raise ValueError(f"edge_points must be at least 0, got {edge_points}")
     cfg = MCConfig(n=n, seed=seed, chunk=chunk)
     small_set = g_small.theta_x_polytope()
     large_set = g_large.theta_x_polytope()
-    cand_small = _sup_candidates(small_set, edge_points)
-    cand_large = _sup_candidates(large_set, edge_points)
+    cand_small = _candidates(small_set, _sup_candidates(small_set, edge_points))
+    cand_large = _candidates(large_set, _sup_candidates(large_set, edge_points))
+
+    def chunk_losses(start, z):
+        for sigma in sigmas:
+            yield from _losses(small_set, cand_small, sigma, start, z)
+            yield from _losses(large_set, cand_large, sigma, start, z)
+
+    estimates = iter(_chunked_estimate(2, cfg, chunk_losses))
     rows = []
     reversal_sigma = None
     for sigma in sigmas:
         # the first candidate with the largest mean, and its standard error
-        small = max(mc_risks(small_set, cand_small, sigma, cfg), key=lambda e: e.mean)
-        large = max(mc_risks(large_set, cand_large, sigma, cfg), key=lambda e: e.mean)
-        rows.append(
-            ReversalRow(
-                sigma=sigma,
-                sup_small=small.mean,
-                stderr_small=small.stderr,
-                sup_large=large.mean,
-                stderr_large=large.stderr,
-            )
-        )
+        small = max(islice(estimates, len(cand_small)), key=lambda e: e.mean)
+        large = max(islice(estimates, len(cand_large)), key=lambda e: e.mean)
+        # the four columns of ReversalScan, in field order
+        rows.append((small.mean, small.stderr, large.mean, large.stderr))
         margin = REVERSAL_STDERR_FACTOR * math.hypot(small.stderr, large.stderr)
         if reversal_sigma is None and small.mean - large.mean > margin:
             reversal_sigma = sigma
-    return ReversalScan(
-        reversal_sigma=reversal_sigma,
-        rows=tuple(rows),
-        edge_points=edge_points,
-        n=cfg.n,
-        seed=cfg.seed,
-    )
+    return ReversalScan(reversal_sigma, tuple(sigmas), *zip(*rows), edge_points)

@@ -29,7 +29,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -239,6 +239,12 @@ def compute_risk(params: dict) -> Output:
     return Output(params, record=record)
 
 
+def _one_observation(params: dict):
+    """Refuse an ``--n-obs`` other than 1; only ``risk`` averages observations."""
+    if params["n_obs"] != 1:
+        raise ValueError(f"--n-obs must be 1 for {params['command']}, got {params['n_obs']!r}")
+
+
 def _diff_table(c_values, sigmas: np.ndarray) -> np.ndarray:
     """Columns ``c, sigma, risk_S, risk_L, diff``, c-major: one closed-form call per set covers the grid."""
     geometries = [ExampleGeometry(c=float(c)) for c in c_values]
@@ -250,6 +256,7 @@ def _diff_table(c_values, sigmas: np.ndarray) -> np.ndarray:
 
 
 def compute_diff_curve(params: dict) -> Output:
+    _one_observation(params)
     if not params["c_list"]:
         raise ValueError("--c-list must contain at least one value")
     table = _diff_table(params["c_list"], parse_sweep(params["sigma_sweep"]))
@@ -257,11 +264,13 @@ def compute_diff_curve(params: dict) -> Output:
 
 
 def compute_heatmap(params: dict) -> Output:
+    _one_observation(params)
     table = _diff_table(parse_sweep(params["c_sweep"]), parse_sweep(params["sigma_sweep"]))
     return Output(params, header=["c", "sigma", "diff"], rows=table[:, [0, 1, 4]])
 
 
 def compute_envelope(params: dict) -> Output:
+    _one_observation(params)
     columns = envelope_curve(float(params["c"]), parse_sweep(params["x_sweep"]))
     x, *_, envelope = columns
     best = int(np.argmin(envelope))
@@ -271,6 +280,7 @@ def compute_envelope(params: dict) -> Output:
 
 
 def compute_statdim(params: dict) -> Output:
+    _one_observation(params)
     has_polytope = params.get("polytope_file") is not None
     has_generators = params.get("generators") is not None
     if has_polytope == has_generators:
@@ -289,6 +299,7 @@ def compute_statdim(params: dict) -> Output:
 
 
 def compute_reversal(params: dict) -> Output:
+    _one_observation(params)
     x_small = float(params["x_small"])
     x_large = float(params["x_large"])
     if x_small <= x_large:
@@ -304,15 +315,7 @@ def compute_reversal(params: dict) -> Output:
         n=int(params["samples"]),
         seed=int(params["seed"]),
     )
-    return Output(params, record={
-        "reversal_sigma": scan.reversal_sigma,
-        "sigma_grid": [row.sigma for row in scan.rows],
-        "sup_small": [row.sup_small for row in scan.rows],
-        "stderr_small": [row.stderr_small for row in scan.rows],
-        "sup_large": [row.sup_large for row in scan.rows],
-        "stderr_large": [row.stderr_large for row in scan.rows],
-        "edge_points": scan.edge_points,
-    })
+    return Output(params, record=asdict(scan))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 from scipy import special
 
-from .exact_risk import RiskQuery
+from .exact_risk import RiskQuery, _sigmas
 from .geometry import ConvexPolytope, ProjectionError, _block_projector, _project_rows
 
 DEFAULT_SEED = 20240613
@@ -136,6 +136,8 @@ def _chunked_estimate(d: int, cfg: MCConfig, chunk_losses) -> list[RiskEstimate]
             loss -= mean
             np.square(loss, out=loss)
             moments.append((m, mean, float(np.sum(loss))))
+            # release it before the next is requested, which may start a new loss loop
+            del loss
         return moments
 
     workers = _worker_count()
@@ -187,6 +189,19 @@ def _losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: 
         yield loss
 
 
+def _candidates(P: ConvexPolytope, thetas) -> np.ndarray:
+    """``thetas`` as a 2-D float array of finite points of ``P``; else ValueError."""
+    thetas = np.array(thetas, dtype=float, ndmin=2)
+    if thetas.ndim != 2 or thetas.shape[1] != P.dim or len(thetas) < 1:
+        raise ValueError(f"theta_star must have dimension {P.dim}")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("theta_star must be finite")
+    outside = np.linalg.norm(_project_rows(P, thetas) - thetas, axis=1) > 1e-9
+    if np.any(outside):
+        raise ValueError(f"theta_star {thetas[int(np.argmax(outside))]} must belong to the polytope")
+    return thetas
+
+
 def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[RiskEstimate]:
     """Monte Carlo risks at several theta* values that share one draw.
 
@@ -197,17 +212,8 @@ def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[Ris
     ``geometry`` picks for ``P``.  A projection failure aborts with the
     failing sample index, and so does a loss above the squared diameter.
     """
-    thetas = np.array(thetas, dtype=float, ndmin=2)
-    if thetas.ndim != 2 or thetas.shape[1] != P.dim or len(thetas) < 1:
-        raise ValueError(f"theta_star must have dimension {P.dim}")
-    if not np.all(np.isfinite(thetas)):
-        raise ValueError("theta_star must be finite")
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
-    outside = np.linalg.norm(_project_rows(P, thetas) - thetas, axis=1) > 1e-9
-    if np.any(outside):
-        raise ValueError(f"theta_star {thetas[int(np.argmax(outside))]} must belong to the polytope")
+    thetas = _candidates(P, thetas)
+    sigma = float(_sigmas(sigma))
     return _chunked_estimate(P.dim, cfg, partial(_losses, P, thetas, sigma))
 
 
@@ -246,7 +252,8 @@ def sample_unit_sphere(d: int, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     n = _integer("n", n)
     if d < 1 or n < 1:
         raise ValueError("d and n must be at least 1")
-    z = _chunk_normals(int(seed), 0, n, d)
+    seed = _integer("seed", seed)
+    z = _chunk_normals(seed, 0, n, d)
     norms = np.linalg.norm(z, axis=1)
     if np.any(norms == 0.0):
         raise ValueError(f"seed {seed} draws a zero vector at row {int(np.argmin(norms))}; use another seed")
@@ -296,6 +303,7 @@ class CauchyRatioReport:
 def cauchy_ratio_check(n: int, seed: int = DEFAULT_SEED) -> CauchyRatioReport:
     """Compare circle-coordinate ratios to the standard Cauchy distribution."""
     n = _integer("n", n)
+    seed = _integer("seed", seed)
     if n < 1000:
         raise ValueError("n must be at least 1000 for a meaningful KS statistic")
     u = sample_unit_sphere(2, n, seed)
@@ -308,7 +316,7 @@ def cauchy_ratio_check(n: int, seed: int = DEFAULT_SEED) -> CauchyRatioReport:
     d_second = _ks_distance(second, cauchy_cdf)
     return CauchyRatioReport(
         n=n,
-        seed=int(seed),
+        seed=seed,
         d_full=d_full,
         d_cond_first=d_first,
         d_cond_second=d_second,

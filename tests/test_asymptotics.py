@@ -104,6 +104,12 @@ class TestSmallNoiseRisk:
         with pytest.raises(ValueError):
             small_noise_risk(poly, (0.0, 0.0, 0.0), 0.1)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        tri = ExampleGeometry(c=1.0).triangle()
+        with pytest.raises(ValueError, match=r"^sigma must be a positive finite real"):
+            small_noise_risk(tri, (0.0, 0.0), sigma)
+
 
 class TestVertexProbabilities:
     @pytest.mark.parametrize("c,x", [(0.75, 0.5), (0.75, 1.3), (1.0, 0.3)])
@@ -143,6 +149,16 @@ class TestVertexProbabilities:
         with pytest.raises(ValueError, match=r"^n must be an integer"):
             vertex_probabilities_mc(ExampleGeometry(c=1.0).triangle(), n=n)
 
+    @pytest.mark.parametrize("seed", [2.7, True])
+    def test_mc_rejects_non_integral_seed(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer"):
+            vertex_probabilities_mc(ExampleGeometry(c=1.0).triangle(), n=5, seed=seed)
+
+    @pytest.mark.parametrize("seed", [5.0, np.int64(5)])
+    def test_mc_integral_seed_is_the_int(self, seed):
+        tri = ExampleGeometry(c=1.0).triangle()
+        assert vertex_probabilities_mc(tri, n=50, seed=seed) == vertex_probabilities_mc(tri, n=50, seed=5)
+
     @pytest.mark.parametrize("n", [5.0, np.int64(5)])
     def test_mc_integral_n_is_the_int(self, n):
         tri = ExampleGeometry(c=1.0).triangle()
@@ -172,6 +188,24 @@ class TestLimitingRisk:
         poly = ConvexPolytope([[0.0, 0.0], [2.0, 0.0]])
         dist = VertexDistribution(probs=(0.0, 1.0))
         assert limiting_risk(poly, (0.0, 0.0), dist) == pytest.approx(4.0, abs=1e-15)
+
+    @pytest.mark.parametrize("theta", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_rejects_non_finite_theta(self, theta):
+        poly = ExampleGeometry(c=0.75, x=0.5).theta_x_polytope()
+        with pytest.raises(ValueError, match=r"^theta must be finite"):
+            limiting_risk(poly, theta, vertex_probabilities_2d(poly))
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_slope_checks_name_c(self, c):
+        for call in (lambda: theta_x_limiting_risk(c, 0.0), lambda: delta_x(c, 0.5),
+                     lambda: envelope_curve(c, [0.0])):
+            with pytest.raises(ValueError, match=r"^c must be a positive finite real"):
+                call()
+
+    @pytest.mark.parametrize("x", [-0.1, 1.4, math.nan])
+    def test_theta_x_checks_name_x(self, x):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1/c\]"):
+            theta_x_limiting_risk(0.75, x)
 
 
 class TestDeltaX:
@@ -296,8 +330,8 @@ class TestReversalScan:
             seed=61,
         )
         assert scan.reversal_sigma is None
-        assert len(scan.rows) == 1
-        assert scan.rows[0].sigma == 0.01
+        assert scan.sigma_grid == (0.01,)
+        assert len(scan.sup_small) == len(scan.sup_large) == 1
 
     def test_equal_sets_never_reverse(self):
         scan = detect_finite_sigma_reversal(
@@ -345,6 +379,72 @@ class TestReversalScan:
                 ExampleGeometry(c=0.75, x=0.5),
                 [2.0, 1.0],
                 n=100,
+            )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("x_small", [1.3, 1.0 / 0.75])  # 1/c is the segment
+    def test_columns_are_the_per_sigma_sup_of_mc_risks(self, monkeypatch, threads, x_small):
+        from riskrev.asymptotics import _sup_candidates
+        from riskrev.montecarlo import MCConfig, mc_risks
+
+        monkeypatch.setenv("RISKREV_THREADS", threads)
+        sets = ExampleGeometry(c=0.75, x=x_small), ExampleGeometry(c=0.75, x=0.5)
+        sigmas = (0.3, 2.0, 5.0, 40.0)
+        cfg = MCConfig(n=5_000, seed=64, chunk=2048)  # three chunks, the last one partial
+        scan = detect_finite_sigma_reversal(*sets, sigmas, n=cfg.n, seed=cfg.seed, edge_points=3, chunk=cfg.chunk)
+        assert scan.sigma_grid == sigmas
+        columns = ((scan.sup_small, scan.stderr_small), (scan.sup_large, scan.stderr_large))
+        for geometry, (sup, stderr) in zip(sets, columns):
+            poly = geometry.theta_x_polytope()
+            for i, sigma in enumerate(sigmas):
+                best = max(mc_risks(poly, _sup_candidates(poly, 3), sigma, cfg), key=lambda e: e.mean)
+                assert (sup[i], stderr[i]) == (best.mean, best.stderr)
+
+    @pytest.mark.parametrize("sigmas", [[1.0], [0.5, 5.0, 20.0], np.geomspace(0.1, 100.0, 7)], ids=len)
+    def test_one_draw_per_chunk_for_the_whole_scan(self, monkeypatch, sigmas):
+        from riskrev import montecarlo
+
+        draws = []
+        draw = montecarlo._chunk_normals
+
+        def counted(seed, chunk_index, m, d):
+            draws.append(chunk_index)
+            return draw(seed, chunk_index, m, d)
+
+        monkeypatch.setattr(montecarlo, "_chunk_normals", counted)
+        detect_finite_sigma_reversal(
+            ExampleGeometry(c=0.75, x=1.3),
+            ExampleGeometry(c=0.75, x=0.5),
+            sigmas,
+            n=5_000,
+            edge_points=1,
+            chunk=2048,
+        )
+        assert draws == [0, 1, 2]
+
+    def test_scalar_grid_is_one_point(self):
+        scan = detect_finite_sigma_reversal(
+            ExampleGeometry(c=0.75, x=1.3), ExampleGeometry(c=0.75, x=0.5), 2.0, n=100
+        )
+        assert scan.sigma_grid == (2.0,)
+        assert type(scan.sigma_grid[0]) is float
+
+    @pytest.mark.parametrize(
+        "sigmas, message",
+        [
+            ([], "nonempty, strictly increasing 1-D"),
+            ([[1.0, 2.0]], "nonempty, strictly increasing 1-D"),
+            ([1.0, math.nan], "sigma must be a positive finite real, got nan"),
+            ([0.0, 1.0], "sigma must be a positive finite real, got 0.0"),
+            ([1.0, math.inf], "sigma must be a positive finite real, got inf"),
+            ([1.0, 1.0], "nonempty, strictly increasing 1-D"),
+            ([2.0, 1.0], "nonempty, strictly increasing 1-D"),
+        ],
+    )
+    def test_grid_is_checked(self, sigmas, message):
+        with pytest.raises(ValueError, match=message):
+            detect_finite_sigma_reversal(
+                ExampleGeometry(c=0.75, x=1.3), ExampleGeometry(c=0.75, x=0.5), sigmas, n=100
             )
 
     @pytest.mark.parametrize("edge_points", [-3, -1, 2.5, math.nan, True, "4"])

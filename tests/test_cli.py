@@ -595,9 +595,25 @@ CONTRACT = [
 ]
 
 
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in CONTRACT], ids=lambda argv: argv[0])
+def test_only_risk_averages_observations(capsys, argv):
+    assert {argv[0] for argv, _, _ in CONTRACT} == set(cli.SUBCOMMANDS)
+    code, out, err = run_cli(capsys, [*argv, "--n-obs", "4"])
+    if argv[0] == "risk":
+        assert code == 0
+        header, row = out.split("\n")[1:3]
+        assert dict(zip(header.split(","), row.split(",")))["sigma_effective"] == "1"  # 2 / sqrt(4)
+    else:
+        assert (code, out) == (2, "")
+        assert f"--n-obs must be 1 for {argv[0]}, got 4" in err
+    assert run_cli(capsys, [*argv, "--n-obs", "1"])[0] == 0
+
+
 # sha256 of the CSV and JSON text of the README's exact-table examples,
 # recorded before the (c, sigma) grid became one closed-form call and the
-# CSV body one format operation; both changes keep every byte
+# CSV body one format operation; both changes keep every byte.  The
+# reversal example, at 2*10^4 samples, was recorded before the scan became
+# one Monte Carlo pass for both sets and every sigma.
 PINNED_TABLE_DIGESTS = {
     ("heatmap", "--c-sweep", "0.2:3:40", "--sigma-sweep", "0.05:50:40:log"): (
         "24624e1c868b70fd75c1af02beed018f35e366b030e66673ddc45aaaed729a34",
@@ -610,6 +626,11 @@ PINNED_TABLE_DIGESTS = {
     ("envelope", "--c", "0.75", "--x-sweep", "0:1.3333:13334"): (
         "0a1318c7f8a17f9d77999015e46039a29156c722a96dd2b5ea3be9d08f0f670e",
         "e49a42491f0aee6d6a0de5b9e828ab54d6147185b6b69a855b63fe4e0e055087",
+    ),
+    ("reversal", "--c", "0.75", "--x-small", "1.3", "--x-large", "0.5", "--sigma-sweep", "1,2,5,10,20",
+     "--samples", "20000"): (
+        "20a50cac8333d76758a7f32672b03251387fada1d4e90a205fab80ceeeee3965",
+        "c39f57fd034456f075bf6637ede88edf26b9c920ea90768e3b1a04f5b41e0180",
     ),
 }
 

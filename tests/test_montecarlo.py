@@ -209,6 +209,17 @@ class TestSharedCandidates:
         assert est.stderr == math.sqrt(m2 / (cfg.n - 1) / cfg.n)
         assert set(np.unique(loss)) == {0.0, seg.squared_diameter()}
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        tri = ExampleGeometry(c=1.0).triangle()
+        with pytest.raises(ValueError, match=rf"^sigma must be a positive finite real, got {sigma!r}$"):
+            mc_risks(tri, [[0.0, 0.0]], sigma, MCConfig(n=100))
+
+    def test_non_finite_candidate_rejected(self):
+        tri = ExampleGeometry(c=1.0).triangle()
+        with pytest.raises(ValueError, match=r"^theta_star must be finite$"):
+            mc_risks(tri, [[0.0, 0.0], [math.nan, 0.5]], 1.0, MCConfig(n=100))
+
     def test_candidate_outside_rejected(self):
         tri = ExampleGeometry(c=1.0).triangle()
         with pytest.raises(ValueError, match="must belong"):
@@ -348,6 +359,15 @@ class TestUnitSphere:
         assert sample_unit_sphere(value, 5, seed=1).tobytes() == want.tobytes()
         assert sample_unit_sphere(5, value, seed=1).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("seed", [2.7, True])
+    def test_rejects_non_integral_seed(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer"):
+            sample_unit_sphere(2, 5, seed)
+
+    @pytest.mark.parametrize("seed", [5.0, np.int64(5)])
+    def test_integral_seed_is_the_int(self, seed):
+        assert sample_unit_sphere(2, 5, seed).tobytes() == sample_unit_sphere(2, 5, 5).tobytes()
+
     def test_directions_cover_all_quadrants(self):
         pts = sample_unit_sphere(2, 4000, seed=4)
         signs = {(sx, sy) for sx, sy in np.sign(pts).astype(int)}
@@ -389,3 +409,14 @@ class TestCauchyRatio:
     @pytest.mark.parametrize("n", [2000.0, np.int64(2000)])
     def test_integral_n_is_the_int(self, n):
         assert cauchy_ratio_check(n=n, seed=4) == cauchy_ratio_check(n=2000, seed=4)
+
+    @pytest.mark.parametrize("seed", [2.7, True])
+    def test_rejects_non_integral_seed(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer"):
+            cauchy_ratio_check(n=2000, seed=seed)
+
+    @pytest.mark.parametrize("seed", [5.0, np.int64(5)])
+    def test_integral_seed_is_the_int(self, seed):
+        report = cauchy_ratio_check(n=2000, seed=seed)
+        assert report == cauchy_ratio_check(n=2000, seed=5)
+        assert type(report.seed) is int

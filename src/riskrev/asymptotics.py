@@ -16,12 +16,14 @@ from itertools import islice
 
 import numpy as np
 
-from .exact_risk import _sigmas
+from .exact_risk import _sigma, _sigmas
 from .geometry import (
     Cone2D,
     ConeKind,
     ConvexPolytope,
     ExampleGeometry,
+    _member_points,
+    _points,
     normal_cone_angle_2d,
     project_cone_nonneg_batch,
     tangent_cone_2d,
@@ -31,7 +33,6 @@ from .montecarlo import (
     DEFAULT_SEED,
     MCConfig,
     RiskEstimate,
-    _candidates,
     _chunked_estimate,
     _integer,
     _losses,
@@ -82,9 +83,7 @@ def statistical_dimension_2d(cone: Cone2D) -> float:
     return 2.0
 
 
-def statistical_dimension_mc(
-    generators, n: int, seed: int = DEFAULT_SEED, chunk: int = DEFAULT_CHUNK
-) -> RiskEstimate:
+def statistical_dimension_mc(generators, n: int, seed: int = DEFAULT_SEED) -> RiskEstimate:
     """Monte Carlo statistical dimension of cone{g_1, ..., g_m}.
 
     Averages ||Pi_C(Z)||^2 over standard normal draws using the exact
@@ -93,7 +92,7 @@ def statistical_dimension_mc(
     G = np.asarray(generators, dtype=float)
     if G.ndim != 2 or G.shape[0] < 1:
         raise ValueError("generators must be a nonempty m x d array")
-    cfg = MCConfig(n=n, seed=seed, chunk=chunk)
+    cfg = MCConfig(n=n, seed=seed)
 
     def chunk_losses(start, z):
         projected = project_cone_nonneg_batch(G, z)
@@ -114,10 +113,12 @@ def small_noise_risk(
 
     Planar polytopes are handled analytically through the tangent-cone
     classification; otherwise pass the tangent cone's ``generators`` to use
-    the Monte Carlo statistical dimension.
+    the Monte Carlo statistical dimension.  Either way ``theta`` must be a
+    point of ``P``.
     """
-    sigma = float(_sigmas(sigma))
+    sigma = _sigma(sigma)
     if generators is not None:
+        _member_points(P, [theta], "theta")
         return sigma * sigma * statistical_dimension_mc(generators, n, seed).mean
     if P.dim != 2:
         raise ValueError("analytic path requires a planar polytope; pass generators instead")
@@ -142,24 +143,19 @@ def vertex_probabilities_mc(P: ConvexPolytope, n: int, seed: int = DEFAULT_SEED)
     Each direction selects the vertex maximizing <v_i, u> (smallest index on
     ties, which happen with probability zero); deterministic in ``seed``.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
     directions = sample_unit_sphere(P.dim, n, seed)
     winners = np.argmax(directions @ P.vertices.T, axis=1)
     counts = np.bincount(winners, minlength=P.n_vertices)
-    return VertexDistribution(probs=tuple(counts / n))
+    return VertexDistribution(probs=tuple(counts / len(directions)))
 
 
 def limiting_risk(P: ConvexPolytope, theta, dist: VertexDistribution) -> float:
     """Diverging-noise risk sum_i p_i ||v_i - theta||^2."""
     if len(dist) != P.n_vertices:
         raise ValueError("distribution is not aligned with the polytope's vertices")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (P.dim,):
+    (theta,) = _points([theta], "theta")
+    if len(theta) != P.dim:
         raise ValueError(f"theta must be a {P.dim}-vector")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError(f"theta must be finite, got {theta}")
     diff = P.vertices - theta
     return float(np.asarray(dist.probs) @ np.einsum("ij,ij->i", diff, diff))
 
@@ -311,8 +307,8 @@ def detect_finite_sigma_reversal(
     cfg = MCConfig(n=n, seed=seed, chunk=chunk)
     small_set = g_small.theta_x_polytope()
     large_set = g_large.theta_x_polytope()
-    cand_small = _candidates(small_set, _sup_candidates(small_set, edge_points))
-    cand_large = _candidates(large_set, _sup_candidates(large_set, edge_points))
+    cand_small = _member_points(small_set, _sup_candidates(small_set, edge_points))
+    cand_large = _member_points(large_set, _sup_candidates(large_set, edge_points))
 
     def chunk_losses(start, z):
         for sigma in sigmas:

@@ -30,7 +30,6 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .asymptotics import (
 )
 from .exact_risk import RiskQuery, risk_segment_exact, risk_triangle_exact
 from .geometry import ConvexPolytope, ExampleGeometry, ProjectionError, tangent_cone_2d
-from .montecarlo import DEFAULT_SEED, MCConfig, mc_risk
+from .montecarlo import DEFAULT_SEED, MCConfig, _effective_sigma, _integer, mc_risk
 
 DEFAULT_SAMPLES = 1_000_000
 
@@ -65,57 +64,30 @@ class _NumericalFailure(RuntimeError):
     """A computation produced a non-finite or otherwise unusable number."""
 
 
-class SweepScale(Enum):
-    LINEAR = "linear"
-    LOG = "log"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid description ``start:stop:points[:scale]`` used by sweep flags."""
-
-    start: float
-    stop: float
-    points: int
-    scale: SweepScale = SweepScale.LINEAR
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("sweep endpoints must be finite")
-        if self.start >= self.stop:
-            raise ValueError("sweep requires start < stop")
-        if self.points < 2:
-            raise ValueError("sweep requires at least 2 points")
-        if self.scale is SweepScale.LOG and self.start <= 0.0:
-            raise ValueError("log sweep requires start > 0")
-
-    def values(self) -> np.ndarray:
-        if self.scale is SweepScale.LOG:
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
-
-
 def parse_sweep(text: str) -> np.ndarray:
-    """Parse ``start:stop:points[:scale]`` or an explicit ``v1,v2,...`` list."""
+    """Parse ``start:stop:points[:scale]``, scale ``linear`` (default) or ``log``, or a ``v1,v2,...`` list."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"sweep must be start:stop:points[:scale], got {text!r}")
-        scale = SweepScale.LINEAR
-        if len(parts) == 4:
-            try:
-                scale = SweepScale(parts[3].strip())
-            except ValueError:
-                raise ValueError(f"sweep scale must be 'linear' or 'log', got {parts[3]!r}") from None
-        spec = SweepSpec(
-            start=float(parts[0]), stop=float(parts[1]), points=int(parts[2]), scale=scale
-        )
-        return spec.values()
-    values = parse_float_list(text)
-    if len(values) < 1:
-        raise ValueError("sweep list must be nonempty")
-    return np.asarray(values)
+    if ":" not in text:
+        values = parse_float_list(text)
+        if len(values) < 1:
+            raise ValueError("sweep list must be nonempty")
+        return np.asarray(values)
+    parts = text.split(":")
+    if len(parts) not in (3, 4):
+        raise ValueError(f"sweep must be start:stop:points[:scale], got {text!r}")
+    scale = parts[3].strip() if len(parts) == 4 else "linear"
+    if scale not in ("linear", "log"):
+        raise ValueError(f"sweep scale must be 'linear' or 'log', got {parts[3]!r}")
+    start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("sweep endpoints must be finite")
+    if start >= stop:
+        raise ValueError("sweep requires start < stop")
+    if points < 2:
+        raise ValueError("sweep requires at least 2 points")
+    if scale == "log" and start <= 0.0:
+        raise ValueError("log sweep requires start > 0")
+    return (np.geomspace if scale == "log" else np.linspace)(start, stop, points)
 
 
 def parse_float_list(text: str) -> list[float]:
@@ -137,6 +109,8 @@ def parse_point(text: str) -> tuple[float, ...]:
 
 def load_polytope(path: str) -> ConvexPolytope:
     """Read a polytope file: JSON object with ``dim`` and ``vertices``."""
+    if not isinstance(path, str):
+        raise ValueError(f"polytope file must be a path, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -147,7 +121,7 @@ def load_polytope(path: str) -> ConvexPolytope:
     if not isinstance(payload, dict) or "dim" not in payload or "vertices" not in payload:
         raise ValueError(f"polytope file {path!r} must contain 'dim' and 'vertices'")
     polytope = ConvexPolytope(payload["vertices"])
-    if int(payload["dim"]) != polytope.dim:
+    if _integer("dim", payload["dim"]) != polytope.dim:
         raise ValueError(
             f"polytope file {path!r}: declared dim {payload['dim']} does not match vertices"
         )
@@ -190,13 +164,7 @@ def _check_finite(output: Output):
 
 def compute_risk(params: dict) -> Output:
     which = params["set"]
-    sigma = float(params["sigma"])
-    n_obs = int(params["n_obs"])
-    if sigma <= 0 or not math.isfinite(sigma):
-        raise ValueError("--sigma must be a positive finite real")
-    if n_obs < 1:
-        raise ValueError("--n-obs must be at least 1")
-    sigma_eff = sigma / math.sqrt(n_obs)
+    sigma_eff = _effective_sigma(params["sigma"], params["n_obs"])
     record = {"sigma_effective": sigma_eff}
 
     if which in ("segment", "triangle"):
@@ -224,7 +192,7 @@ def compute_risk(params: dict) -> Output:
         if not params["mc"]:
             raise ValueError("general polytopes have no closed form; pass --mc")
         polytope = load_polytope(params["file"])
-        theta = tuple(float(v) for v in params["theta"])
+        theta = params["theta"]
     else:
         raise ValueError(f"unknown set {which!r}")
 
@@ -232,7 +200,7 @@ def compute_risk(params: dict) -> Output:
         estimate = mc_risk(
             polytope,
             RiskQuery(theta_star=theta, sigma=sigma_eff),
-            MCConfig(n=int(params["samples"]), seed=int(params["seed"])),
+            MCConfig(n=params["samples"], seed=params["seed"]),
         )
         record["mc_mean"] = estimate.mean
         record["mc_stderr"] = estimate.stderr
@@ -241,7 +209,7 @@ def compute_risk(params: dict) -> Output:
 
 def _one_observation(params: dict):
     """Refuse an ``--n-obs`` other than 1; only ``risk`` averages observations."""
-    if params["n_obs"] != 1:
+    if _integer("n_obs", params["n_obs"]) != 1:
         raise ValueError(f"--n-obs must be 1 for {params['command']}, got {params['n_obs']!r}")
 
 
@@ -289,12 +257,10 @@ def compute_statdim(params: dict) -> Output:
         if params.get("theta") is None:
             raise ValueError("--polytope-file requires --theta")
         polytope = load_polytope(params["polytope_file"])
-        cone = tangent_cone_2d(polytope, np.asarray(params["theta"], dtype=float))
+        cone = tangent_cone_2d(polytope, params["theta"])
         return Output(params, record={"delta": statistical_dimension_2d(cone), "method": "analytic"})
     generators = [parse_point(part) for part in params["generators"].split(";") if part.strip()]
-    estimate = statistical_dimension_mc(
-        generators, n=int(params["samples"]), seed=int(params["seed"])
-    )
+    estimate = statistical_dimension_mc(generators, n=params["samples"], seed=params["seed"])
     return Output(params, record={"delta": estimate.mean, "stderr": estimate.stderr, "method": "mc"})
 
 
@@ -312,8 +278,8 @@ def compute_reversal(params: dict) -> Output:
         ExampleGeometry(c=c, x=x_small),
         ExampleGeometry(c=c, x=x_large),
         parse_sweep(params["sigma_sweep"]),
-        n=int(params["samples"]),
-        seed=int(params["seed"]),
+        n=params["samples"],
+        seed=params["seed"],
     )
     return Output(params, record=asdict(scan))
 
@@ -560,9 +526,16 @@ def run_verify(path: str) -> int:
     with open(path, "r", encoding="utf-8") as handle:
         metadata, header, rows, footer = _table(_read_output(handle.read()))
     command = metadata.get("command")
-    if command not in SUBCOMMANDS:
+    if not isinstance(command, str) or command not in SUBCOMMANDS:
         raise ValueError(f"metadata names unknown command {command!r}")
-    want_metadata, want_header, want_rows, want_footer = _table(SUBCOMMANDS[command].compute(metadata))
+    # a missing or mistyped metadata entry is a usage error, not a crash
+    try:
+        recomputed = SUBCOMMANDS[command].compute(metadata)
+    except KeyError as err:
+        raise ValueError(f"metadata lacks {err}") from None
+    except (TypeError, AttributeError, ValueError) as err:
+        raise ValueError(f"metadata refused: {err}") from None
+    want_metadata, want_header, want_rows, want_footer = _table(recomputed)
     want_rows = np.asarray(want_rows, dtype=float).tolist()
     if header != want_header:
         raise ValueError(f"header mismatch: file has {header}, recomputation has {want_header}")

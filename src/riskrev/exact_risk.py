@@ -26,7 +26,7 @@ from .gaussfn import (
     std_normal_cdf_minus_half,
     std_normal_pdf,
 )
-from .geometry import ExampleGeometry, RegionLabel
+from .geometry import ExampleGeometry, RegionLabel, _points
 
 # |total - sum of region contributions| must stay below this
 BREAKDOWN_TOL = 1e-12
@@ -40,11 +40,9 @@ class RiskQuery:
     sigma: float
 
     def __post_init__(self):
-        theta = tuple(float(t) for t in np.atleast_1d(np.asarray(self.theta_star, dtype=float)))
-        if not all(math.isfinite(t) for t in theta):
-            raise ValueError("theta_star must be finite")
-        object.__setattr__(self, "theta_star", theta)
-        object.__setattr__(self, "sigma", float(_sigmas(self.sigma)))
+        (theta,) = _points([self.theta_star])
+        object.__setattr__(self, "theta_star", tuple(theta.tolist()))
+        object.__setattr__(self, "sigma", _sigma(self.sigma))
 
     @property
     def theta(self) -> np.ndarray:
@@ -82,11 +80,22 @@ class RegionRiskBreakdown:
 
 def _sigmas(sigma) -> np.ndarray:
     """``sigma`` as a float array; raises naming its first non-positive or non-finite entry."""
-    sigma = np.asarray(sigma, dtype=float)
+    try:
+        sigma = np.asarray(sigma, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}") from None
     bad = sigma[~(np.isfinite(sigma) & (sigma > 0.0))]
     if bad.size:
         raise ValueError(f"sigma must be a positive finite real, got {float(bad[0])!r}")
     return sigma
+
+
+def _sigma(sigma) -> float:
+    """``sigma`` as a float, if it is one positive finite real; else ValueError naming sigma."""
+    sigma = _sigmas(sigma)
+    if sigma.ndim:
+        raise ValueError(f"sigma must be a scalar, got shape {sigma.shape}")
+    return float(sigma)
 
 
 def _int_z2_phi(a, b):

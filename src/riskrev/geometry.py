@@ -431,7 +431,8 @@ _POLYTOPE_BLOCK = 1 << 12
 # weights at or below this count as zero when the minimiser leaves the simplex
 _WEIGHT_FLOOR = 1e-12
 
-# bound on max_i <y - q, v_i - q> / (1 + ||y||) that certifies a min-norm point q
+# bound on max_i <y - q, v_i - q> / (1 + ||y||) that certifies a min-norm point q,
+# and on the relative KKT residuals that certify a cone projection
 _CERTIFICATE_TOL = 1e-9
 
 
@@ -690,6 +691,33 @@ def normal_cone_angle_2d(P: ConvexPolytope, i: int) -> float:
     return angle
 
 
+def _points(thetas, name: str = "theta_star") -> np.ndarray:
+    """``thetas`` as a nonempty 2-D float array of finite points; else ValueError naming ``name``."""
+    try:
+        points = np.array(thetas, dtype=float, ndmin=2)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numeric, got {thetas!r}") from None
+    if points.ndim != 2 or points.size == 0:
+        raise ValueError(f"{name} must be a point or a list of points")
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"{name} must be finite")
+    return points
+
+
+def _member_points(P: ConvexPolytope, thetas, name: str = "theta_star") -> np.ndarray:
+    """``thetas`` as an (m, d) array of finite points of ``P``; else ValueError naming ``name``.
+
+    A point belongs to ``P`` if it lies within ``MEMBERSHIP_TOL`` of its projection.
+    """
+    points = _points(thetas, name)
+    if points.shape[1] != P.dim:
+        raise ValueError(f"{name} must have dimension {P.dim}")
+    outside = np.linalg.norm(_project_rows(P, points) - points, axis=1) > MEMBERSHIP_TOL
+    if np.any(outside):
+        raise ValueError(f"{name} {points[int(np.argmax(outside))]} must belong to the polytope")
+    return points
+
+
 def tangent_cone_2d(P: ConvexPolytope, theta) -> Cone2D:
     """Tangent cone of a planar polytope at ``theta``, up to rotation.
 
@@ -702,12 +730,7 @@ def tangent_cone_2d(P: ConvexPolytope, theta) -> Cone2D:
     """
     if P.dim != 2:
         raise ValueError("tangent_cone_2d requires a planar polytope")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (2,):
-        raise ValueError("theta must be a 2-vector")
-    nearest = project_polygon_2d(P, theta)
-    if float(np.linalg.norm(nearest - theta)) > MEMBERSHIP_TOL:
-        raise ValueError("theta is not a member of the polytope")
+    (theta,) = _member_points(P, [theta], "theta")
     v = P.vertices
     k = P.n_vertices
     if k == 1:
@@ -770,15 +793,14 @@ def project_cone_nonneg_batch(generators, Z: np.ndarray) -> np.ndarray:
     return best
 
 
-def project_cone_nonneg(generators, z, tol: float = 1e-9) -> np.ndarray:
+def project_cone_nonneg(generators, z) -> np.ndarray:
     """Projection of ``z`` onto the cone spanned nonnegatively by ``generators``.
 
     Exact subset-enumeration nonnegative least squares; the result additionally
     passes a KKT check (residual has nonpositive inner product with every
-    generator, and is orthogonal to the projection) at tolerance ``tol``.
+    generator, and is orthogonal to the projection) at the certificate
+    tolerance ``_CERTIFICATE_TOL``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     G = np.asarray(generators, dtype=float)
     z = np.asarray(z, dtype=float)
     if G.ndim != 2 or z.shape != (G.shape[1],):
@@ -790,9 +812,9 @@ def project_cone_nonneg(generators, z, tol: float = 1e-9) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     kkt_dual = float(np.max((G @ r) / norms))
     kkt_comp = abs(float(p @ r))
-    if kkt_dual > tol * (1.0 + z_norm) or kkt_comp > tol * (1.0 + z_norm * z_norm):
+    if kkt_dual > _CERTIFICATE_TOL * (1.0 + z_norm) or kkt_comp > _CERTIFICATE_TOL * (1.0 + z_norm * z_norm):
         raise ProjectionError(
             f"cone projection failed KKT check: dual residual {kkt_dual:.3e}, "
-            f"complementarity {kkt_comp:.3e}, tol {tol:.3e}"
+            f"complementarity {kkt_comp:.3e}, tol {_CERTIFICATE_TOL:.3e}"
         )
     return p

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 from scipy import special
 
-from .exact_risk import RiskQuery, _sigmas
-from .geometry import ConvexPolytope, ProjectionError, _block_projector, _project_rows
+from .exact_risk import RiskQuery, _sigma
+from .geometry import ConvexPolytope, ProjectionError, _block_projector, _member_points
 
 DEFAULT_SEED = 20240613
 DEFAULT_CHUNK = 1 << 18
@@ -189,19 +189,6 @@ def _losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: 
         yield loss
 
 
-def _candidates(P: ConvexPolytope, thetas) -> np.ndarray:
-    """``thetas`` as a 2-D float array of finite points of ``P``; else ValueError."""
-    thetas = np.array(thetas, dtype=float, ndmin=2)
-    if thetas.ndim != 2 or thetas.shape[1] != P.dim or len(thetas) < 1:
-        raise ValueError(f"theta_star must have dimension {P.dim}")
-    if not np.all(np.isfinite(thetas)):
-        raise ValueError("theta_star must be finite")
-    outside = np.linalg.norm(_project_rows(P, thetas) - thetas, axis=1) > 1e-9
-    if np.any(outside):
-        raise ValueError(f"theta_star {thetas[int(np.argmax(outside))]} must belong to the polytope")
-    return thetas
-
-
 def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[RiskEstimate]:
     """Monte Carlo risks at several theta* values that share one draw.
 
@@ -212,8 +199,8 @@ def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[Ris
     ``geometry`` picks for ``P``.  A projection failure aborts with the
     failing sample index, and so does a loss above the squared diameter.
     """
-    thetas = _candidates(P, thetas)
-    sigma = float(_sigmas(sigma))
+    thetas = _member_points(P, thetas)
+    sigma = _sigma(sigma)
     return _chunked_estimate(P.dim, cfg, partial(_losses, P, thetas, sigma))
 
 
@@ -233,11 +220,19 @@ def mc_risk_effective(
     Averaging n_obs independent observations of the same theta* is
     equivalent to a single observation with this reduced noise level.
     """
+    return mc_risk(P, RiskQuery(theta_star=theta_star, sigma=_effective_sigma(sigma, n_obs)), cfg)
+
+
+def _effective_sigma(sigma, n_obs) -> float:
+    """sigma / sqrt(n_obs), the noise level of an n_obs-observation average.
+
+    Refuses a bad ``sigma`` as given, and an ``n_obs`` that is not a positive integer.
+    """
+    sigma = _sigma(sigma)
     n_obs = _integer("n_obs", n_obs)
     if n_obs < 1:
-        raise ValueError("n_obs must be at least 1")
-    sigma_eff = float(sigma) / math.sqrt(n_obs)
-    return mc_risk(P, RiskQuery(theta_star=tuple(np.asarray(theta_star, float)), sigma=sigma_eff), cfg)
+        raise ValueError(f"n_obs must be at least 1, got {n_obs}")
+    return sigma / math.sqrt(n_obs)
 
 
 def sample_unit_sphere(d: int, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:

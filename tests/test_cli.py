@@ -551,6 +551,91 @@ class TestVerifyAndArtifacts:
         assert code == 2
 
 
+def _edit_metadata(path, edit):
+    """Apply ``edit`` to the metadata of a CSV or JSON output file in place."""
+    text = path.read_text()
+    if text.startswith("{"):
+        payload = json.loads(text)
+        edit(payload["metadata"])
+        path.write_text(json.dumps(payload))
+    else:
+        first, rest = text.split("\n", 1)
+        metadata = json.loads(first[2:])
+        edit(metadata)
+        path.write_text("# " + json.dumps(metadata) + "\n" + rest)
+
+
+# the nine README examples, with few samples so that a recomputation is quick
+README_EXAMPLES = [
+    ["risk", "--set", "triangle", "--c", "1", "--sigma", "2"],
+    ["risk", "--set", "segment", "--c", "0.5", "--sigma", "1", "--t-star", "0.25"],
+    ["risk", "--set", "polytope-file", "--file", "poly.json", "--theta", "0.1,0.2", "--sigma", "1", "--mc"],
+    ["diff-curve", "--c-list", "0.5,1,2", "--sigma-sweep", "0.01:100:200:log"],
+    ["heatmap", "--c-sweep", "0.2:3:40", "--sigma-sweep", "0.05:50:40:log"],
+    ["envelope", "--c", "0.75", "--x-sweep", "0:1.3333:13334"],
+    ["statdim", "--polytope-file", "poly.json", "--theta", "0,0"],
+    ["statdim", "--generators", "1,0;0,1"],
+    ["reversal", "--c", "0.75", "--x-small", "1.3", "--x-large", "0.5", "--sigma-sweep", "1,2,5,10,20"],
+]
+
+# metadata edits of the fuzz: delete the key, or set it to a value of each JSON type
+_DELETE = object()
+FUZZ_VALUES = {"deleted": _DELETE, "null": None, "list": [1], "text": "x", "true": True}
+
+
+class TestVerifyRefusesBadMetadata:
+    """A file is refused, with exit 2, when its metadata would be refused on the command line."""
+
+    RISK_MC = ["risk", "--set", "segment", "--c", "1", "--sigma", "1", "--mc", "--samples", "3000"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("key, value", [("samples", 3000.9), ("n_obs", 1.5)])
+    def test_non_integral_count(self, capsys, tmp_path, fmt, key, value):
+        path = tmp_path / ("risk." + fmt)
+        assert main([*self.RISK_MC, "--format", fmt, "--out", str(path)]) == 0
+        _edit_metadata(path, lambda metadata: metadata.update({key: value}))
+        code, out, err = run_cli(capsys, ["--verify", str(path)])
+        assert (code, out) == (2, "")
+        assert f"must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("dim", [2.5, True])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["statdim", "--polytope-file", "POLY", "--theta", "0,0"],
+            ["risk", "--set", "polytope-file", "--file", "POLY", "--theta", "0,0", "--sigma", "1", "--mc",
+             "--samples", "100"],
+        ],
+        ids=["statdim", "risk"],
+    )
+    def test_non_integral_polytope_dim(self, capsys, tmp_path, argv, dim):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({**TRIANGLE_FILE, "dim": dim}))
+        code, out, err = run_cli(capsys, [str(path) if arg == "POLY" else arg for arg in argv])
+        assert (code, out) == (2, "")
+        assert f"dim must be an integer, got {dim!r}" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv", README_EXAMPLES, ids=[f"{i}-{argv[0]}" for i, argv in enumerate(README_EXAMPLES)]
+    )
+    def test_fuzzed_metadata_never_crashes(self, capsys, tmp_path, monkeypatch, argv, fmt):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "poly.json").write_text(json.dumps(TRIANGLE_FILE))
+        path = tmp_path / ("out." + fmt)
+        assert main([*argv, "--samples", "2000", "--format", fmt, "--out", str(path)]) == 0
+        original = path.read_text()
+        codes = {}
+        for key in sorted(cli._read_output(original).metadata):
+            for name, value in FUZZ_VALUES.items():
+                path.write_text(original)
+                _edit_metadata(path, lambda m: m.pop(key) if value is _DELETE else m.update({key: value}))
+                codes[key, name] = main(["--verify", str(path)])
+                capsys.readouterr()
+        assert set(codes.values()) <= {0, 2, 3}, codes
+        assert codes["command", "deleted"] == codes["n_obs", "text"] == 2
+
+
 # The metadata line and header of each subcommand, as they were before the
 # command table replaced the per-command wrappers.  statdim's CSV line also
 # carries the record's string "method", which could not be rendered before.

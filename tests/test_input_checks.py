@@ -1,0 +1,64 @@
+"""One owner per input rule: every entry point refuses a bad argument by name.
+
+``exact_risk`` owns "sigma is one positive finite real", ``geometry`` owns
+"theta* is a finite point of P", and ``montecarlo`` owns "counts are
+integers" and the effective noise sigma / sqrt(n_obs).  Each row of the
+table below calls one public entry point with one bad value and expects a
+``ValueError`` whose message starts with the argument's name.
+"""
+
+import math
+
+import pytest
+
+from riskrev.asymptotics import limiting_risk, small_noise_risk, vertex_probabilities_2d
+from riskrev.exact_risk import RiskQuery
+from riskrev.geometry import ExampleGeometry, tangent_cone_2d
+from riskrev.montecarlo import MCConfig, mc_risk_effective, mc_risks
+
+TRI = ExampleGeometry(c=1.0).triangle()
+CFG = MCConfig(n=100)
+
+REFUSALS = {
+    "mc_risks-sigma-array": (
+        lambda: mc_risks(TRI, [[0.0, 0.0]], [1.0, 2.0], CFG), r"^sigma must be a scalar"),
+    "RiskQuery-sigma-array": (
+        lambda: RiskQuery(theta_star=(0.0, 0.0), sigma=[1.0, 2.0]), r"^sigma must be a scalar"),
+    "small_noise_risk-sigma-array": (
+        lambda: small_noise_risk(TRI, (0.0, 0.0), [1.0, 2.0]), r"^sigma must be a scalar"),
+    "RiskQuery-sigma-text": (
+        lambda: RiskQuery(theta_star=(0.0, 0.0), sigma="x"), r"^sigma must be a positive finite real, got 'x'$"),
+    "RiskQuery-theta-2d": (
+        lambda: RiskQuery(theta_star=[[0.0, 0.0], [1.0, 1.0]], sigma=1.0), r"^theta_star must be a point"),
+    "RiskQuery-theta-text": (
+        lambda: RiskQuery(theta_star="x", sigma=1.0), r"^theta_star must be numeric"),
+    "tangent_cone_2d-theta-nan": (
+        lambda: tangent_cone_2d(TRI, (math.nan, 0.0)), r"^theta must be finite$"),
+    "tangent_cone_2d-theta-2d": (
+        lambda: tangent_cone_2d(TRI, [[0.0, 0.0], [1.0, 0.0]]), r"^theta must be a point"),
+    "tangent_cone_2d-theta-3-vector": (
+        lambda: tangent_cone_2d(TRI, (0.0, 0.0, 0.0)), r"^theta must have dimension 2$"),
+    "small_noise_risk-theta-nan": (
+        lambda: small_noise_risk(TRI, (math.nan, 0.0), 0.1), r"^theta must be finite$"),
+    "small_noise_risk-generators-theta-nan": (
+        lambda: small_noise_risk(TRI, (math.nan, 0.0), 0.1, generators=[[1.0, 0.0]], n=10),
+        r"^theta must be finite$"),
+    "small_noise_risk-generators-theta-outside": (
+        lambda: small_noise_risk(TRI, (5.0, 5.0), 0.1, generators=[[1.0, 0.0]], n=10),
+        r"^theta .* must belong to the polytope$"),
+    "limiting_risk-theta-nan": (
+        lambda: limiting_risk(TRI, (0.0, math.nan), vertex_probabilities_2d(TRI)), r"^theta must be finite$"),
+    "mc_risk_effective-sigma": (
+        lambda: mc_risk_effective(TRI, (0.0, 0.0), -1.0, 4, CFG),
+        r"^sigma must be a positive finite real, got -1\.0$"),
+    "mc_risk_effective-n_obs-zero": (
+        lambda: mc_risk_effective(TRI, (0.0, 0.0), 1.0, 0, CFG), r"^n_obs must be at least 1, got 0$"),
+    "mc_risk_effective-n_obs-fraction": (
+        lambda: mc_risk_effective(TRI, (0.0, 0.0), 1.0, 1.5, CFG), r"^n_obs must be an integer, got 1\.5$"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -163,6 +163,8 @@ def _check_finite(output: Output):
 
 
 def compute_risk(params: dict) -> Output:
+    if not isinstance(params["mc"], bool):
+        raise ValueError(f"mc must be true or false, got {params['mc']!r}")
     which = params["set"]
     sigma_eff = _effective_sigma(params["sigma"], params["n_obs"])
     record = {"sigma_effective": sigma_eff}
@@ -170,12 +172,13 @@ def compute_risk(params: dict) -> Output:
     if which in ("segment", "triangle"):
         if params.get("c") is None:
             raise ValueError(f"--c is required for --set {which}")
-        geometry = ExampleGeometry(c=float(params["c"]))
+        geometry = ExampleGeometry(c=params["c"])
         if which == "segment":
-            t_star = float(params.get("t_star") or 0.0)
+            t_star = params.get("t_star")
+            t_star = 0.0 if t_star is None else t_star
             record["exact"] = risk_segment_exact(geometry, t_star, sigma_eff)
             polytope = geometry.segment()
-            theta = tuple(t_star * geometry.v2)
+            theta = tuple(float(t_star) * geometry.v2)
         else:
             if params.get("t_star") is not None:
                 raise ValueError("--t-star applies only to --set segment")
@@ -239,7 +242,7 @@ def compute_heatmap(params: dict) -> Output:
 
 def compute_envelope(params: dict) -> Output:
     _one_observation(params)
-    columns = envelope_curve(float(params["c"]), parse_sweep(params["x_sweep"]))
+    columns = envelope_curve(params["c"], parse_sweep(params["x_sweep"]))
     x, *_, envelope = columns
     best = int(np.argmin(envelope))
     footer = {"argmin_x": float(x[best]), "envelope_min": float(envelope[best])}
@@ -266,17 +269,18 @@ def compute_statdim(params: dict) -> Output:
 
 def compute_reversal(params: dict) -> Output:
     _one_observation(params)
-    x_small = float(params["x_small"])
-    x_large = float(params["x_large"])
-    if x_small <= x_large:
+    g_small = ExampleGeometry(c=params["c"], x=params["x_small"])
+    g_large = ExampleGeometry(c=params["c"], x=params["x_large"])
+    if g_small.x is None or g_large.x is None:
+        raise ValueError("--x-small and --x-large are required")
+    if g_small.x <= g_large.x:
         raise ValueError(
             "sets are not strictly nested: --x-small must exceed --x-large "
             "(a larger x is a smaller set)"
         )
-    c = float(params["c"])
     scan = detect_finite_sigma_reversal(
-        ExampleGeometry(c=c, x=x_small),
-        ExampleGeometry(c=c, x=x_large),
+        g_small,
+        g_large,
         parse_sweep(params["sigma_sweep"]),
         n=params["samples"],
         seed=params["seed"],

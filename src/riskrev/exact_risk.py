@@ -26,7 +26,7 @@ from .gaussfn import (
     std_normal_cdf_minus_half,
     std_normal_pdf,
 )
-from .geometry import ExampleGeometry, RegionLabel, _points
+from .geometry import ExampleGeometry, RegionLabel, _points, _real
 
 # |total - sum of region contributions| must stay below this
 BREAKDOWN_TOL = 1e-12
@@ -79,11 +79,18 @@ class RegionRiskBreakdown:
 
 
 def _sigmas(sigma) -> np.ndarray:
-    """``sigma`` as a float array; raises naming its first non-positive or non-finite entry."""
+    """``sigma`` as a float array; raises naming its first non-positive or non-finite entry.
+
+    A value that is not an array of real numbers (a bool, None, a string) is
+    named as given.
+    """
     try:
-        sigma = np.asarray(sigma, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}") from None
+        numeric = np.asarray(sigma).dtype.kind in "iuf"
+    except ValueError:  # a ragged sequence
+        numeric = False
+    if not numeric:
+        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+    sigma = np.asarray(sigma, dtype=float)
     bad = sigma[~(np.isfinite(sigma) & (sigma > 0.0))]
     if bad.size:
         raise ValueError(f"sigma must be a positive finite real, got {float(bad[0])!r}")
@@ -146,9 +153,9 @@ def risk_segment_exact(g, t_star: float, sigma):
     ``g`` is an :class:`ExampleGeometry` or a sequence of them; a sequence
     gives one row per geometry, each equal to its own call bit for bit.
     """
-    t_star = float(t_star)
+    given, t_star = t_star, _real(t_star)
     if not (math.isfinite(t_star) and 0.0 <= t_star <= 1.0):
-        raise ValueError(f"t_star must lie in [0, 1], got {t_star!r}")
+        raise ValueError(f"t_star must lie in [0, 1], got {given!r}")
     sigma = _sigmas(sigma)
     _, alpha, root, _ = _slopes(g, sigma)
     a = -root * t_star / sigma

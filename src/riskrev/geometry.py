@@ -17,6 +17,7 @@ everything here is safe for shared concurrent use.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -33,6 +34,13 @@ MAX_CONE_GENERATORS = 16
 
 class ProjectionError(RuntimeError):
     """A projection failed to certify its result or had no finite answer."""
+
+
+def _real(value) -> float:
+    """``value`` as a float if it is a real number other than a bool, else NaN, which every range check refuses."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    return math.nan
 
 
 def _cross2(o, a, b):
@@ -121,12 +129,12 @@ class ExampleGeometry:
     x: float | None = None
 
     def __post_init__(self):
-        c = float(self.c)
+        c = _real(self.c)
         if not (math.isfinite(c) and c > 0.0):
             raise ValueError(f"c must be a positive finite real, got {self.c!r}")
         object.__setattr__(self, "c", c)
         if self.x is not None:
-            x = float(self.x)
+            x = _real(self.x)
             if not (math.isfinite(x) and 0.0 <= x <= 1.0 / c):
                 raise ValueError(f"x must lie in [0, 1/c] = [0, {1.0 / c!r}], got {self.x!r}")
             object.__setattr__(self, "x", x)

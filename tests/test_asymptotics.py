@@ -389,19 +389,83 @@ class TestReversalScan:
 
         monkeypatch.setenv("RISKREV_THREADS", threads)
         sets = ExampleGeometry(c=0.75, x=x_small), ExampleGeometry(c=0.75, x=0.5)
-        sigmas = (0.3, 2.0, 5.0, 40.0)
+        # pruning works at the middle sigmas and switches itself off at 1e6
+        sigmas = (0.3, 2.0, 5.0, 40.0, 1e3, 1e6)
         cfg = MCConfig(n=5_000, seed=64, chunk=2048)  # three chunks, the last one partial
-        scan = detect_finite_sigma_reversal(*sets, sigmas, n=cfg.n, seed=cfg.seed, edge_points=3, chunk=cfg.chunk)
+        scan = detect_finite_sigma_reversal(*sets, sigmas, n=cfg.n, seed=cfg.seed, edge_points=32, chunk=cfg.chunk)
         assert scan.sigma_grid == sigmas
         columns = ((scan.sup_small, scan.stderr_small), (scan.sup_large, scan.stderr_large))
         for geometry, (sup, stderr) in zip(sets, columns):
             poly = geometry.theta_x_polytope()
             for i, sigma in enumerate(sigmas):
-                best = max(mc_risks(poly, _sup_candidates(poly, 3), sigma, cfg), key=lambda e: e.mean)
+                best = max(mc_risks(poly, _sup_candidates(poly, 32), sigma, cfg), key=lambda e: e.mean)
                 assert (sup[i], stderr[i]) == (best.mean, best.stderr)
+
+    def test_pruned_candidates_are_below_their_bound_and_the_best(self, monkeypatch):
+        from riskrev import asymptotics
+        from riskrev.asymptotics import _rounding_allowance, _sup_candidates
+        from riskrev.montecarlo import MCConfig, _chunk_normals, _losses, mc_risks
+
+        computed = []
+        losses = asymptotics._losses
+
+        def counted(P, thetas, sigma, start, z):
+            if start == 0:
+                computed.append((P, sigma, thetas.copy()))
+            return losses(P, thetas, sigma, start, z)
+
+        monkeypatch.setattr(asymptotics, "_losses", counted)
+        sets = ExampleGeometry(c=0.75, x=1.3), ExampleGeometry(c=0.75, x=0.5)  # criterion 8's
+        sigmas = (2.0, 5.0)
+        cfg = MCConfig(n=20_000, seed=65, chunk=8192)
+        scan = detect_finite_sigma_reversal(*sets, sigmas, n=cfg.n, seed=cfg.seed, chunk=cfg.chunk)
+        draws = [_chunk_normals(cfg.seed, j, min(cfg.chunk, cfg.n - j * cfg.chunk), 2) for j in range(3)]
+        z_norm = max(float(np.max(np.linalg.norm(z, axis=1))) for z in draws)
+        columns = (scan.sup_small, scan.sup_large)
+        for geometry, sup in zip(sets, columns):
+            poly = geometry.theta_x_polytope()
+            candidates = _sup_candidates(poly, 32)
+            for i, sigma in enumerate(sigmas):
+                rows = [t for P, s, thetas in computed
+                        if s == sigma and np.array_equal(P.vertices, poly.vertices) for t in thetas]
+                done = [int(np.flatnonzero((candidates == t).all(axis=1))[0]) for t in rows]
+                assert len(done) == len(set(done)) <= 0.4 * len(candidates)
+                means = np.array([e.mean for e in mc_risks(poly, candidates, sigma, cfg)])
+                assert means.max() == sup[i]
+                roots = np.zeros(len(candidates))
+                for j, z in enumerate(draws):
+                    for k, loss in enumerate(_losses(poly, candidates, sigma, j * cfg.chunk, z)):
+                        roots[k] += np.sqrt(loss).sum()
+                roots /= cfg.n
+                gap = np.linalg.norm(candidates[:, None, :] - candidates[done][None, :, :], axis=2)
+                gap += 2.0 * _rounding_allowance(poly, candidates, sigma, z_norm)
+                bound = np.min(means[done] + 2.0 * gap * roots[done] + gap * gap, axis=1)
+                pruned = np.setdiff1d(np.arange(len(candidates)), done)
+                assert len(pruned) > 0
+                # the bound from the final computed set is at most the one each pruning saw
+                assert np.all(bound[pruned] < sup[i])
+                assert np.all(means[pruned] <= bound[pruned])
+
+    @pytest.mark.parametrize("sigma", [0.3, 5.0, 1e3, 1e6, 1e9])
+    def test_per_sample_lipschitz_bound(self, sigma):
+        from riskrev.asymptotics import _rounding_allowance, _sup_candidates
+        from riskrev.montecarlo import _chunk_normals, _losses
+
+        z = _chunk_normals(66, 0, 2000, 2)
+        z_norm = float(np.max(np.linalg.norm(z, axis=1)))
+        # 1.3333 is a sliver triangle, 1/c the segment
+        for x in (1.3, 0.5, 1.3333, 1.0 / 0.75):
+            poly = ExampleGeometry(c=0.75, x=x).theta_x_polytope()
+            candidates = _sup_candidates(poly, 32)
+            roots = np.sqrt([loss.copy() for loss in _losses(poly, candidates, sigma, 0, z)])
+            gap = np.linalg.norm(candidates[:, None, :] - candidates[None, :, :], axis=2)
+            gap += 2.0 * _rounding_allowance(poly, candidates, sigma, z_norm)
+            # sqrt(loss_k) <= sqrt(loss_j) + h_jk + 2e on every sample, for every pair (j, k)
+            assert np.all(roots[None, :, :] <= roots[:, None, :] + gap[:, :, None])
 
     @pytest.mark.parametrize("sigmas", [[1.0], [0.5, 5.0, 20.0], np.geomspace(0.1, 100.0, 7)], ids=len)
     def test_one_draw_per_chunk_for_the_whole_scan(self, monkeypatch, sigmas):
+        # each level of the search draws every chunk once, in order, for both sets at every sigma
         from riskrev import montecarlo
 
         draws = []
@@ -412,15 +476,21 @@ class TestReversalScan:
             return draw(seed, chunk_index, m, d)
 
         monkeypatch.setattr(montecarlo, "_chunk_normals", counted)
-        detect_finite_sigma_reversal(
-            ExampleGeometry(c=0.75, x=1.3),
-            ExampleGeometry(c=0.75, x=0.5),
-            sigmas,
-            n=5_000,
-            edge_points=1,
-            chunk=2048,
-        )
-        assert draws == [0, 1, 2]
+        for edge_points in (0, 1, 5, 32):
+            draws.clear()
+            detect_finite_sigma_reversal(
+                ExampleGeometry(c=0.75, x=1.3),
+                ExampleGeometry(c=0.75, x=0.5),
+                sigmas,
+                n=5_000,
+                edge_points=edge_points,
+                chunk=2048,
+            )
+            levels = len(draws) // 3
+            assert draws == [0, 1, 2] * levels
+            assert 1 <= levels <= 1 + math.ceil(math.log2(edge_points + 1))
+            if edge_points == 0:
+                assert draws == [0, 1, 2]
 
     def test_scalar_grid_is_one_point(self):
         scan = detect_finite_sigma_reversal(

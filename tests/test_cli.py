@@ -587,6 +587,11 @@ class TestVerifyRefusesBadMetadata:
     """A file is refused, with exit 2, when its metadata would be refused on the command line."""
 
     RISK_MC = ["risk", "--set", "segment", "--c", "1", "--sigma", "1", "--mc", "--samples", "3000"]
+    RISK_TRIANGLE = ["risk", "--set", "triangle", "--c", "1", "--sigma", "2"]
+    RISK_SEGMENT = ["risk", "--set", "segment", "--c", "0.5", "--sigma", "1", "--t-star", "0.25"]
+    ENVELOPE = ["envelope", "--c", "0.75", "--x-sweep", "0:1.3333:13"]
+    REVERSAL = ["reversal", "--c", "0.75", "--x-small", "1.3", "--x-large", "0.5", "--sigma-sweep", "1,5",
+                "--samples", "2000"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("key, value", [("samples", 3000.9), ("n_obs", 1.5)])
@@ -634,6 +639,42 @@ class TestVerifyRefusesBadMetadata:
                 capsys.readouterr()
         assert set(codes.values()) <= {0, 2, 3}, codes
         assert codes["command", "deleted"] == codes["n_obs", "text"] == 2
+        # a number or a flag that the command uses is refused, not converted, if its JSON type is wrong
+        used = {key for key, value in cli._read_output(original).metadata.items() if value is not None}
+        wrong = {key: ("null", "list", "text", "true") for key in ("c", "sigma", "x_small", "x_large")}
+        wrong.update(t_star=("list", "text", "true"), mc=("null", "list", "text"))
+        for key in used & set(wrong):
+            assert all(codes[key, name] == 2 for name in wrong[key]), key
+
+    @pytest.mark.parametrize(
+        "argv, key, value, message",
+        [
+            (RISK_TRIANGLE, "c", True, "c must be a positive finite real, got True"),
+            (RISK_TRIANGLE, "c", "1", "c must be a positive finite real, got '1'"),
+            (RISK_TRIANGLE, "sigma", None, "sigma must be a positive finite real, got None"),
+            (RISK_TRIANGLE, "sigma", True, "sigma must be a positive finite real, got True"),
+            (RISK_TRIANGLE, "sigma", "2", "sigma must be a positive finite real, got '2'"),
+            (RISK_TRIANGLE, "mc", "x", "mc must be true or false, got 'x'"),
+            (RISK_TRIANGLE, "mc", 1, "mc must be true or false, got 1"),
+            (RISK_SEGMENT, "t_star", True, "t_star must lie in [0, 1], got True"),
+            (ENVELOPE, "c", True, "c must be a positive finite real, got True"),
+            (REVERSAL, "x_small", True, "x must lie in [0, 1/c]"),
+            (REVERSAL, "x_large", None, "--x-small and --x-large are required"),
+        ],
+    )
+    def test_wrong_json_type_is_named(self, capsys, tmp_path, monkeypatch, argv, key, value, message):
+        path = tmp_path / "out.json"
+        assert main([*argv, "--format", "json", "--out", str(path)]) == 0
+        _edit_metadata(path, lambda metadata: metadata.update({key: value}))
+
+        def no_monte_carlo(*args):
+            raise AssertionError("Monte Carlo ran before the metadata was checked")
+
+        monkeypatch.setattr(cli, "mc_risk", no_monte_carlo)
+        monkeypatch.setattr(cli, "detect_finite_sigma_reversal", no_monte_carlo)
+        code, out, err = run_cli(capsys, ["--verify", str(path)])
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 # The metadata line and header of each subcommand, as they were before the

@@ -1,7 +1,8 @@
 """One owner per input rule: every entry point refuses a bad argument by name.
 
 ``exact_risk`` owns "sigma is one positive finite real", ``geometry`` owns
-"theta* is a finite point of P", and ``montecarlo`` owns "counts are
+"theta* is a finite point of P" and, through ``ExampleGeometry``, "c and
+x are real numbers, not bools", and ``montecarlo`` owns "counts are
 integers" and the effective noise sigma / sqrt(n_obs).  Each row of the
 table below calls one public entry point with one bad value and expects a
 ``ValueError`` whose message starts with the argument's name.
@@ -12,7 +13,7 @@ import math
 import pytest
 
 from riskrev.asymptotics import limiting_risk, small_noise_risk, vertex_probabilities_2d
-from riskrev.exact_risk import RiskQuery
+from riskrev.exact_risk import RiskQuery, risk_segment_exact
 from riskrev.geometry import ExampleGeometry, tangent_cone_2d
 from riskrev.montecarlo import MCConfig, mc_risk_effective, mc_risks
 
@@ -53,6 +54,16 @@ REFUSALS = {
         r"^sigma must be a positive finite real, got -1\.0$"),
     "mc_risk_effective-n_obs-zero": (
         lambda: mc_risk_effective(TRI, (0.0, 0.0), 1.0, 0, CFG), r"^n_obs must be at least 1, got 0$"),
+    "RiskQuery-sigma-none": (
+        lambda: RiskQuery(theta_star=(0.0, 0.0), sigma=None), r"^sigma must be a positive finite real, got None$"),
+    "RiskQuery-sigma-bool": (
+        lambda: RiskQuery(theta_star=(0.0, 0.0), sigma=True), r"^sigma must be a positive finite real, got True$"),
+    "ExampleGeometry-c-bool": (lambda: ExampleGeometry(c=True), r"^c must be a positive finite real, got True$"),
+    "ExampleGeometry-c-text": (lambda: ExampleGeometry(c="1"), r"^c must be a positive finite real, got '1'$"),
+    "ExampleGeometry-x-bool": (lambda: ExampleGeometry(c=0.5, x=True), r"^x must lie in .*, got True$"),
+    "ExampleGeometry-x-text": (lambda: ExampleGeometry(c=0.5, x="1"), r"^x must lie in .*, got '1'$"),
+    "risk_segment_exact-t_star-bool": (
+        lambda: risk_segment_exact(ExampleGeometry(c=0.5), True, 1.0), r"^t_star must lie in \[0, 1\], got True$"),
     "mc_risk_effective-n_obs-fraction": (
         lambda: mc_risk_effective(TRI, (0.0, 0.0), 1.0, 1.5, CFG), r"^n_obs must be an integer, got 1\.5$"),
 }

@@ -49,14 +49,11 @@ from .geometry import (
     ExampleGeometry,
     ProjectionError,
     RegionLabel,
-    exposed_face_vertex,
     normal_cone_angle_2d,
     project_cone_nonneg,
-    project_polygon_2d,
     project_polygon_2d_batch,
     project_polytope,
     project_polytope_batch,
-    project_segment,
     project_triangle_example,
     tangent_cone_2d,
 )
@@ -67,7 +64,6 @@ from .montecarlo import (
     RiskEstimate,
     cauchy_ratio_check,
     mc_risk,
-    mc_risk_effective,
     sample_unit_sphere,
 )
 
@@ -92,22 +88,18 @@ __all__ = [
     "delta_x",
     "detect_finite_sigma_reversal",
     "envelope_curve",
-    "exposed_face_vertex",
     "int_phi_cdf",
     "int_phi_cdf_linear",
     "int_z_phi_phi",
     "large_noise_limit_diff",
     "limiting_risk",
     "mc_risk",
-    "mc_risk_effective",
     "normal_cone_angle_2d",
     "owens_t",
     "project_cone_nonneg",
-    "project_polygon_2d",
     "project_polygon_2d_batch",
     "project_polytope",
     "project_polytope_batch",
-    "project_segment",
     "project_triangle_example",
     "risk_difference",
     "risk_segment_exact",

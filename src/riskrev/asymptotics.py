@@ -28,6 +28,7 @@ from .geometry import (
     ConeKind,
     ConvexPolytope,
     ExampleGeometry,
+    _edge_chain,
     _member_points,
     _points,
     normal_cone_angle_2d,
@@ -271,15 +272,10 @@ class ReversalScan:
 
 
 def _sup_candidates(P: ConvexPolytope, edge_points: int) -> np.ndarray:
+    """The vertices, then ``edge_points`` evenly spaced interior points of each edge of :func:`_edge_chain`."""
     v = P.vertices
-    k = P.n_vertices
-    parts = [v]
-    if k >= 2 and edge_points > 0:
-        t = np.linspace(0.0, 1.0, edge_points + 2)[1:-1]
-        edges = [(i, (i + 1) % k) for i in range(k)] if k >= 3 else [(0, 1)]
-        for i, j in edges:
-            parts.append(v[i] + t[:, None] * (v[j] - v[i]))
-    return np.vstack(parts)
+    t = np.linspace(0.0, 1.0, edge_points + 2)[1:-1, None]
+    return np.vstack([v, *(v[i] + t * (v[j] - v[i]) for i, j in _edge_chain(P.n_vertices))])
 
 
 def _rounding_allowance(P: ConvexPolytope, candidates: np.ndarray, sigma: float, z_norm: float) -> float:
@@ -334,12 +330,10 @@ class _SupSearch:
         self.estimates: dict[int, RiskEstimate] = {}
         self.root_means: dict[int, float] = {}
         self.todo = list(range(k))
-        self.open = []
-        if k >= 2 and edge_points > 0:
-            ends = [(i, (i + 1) % k) for i in range(k)] if k >= 3 else [(0, 1)]
-            for e, (i, j) in enumerate(ends):
-                chain = [i, *range(k + e * edge_points, k + (e + 1) * edge_points), j]
-                self.open.append((chain, 0, edge_points + 1))
+        self.open = [
+            ([i, *range(k + e * edge_points, k + (e + 1) * edge_points), j], 0, edge_points + 1)
+            for e, (i, j) in enumerate(_edge_chain(k))
+        ]
 
     def best(self) -> RiskEstimate:
         """The first computed candidate, in candidate order, with the largest mean."""

@@ -225,37 +225,12 @@ class Cone2D:
             raise ValueError(f"apex angle {angle!r} inconsistent with kind {self.kind}")
 
 
-def project_segment(v_start, v_end, y) -> np.ndarray:
-    """Euclidean projection of ``y`` onto the segment [v_start, v_end].
-
-    Computes v_start + t * (v_end - v_start) with
-    t = clip(<y - v_start, v_end - v_start> / ||v_end - v_start||^2, 0, 1).
-    """
-    a = np.asarray(v_start, dtype=float)
-    b = np.asarray(v_end, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if a.shape != b.shape or a.shape != y.shape or a.ndim != 1:
-        raise ValueError("v_start, v_end, y must be vectors of equal dimension")
-    d = b - a
-    norm_sq = float(d @ d)
-    if norm_sq == 0.0:
-        raise ValueError("degenerate segment: endpoints coincide")
-    t = float((y - a) @ d) / norm_sq
-    t = min(1.0, max(0.0, t))
-    return a + t * d
-
-
-def project_polygon_2d(P: ConvexPolytope, y) -> np.ndarray:
-    """Exact Euclidean projection onto a planar polytope.
-
-    Interior points are fixed; otherwise the nearest point over all edges
-    (equivalently, the boundary) is returned.  Handles the degenerate
-    one- and two-vertex polytopes as point and segment.  This is one row of
-    :func:`project_polygon_2d_batch`, and raises as it does.
-    """
-    if P.dim != 2:
-        raise ValueError("project_polygon_2d requires a planar polytope")
-    return project_polytope(P, y)
+def _edge_chain(k: int) -> list[tuple[int, int]]:
+    """Vertex index pairs (i, j) of the edges v_i -> v_j of a K-vertex polytope,
+    in vertex order: closed for K >= 3, one edge for a segment, none for a point."""
+    if k >= 3:
+        return [(i, (i + 1) % k) for i in range(k)]
+    return [(0, 1)] if k == 2 else []
 
 
 # points per block of the planar projection: the block's seven float and two
@@ -267,14 +242,14 @@ _PROJECT_BLOCK = 1 << 14
 class _PolygonBlocks:
     """Projection onto a planar polytope, one block of points at a time.
 
-    The polytope is a chain of edges v_i -> v_i+1: closed for K >= 3, one
-    edge for a segment, none for a point, whose foot is its vertex.  Holds
-    scratch for blocks of up to ``size`` points, so it is not safe for
-    concurrent use: :func:`_block_projector` makes a new one per call.  The
-    scratch is seven float rows, whatever K: the offsets y - v, which later
-    hold an edge's foot; t, also read as int64 bits; the squared distance,
-    also read as the int64 select mask; the best squared distance so far;
-    and the two result rows.  Two flag rows hold inside and better.
+    The polytope is the chain of edges of :func:`_edge_chain`; a point has
+    none, and its foot is its vertex.  Holds scratch for blocks of up to
+    ``size`` points, so it is not safe for concurrent use:
+    :func:`_block_projector` makes a new one per call.  The scratch is seven
+    float rows, whatever K: the offsets y - v, which later hold an edge's
+    foot; t, also read as int64 bits; the squared distance, also read as the
+    int64 select mask; the best squared distance so far; and the two result
+    rows.  Two flag rows hold inside and better.
     """
 
     def __init__(self, P: ConvexPolytope, size: int):
@@ -284,8 +259,7 @@ class _PolygonBlocks:
         self._closed = len(v) >= 3
         self._point = v.T if len(v) == 1 else None
         self._edges = [
-            (v[i, 0], v[i, 1], edge[i, 0], edge[i, 1], len_sq[i])
-            for i in range(len(v) if self._closed else len(v) - 1)
+            (v[i, 0], v[i, 1], edge[i, 0], edge[i, 1], len_sq[i]) for i, _ in _edge_chain(len(v))
         ]
         self.size = size
         self._floats = np.empty((7, size))
@@ -378,7 +352,7 @@ class _PolygonBlocks:
 
 
 def project_polygon_2d_batch(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`project_polygon_2d` for an (n, 2) array of points.
+    """Planar :func:`project_polytope_batch` for an (n, 2) array of points.
 
     Points are projected in blocks of ``_PROJECT_BLOCK``; a point with no
     finite distance to the polytope raises :class:`ProjectionError` naming
@@ -488,9 +462,6 @@ class _MinNormPoint:
     def _affine_weights(self, mask: np.ndarray, yc: np.ndarray) -> np.ndarray:
         """Affine minimiser weights of each row over its active set, zero off it."""
         packed = np.packbits(mask, axis=1)
-        if len(mask) == 1:
-            linear, offset = self._cached_map(packed[0].tobytes(), mask[0])
-            return _sum_last(linear * yc[:, None, :]) + offset
         # one opaque byte string per row sorts far faster than unique(axis=0)
         keys = packed.view(f"V{packed.shape[1]}").ravel()
         unique, first, group = np.unique(keys, return_index=True, return_inverse=True)
@@ -631,8 +602,8 @@ def _project_rows(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
 def project_polytope_batch(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
     """Euclidean projection of the rows of an (n, d) array onto a polytope in any dimension.
 
-    In the plane this is :func:`project_polygon_2d_batch`.  In any other
-    dimension it runs Wolfe's min-norm-point iteration (Wolfe 1976) on
+    In the plane this is the exact edge search of ``_PolygonBlocks``.  In any
+    other dimension it runs Wolfe's min-norm-point iteration (Wolfe 1976) on
     blocks of rows, each row with its own active set.  A row leaves its
     block once its projection q, a convex combination of the vertices, is
     certified by the variational inequality
@@ -660,16 +631,6 @@ def project_polytope(P: ConvexPolytope, y) -> np.ndarray:
     if y.shape != (P.dim,):
         raise ValueError(f"y must be a {P.dim}-vector")
     return project_polytope_batch(P, y[None, :])[0]
-
-
-def exposed_face_vertex(P: ConvexPolytope, u) -> int:
-    """Index of the vertex maximizing <v_i, u>; ties break to the smallest index."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (P.dim,):
-        raise ValueError(f"direction must be a {P.dim}-vector")
-    if not np.all(np.isfinite(u)) or float(u @ u) == 0.0:
-        raise ValueError("direction must be finite and nonzero")
-    return int(np.argmax(P.vertices @ u))
 
 
 def normal_cone_angle_2d(P: ConvexPolytope, i: int) -> float:
@@ -753,9 +714,8 @@ def tangent_cone_2d(P: ConvexPolytope, theta) -> Cone2D:
     for i in range(k):
         if float(np.linalg.norm(v[i] - theta)) <= MEMBERSHIP_TOL:
             return Cone2D(ConeKind.WEDGE, math.pi - normal_cone_angle_2d(P, i))
-    nxt = np.roll(v, -1, axis=0)
-    for i in range(k):
-        foot = project_segment(v[i], nxt[i], theta)
+    for edge in _edge_chain(k):
+        (foot,) = _project_rows(ConvexPolytope(v[list(edge)]), theta[None])
         if float(np.linalg.norm(foot - theta)) <= MEMBERSHIP_TOL:
             return Cone2D(ConeKind.HALFPLANE, math.pi)
     return Cone2D(ConeKind.FULL, 2.0 * math.pi)

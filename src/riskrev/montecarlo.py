@@ -211,17 +211,6 @@ def mc_risk(P: ConvexPolytope, q: RiskQuery, cfg: MCConfig) -> RiskEstimate:
     return mc_risks(P, q.theta, q.sigma, cfg)[0]
 
 
-def mc_risk_effective(
-    P: ConvexPolytope, theta_star, sigma: float, n_obs: int, cfg: MCConfig
-) -> RiskEstimate:
-    """Risk at the effective noise level sigma / sqrt(n_obs).
-
-    Averaging n_obs independent observations of the same theta* is
-    equivalent to a single observation with this reduced noise level.
-    """
-    return mc_risk(P, RiskQuery(theta_star=theta_star, sigma=_effective_sigma(sigma, n_obs)), cfg)
-
-
 def _effective_sigma(sigma, n_obs) -> float:
     """sigma / sqrt(n_obs), the noise level of an n_obs-observation average.
 

@@ -45,7 +45,7 @@ from riskrev.geometry import (
     ConeKind,
     ConvexPolytope,
     ExampleGeometry,
-    project_polygon_2d,
+    project_polytope,
     project_triangle_example,
 )
 from riskrev.montecarlo import (
@@ -274,9 +274,9 @@ def test_criterion_9_property_suites():
         poly = ConvexPolytope(rng.normal(size=(int(rng.integers(3, 9)), 2)))
         for _ in range(20):
             y, y2 = rng.normal(scale=3.0, size=(2, 2))
-            p = project_polygon_2d(poly, y)
-            p2 = project_polygon_2d(poly, y2)
-            idem = np.linalg.norm(project_polygon_2d(poly, p) - p) <= 1e-8
+            p = project_polytope(poly, y)
+            p2 = project_polytope(poly, y2)
+            idem = np.linalg.norm(project_polytope(poly, p) - p) <= 1e-8
             nonexp = np.linalg.norm(p - p2) <= np.linalg.norm(y - y2) + 1e-8
             vi = np.max((poly.vertices - p) @ (y - p)) <= 1e-8 * (1.0 + np.linalg.norm(y))
             axioms_ok = axioms_ok and idem and nonexp and vi
@@ -317,7 +317,7 @@ def test_criterion_9_property_suites():
         shift = np.array([0.5 / c, 0.5])
         for y in rng.normal(scale=2.5, size=(2000, 2)) + shift:
             p_region, _ = project_triangle_example(g, y)
-            p_generic = project_polygon_2d(tri, y)
+            p_generic = project_polytope(tri, y)
             region_ok = region_ok and np.linalg.norm(p_region - p_generic) <= 1e-8
 
     elapsed = time.perf_counter() - t0

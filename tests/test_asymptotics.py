@@ -27,6 +27,7 @@ from riskrev.asymptotics import (
 )
 from riskrev.exact_risk import risk_triangle_exact
 from riskrev.geometry import Cone2D, ConeKind, ConvexPolytope, ExampleGeometry
+from riskrev.montecarlo import sample_unit_sphere
 
 TWO_PI = 2.0 * math.pi
 
@@ -163,6 +164,18 @@ class TestVertexProbabilities:
     def test_mc_integral_n_is_the_int(self, n):
         tri = ExampleGeometry(c=1.0).triangle()
         assert vertex_probabilities_mc(tri, n=n, seed=2) == vertex_probabilities_mc(tri, n=5, seed=2)
+
+    def test_mc_counts_the_exposed_vertex(self):
+        # each direction u selects argmax_i <v_i, u>, the smallest index on ties
+        square = ConvexPolytope([[0, 0], [2, 0], [2, 2], [0, 2]])
+
+        def exposed(u):
+            return int(np.argmax(square.vertices @ np.asarray(u)))
+
+        assert [exposed(u) for u in ([1.0, -0.1], [1.0, 0.1], [-1.0, -1.0], [1.0, 0.0])] == [1, 2, 0, 1]
+        n = 4000
+        counts = np.bincount([exposed(u) for u in sample_unit_sphere(2, n, seed=9)], minlength=4)
+        assert vertex_probabilities_mc(square, n=n, seed=9).probs == tuple(counts / n)
 
     def test_segment_splits_evenly(self):
         dist = vertex_probabilities_2d(ExampleGeometry(c=1.0).segment())

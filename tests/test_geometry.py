@@ -16,6 +16,7 @@ import pytest
 from scipy.optimize import nnls
 
 from riskrev.geometry import (
+    MEMBERSHIP_TOL,
     _POLYTOPE_BLOCK,
     _PROJECT_BLOCK,
     Cone2D,
@@ -25,15 +26,12 @@ from riskrev.geometry import (
     ProjectionError,
     RegionLabel,
     _MinNormPoint,
-    exposed_face_vertex,
     normal_cone_angle_2d,
     project_cone_nonneg,
     project_cone_nonneg_batch,
-    project_polygon_2d,
     project_polygon_2d_batch,
     project_polytope,
     project_polytope_batch,
-    project_segment,
     project_triangle_example,
     tangent_cone_2d,
 )
@@ -164,7 +162,7 @@ class TestProjectionAxioms:
             poly = _random_polygon(rng, rng.integers(3, 9))
             for _ in range(10):
                 y, y2 = rng.normal(scale=3.0, size=(2, 2))
-                self._check_axioms(poly, project_polygon_2d, y, y2)
+                self._check_axioms(poly, project_polytope, y, y2)
 
     def test_min_norm_point_projector_planar(self):
         # the public projections use the edge search in the plane
@@ -185,15 +183,17 @@ class TestProjectionAxioms:
                 self._check_axioms(poly, project_polytope, y, y2)
 
     def test_segment_projection_formula(self):
+        # a two-vertex polytope: min-norm point in 3-D, the edge search in the plane
         rng = np.random.default_rng(90213)
-        for _ in range(500):
-            a, b, y = rng.normal(size=(3, 3))
-            p = project_segment(a, b, y)
-            # compare against a dense parameter scan
-            ts = np.linspace(0.0, 1.0, 20001)
-            cand = a[None, :] + ts[:, None] * (b - a)[None, :]
-            best = cand[np.argmin(np.sum((cand - y) ** 2, axis=1))]
-            assert np.linalg.norm(p - y) <= np.linalg.norm(best - y) + 1e-8
+        ts = np.linspace(0.0, 1.0, 20001)
+        for d in (3, 2):
+            for _ in range(500):
+                a, b, y = rng.normal(size=(3, d))
+                p = project_polytope(ConvexPolytope([a, b]), y)
+                # compare against a dense parameter scan
+                cand = a[None, :] + ts[:, None] * (b - a)[None, :]
+                best = cand[np.argmin(np.sum((cand - y) ** 2, axis=1))]
+                assert np.linalg.norm(p - y) <= np.linalg.norm(best - y) + 1e-8
 
 
 class TestTriangleRegions:
@@ -247,7 +247,7 @@ class TestBatchConsistency:
             Y = rng.normal(scale=2.0, size=(300, 2))
             batch = project_polygon_2d_batch(poly, Y)
             for y, row in zip(Y, batch):
-                np.testing.assert_allclose(row, project_polygon_2d(poly, y), atol=1e-12)
+                np.testing.assert_allclose(row, project_polytope(poly, y), atol=1e-12)
 
 
 def _reference_project_batch(P, Y):
@@ -345,7 +345,7 @@ class TestBlockedKernel:
         Y = _kernel_points(_kernel_rng(2000, k), poly, 200)
         batch = project_polygon_2d_batch(poly, Y)
         for y, row in zip(Y, batch):
-            assert project_polygon_2d(poly, y).tobytes() == row.tobytes()
+            assert project_polytope(poly, y).tobytes() == row.tobytes()
 
     @pytest.mark.parametrize(
         "bad, row",
@@ -369,7 +369,7 @@ class TestBlockedKernel:
         with pytest.raises(ProjectionError, match=rf"^point {row} "):
             project_polygon_2d_batch(tri, np.array(bad))
         with pytest.raises(ProjectionError, match=r"^point 0 "):
-            project_polygon_2d(tri, bad[row])
+            project_polytope(tri, bad[row])
 
     @pytest.mark.parametrize(
         "bad, row",
@@ -387,7 +387,7 @@ class TestBlockedKernel:
         with pytest.raises(ProjectionError, match=rf"^point {row} "):
             project_polygon_2d_batch(poly, np.array(bad))
         with pytest.raises(ProjectionError, match=r"^point 0 "):
-            project_polygon_2d(poly, bad[row])
+            project_polytope(poly, bad[row])
 
     def test_nan_distance_on_one_edge_leaves_the_others(self):
         # ||e||^2 overflows on the long edges, so t is inf / inf = NaN there,
@@ -409,7 +409,7 @@ class TestBlockedKernel:
         with pytest.raises(ProjectionError, match=rf"^point {_PROJECT_BLOCK + 3} .*no finite distance"):
             project_polygon_2d_batch(poly, Y)
         with pytest.raises(ProjectionError, match=r"^point 0 "):
-            project_polygon_2d(poly, bad)
+            project_polytope(poly, bad)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("scale", [1e200, 1e300])
@@ -432,7 +432,7 @@ class TestBlockedKernel:
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert got.tobytes() == want.tobytes() == _reference_project_batch(poly, Y).tobytes()
         for y in Y:
-            assert np.array_equal(np.signbit(project_polygon_2d(poly, y)), np.signbit(vertex))
+            assert np.array_equal(np.signbit(project_polytope(poly, y)), np.signbit(vertex))
         for bad in ([math.nan, 1.0], [1.0, math.inf], [-math.inf, -1e300]):
             with pytest.raises(ProjectionError, match=r"^point 3 .*no finite distance"):
                 project_polygon_2d_batch(poly, np.vstack([Y[:3], [bad], Y[3:]]))
@@ -464,6 +464,22 @@ class TestCones:
         assert vertex.kind is ConeKind.WEDGE
         assert vertex.apex_angle == pytest.approx(math.pi / 4.0, abs=1e-12)
 
+    def test_tangent_cone_near_edges_and_vertices(self):
+        # within MEMBERSHIP_TOL of an edge is on it; farther inside is interior
+        rng = np.random.default_rng(64002)
+        for _ in range(40):
+            poly = _random_polygon(rng, rng.integers(3, 9))
+            v = poly.vertices
+            for a, b in zip(v, np.roll(v, -1, axis=0)):
+                along = (b - a) / np.linalg.norm(b - a)
+                inward = np.array([-along[1], along[0]])  # counterclockwise: the interior is on the left
+                mid = (a + b) / 2.0
+                assert tangent_cone_2d(poly, mid).kind is ConeKind.HALFPLANE
+                assert tangent_cone_2d(poly, mid + 0.1 * MEMBERSHIP_TOL * inward).kind is ConeKind.HALFPLANE
+                assert tangent_cone_2d(poly, mid + 10.0 * MEMBERSHIP_TOL * inward).kind is ConeKind.FULL
+                # on the edge, near the vertex but farther from it than the tolerance
+                assert tangent_cone_2d(poly, a + 10.0 * MEMBERSHIP_TOL * along).kind is ConeKind.HALFPLANE
+
     def test_tangent_cone_segment_and_point(self):
         seg = ExampleGeometry(c=2.0).segment()
         assert tangent_cone_2d(seg, [0.0, 0.0]).kind is ConeKind.RAY
@@ -488,15 +504,6 @@ class TestCones:
             Cone2D(ConeKind.WEDGE, math.pi)
         with pytest.raises(ValueError):
             Cone2D(ConeKind.RAY, 0.3)
-
-    def test_exposed_face_vertex(self):
-        poly = ConvexPolytope([[0, 0], [2, 0], [2, 2], [0, 2]])
-        assert exposed_face_vertex(poly, [1.0, -0.1]) == 1
-        assert exposed_face_vertex(poly, [1.0, 0.1]) == 2
-        assert exposed_face_vertex(poly, [-1.0, -1.0]) == 0
-        assert exposed_face_vertex(poly, [1.0, 0.0]) == 1  # tie breaks low
-        with pytest.raises(ValueError):
-            exposed_face_vertex(poly, [0.0, 0.0])
 
 
 class TestConeProjection:
@@ -583,7 +590,7 @@ class TestMinNormPointEdgeCases:
         for _ in range(50):
             y = rng.normal(scale=2.0, size=3)
             p = project_polytope(poly, y)
-            q = project_segment(base, base + 2.0 * direction, y)
+            (q,) = _exact_polytope_projection(poly, y[None])
             assert np.linalg.norm(p - q) <= 1e-8
 
 
@@ -651,8 +658,7 @@ class TestMinNormPointBatch:
         base, direction = rng.normal(size=(2, 3))
         line = ConvexPolytope([base + t * direction for t in (0.0, 0.5, 1.0, 2.0)])
         Y = rng.normal(scale=2.0, size=(500, 3))
-        want = np.array([project_segment(base, base + 2.0 * direction, y) for y in Y])
-        self._close(project_polytope_batch(line, Y), want, Y)
+        self._close(project_polytope_batch(line, Y), _exact_polytope_projection(line, Y), Y)
 
     @pytest.mark.parametrize("d", [1, 3, 4, 5])
     def test_random_polytopes_match_subset_enumeration(self, d):

@@ -3,9 +3,10 @@
 ``exact_risk`` owns "sigma is one positive finite real", ``geometry`` owns
 "theta* is a finite point of P" and, through ``ExampleGeometry``, "c and
 x are real numbers, not bools", and ``montecarlo`` owns "counts are
-integers" and the effective noise sigma / sqrt(n_obs).  Each row of the
-table below calls one public entry point with one bad value and expects a
-``ValueError`` whose message starts with the argument's name.
+integers" and, in ``_effective_sigma``, the effective noise
+sigma / sqrt(n_obs).  Each row of the table below calls one entry point,
+public or that owner, with one bad value and expects a ``ValueError`` whose
+message starts with the argument's name.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 from riskrev.asymptotics import limiting_risk, small_noise_risk, vertex_probabilities_2d
 from riskrev.exact_risk import RiskQuery, risk_segment_exact
 from riskrev.geometry import ExampleGeometry, tangent_cone_2d
-from riskrev.montecarlo import MCConfig, mc_risk_effective, mc_risks
+from riskrev.montecarlo import MCConfig, _effective_sigma, mc_risks
 
 TRI = ExampleGeometry(c=1.0).triangle()
 CFG = MCConfig(n=100)
@@ -49,11 +50,9 @@ REFUSALS = {
         r"^theta .* must belong to the polytope$"),
     "limiting_risk-theta-nan": (
         lambda: limiting_risk(TRI, (0.0, math.nan), vertex_probabilities_2d(TRI)), r"^theta must be finite$"),
-    "mc_risk_effective-sigma": (
-        lambda: mc_risk_effective(TRI, (0.0, 0.0), -1.0, 4, CFG),
-        r"^sigma must be a positive finite real, got -1\.0$"),
-    "mc_risk_effective-n_obs-zero": (
-        lambda: mc_risk_effective(TRI, (0.0, 0.0), 1.0, 0, CFG), r"^n_obs must be at least 1, got 0$"),
+    "_effective_sigma-sigma": (
+        lambda: _effective_sigma(-1.0, 4), r"^sigma must be a positive finite real, got -1\.0$"),
+    "_effective_sigma-n_obs-zero": (lambda: _effective_sigma(1.0, 0), r"^n_obs must be at least 1, got 0$"),
     "RiskQuery-sigma-none": (
         lambda: RiskQuery(theta_star=(0.0, 0.0), sigma=None), r"^sigma must be a positive finite real, got None$"),
     "RiskQuery-sigma-bool": (
@@ -64,8 +63,8 @@ REFUSALS = {
     "ExampleGeometry-x-text": (lambda: ExampleGeometry(c=0.5, x="1"), r"^x must lie in .*, got '1'$"),
     "risk_segment_exact-t_star-bool": (
         lambda: risk_segment_exact(ExampleGeometry(c=0.5), True, 1.0), r"^t_star must lie in \[0, 1\], got True$"),
-    "mc_risk_effective-n_obs-fraction": (
-        lambda: mc_risk_effective(TRI, (0.0, 0.0), 1.0, 1.5, CFG), r"^n_obs must be an integer, got 1\.5$"),
+    "_effective_sigma-n_obs-fraction": (
+        lambda: _effective_sigma(1.0, 1.5), r"^n_obs must be an integer, got 1\.5$"),
 }
 
 

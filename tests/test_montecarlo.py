@@ -31,11 +31,11 @@ from riskrev.montecarlo import (
     MCConfig,
     RiskEstimate,
     _chunk_normals,
+    _effective_sigma,
     _losses,
     cauchy_cdf,
     cauchy_ratio_check,
     mc_risk,
-    mc_risk_effective,
     mc_risks,
     sample_unit_sphere,
 )
@@ -292,33 +292,36 @@ class TestStatisticalAgreement:
 
 
 class TestEffectiveNoise:
+    """``mc_risk`` at ``_effective_sigma(sigma, n_obs)``, the composition the CLI runs for ``--n-obs``."""
+
+    @staticmethod
+    def _risk(sigma, n_obs, cfg):
+        tri = ExampleGeometry(c=1.0).triangle()
+        return mc_risk(tri, RiskQuery(theta_star=(0.0, 0.0), sigma=_effective_sigma(sigma, n_obs)), cfg)
+
     def test_matches_rescaled_sigma_bitwise(self):
         g = ExampleGeometry(c=1.0)
         cfg = MCConfig(n=30_000, seed=17)
         direct = mc_risk(
             g.triangle(), RiskQuery(theta_star=(0.0, 0.0), sigma=2.0 / math.sqrt(8)), cfg
         )
-        effective = mc_risk_effective(g.triangle(), (0.0, 0.0), 2.0, 8, cfg)
+        effective = self._risk(2.0, 8, cfg)
         assert direct.mean == effective.mean
         assert direct.stderr == effective.stderr
 
     def test_rejects_bad_n_obs(self):
-        g = ExampleGeometry(c=1.0)
         with pytest.raises(ValueError):
-            mc_risk_effective(g.triangle(), (0.0, 0.0), 1.0, 0, MCConfig(n=100))
+            self._risk(1.0, 0, MCConfig(n=100))
 
     @pytest.mark.parametrize("n_obs", [2.7, True])
     def test_rejects_non_integral_n_obs(self, n_obs):
-        g = ExampleGeometry(c=1.0)
         with pytest.raises(ValueError, match=r"^n_obs must be an integer"):
-            mc_risk_effective(g.triangle(), (0.0, 0.0), 1.0, n_obs, MCConfig(n=100))
+            self._risk(1.0, n_obs, MCConfig(n=100))
 
     @pytest.mark.parametrize("n_obs", [5.0, np.int64(5)])
     def test_integral_n_obs_is_the_int(self, n_obs):
-        g = ExampleGeometry(c=1.0)
         cfg = MCConfig(n=1000, seed=3)
-        want = mc_risk_effective(g.triangle(), (0.0, 0.0), 1.0, 5, cfg)
-        assert mc_risk_effective(g.triangle(), (0.0, 0.0), 1.0, n_obs, cfg) == want
+        assert self._risk(1.0, n_obs, cfg) == self._risk(1.0, 5, cfg)
 
 
 class TestUnitSphere:

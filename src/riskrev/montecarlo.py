@@ -4,10 +4,13 @@ Sampling is split into fixed-size chunks.  Chunk ``j`` draws from its own
 counter-based stream keyed by ``(seed, j)``, normals come from the inverse
 CDF of those uniforms (one uniform per variate, so stream consumption never
 depends on the values drawn), and per-chunk moments are merged in chunk
-order with a pairwise-stable update.  A result is therefore bitwise
-identical for a given ``(seed, n, chunk)`` no matter how many worker
-threads execute the chunks.  The ``RISKREV_THREADS`` environment variable
-sets the worker count; unset, it is 1 and the chunks run serially.
+order with a pairwise-stable update.  Chunks run one after another.
+Within a chunk, worker threads draw the normals in cache-sized slabs, each
+slab from its own offset of the chunk's stream, so a result is bitwise
+identical for a given ``(seed, n, chunk)`` whatever the thread count and
+however the slabs fall on the threads.  The ``RISKREV_THREADS``
+environment variable sets the thread count; unset, it is the number of
+CPUs the process may use.
 
 Within a chunk, one loss loop serves every polytope, one block of samples
 at a time, with the projector that ``geometry`` picks for it.
@@ -32,6 +35,9 @@ DEFAULT_CHUNK = 1 << 18
 KS_CRITICAL_0P1 = 1.95
 
 _UINT64_MASK = (1 << 64) - 1
+# doubles per slab of a chunk's draw (256 KB, so the uniforms, the floor and
+# the inverse CDF stay in cache); a multiple of Philox's 4 doubles per counter step
+_DRAW_SLAB = 1 << 15
 # smallest uniform fed to the inverse CDF; rng.random() can return exactly 0
 _U_FLOOR = 2.0 ** -53
 
@@ -83,24 +89,47 @@ class MCConfig:
 
 
 def _worker_count() -> int:
+    """Threads per draw: ``RISKREV_THREADS``, or the CPUs this process may use if it is unset.
+
+    Any value but a positive decimal integer raises ``ValueError`` naming the variable.
+    """
     raw = os.environ.get("RISKREV_THREADS")
     if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"RISKREV_THREADS must be a positive integer, got {raw!r}") from None
-    if count < 1:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
         raise ValueError(f"RISKREV_THREADS must be a positive integer, got {raw!r}")
-    return count
+    return int(raw)
 
 
 def _chunk_normals(seed: int, chunk_index: int, m: int, d: int) -> np.ndarray:
-    """(m, d) standard normals from the substream keyed by (seed, chunk_index)."""
+    """(m, d) standard normals from the substream keyed by (seed, chunk_index).
+
+    The m * d values are drawn in slabs of ``_DRAW_SLAB``, each by its own
+    Philox started at the slab's counter offset and spread over
+    :func:`_worker_count` threads, so every slab is the slice of the
+    chunk's one stream that a single whole-chunk draw would give.
+    """
     key = np.array([seed & _UINT64_MASK, chunk_index], dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(key=key)).random((m, d))
-    np.maximum(u, _U_FLOOR, out=u)
-    return special.ndtri(u)
+    out = np.empty(m * d)
+
+    def fill(first: int):
+        slab = out[first : first + _DRAW_SLAB]
+        np.random.Generator(np.random.Philox(key=key, counter=[first // 4, 0, 0, 0])).random(out=slab)
+        np.maximum(slab, _U_FLOOR, out=slab)
+        special.ndtri(slab, out=slab)
+
+    firsts = range(0, m * d, _DRAW_SLAB)
+    workers = min(_worker_count(), len(firsts))
+    if workers <= 1:
+        for first in firsts:
+            fill(first)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, firsts))
+    return out.reshape(m, d)
 
 
 def _merge_moments(parts):
@@ -140,12 +169,7 @@ def _chunked_estimate(d: int, cfg: MCConfig, chunk_losses) -> list[RiskEstimate]
             del loss
         return moments
 
-    workers = _worker_count()
-    if workers == 1 or n_chunks == 1:
-        parts = [run(j) for j in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_chunks)))
+    parts = [run(j) for j in range(n_chunks)]
     estimates = []
     for per_chunk in zip(*parts):
         count, mean, m2 = _merge_moments(per_chunk)

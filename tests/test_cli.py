@@ -303,6 +303,18 @@ class TestByteStability:
         _, threaded, _ = run_cli(capsys, argv)
         assert serial == threaded
 
+    def test_reversal_thread_count_invariance(self, capsys, monkeypatch):
+        # one chunk of 60,000 planar rows: 120,000 normals over 4 draw slabs
+        argv = ["reversal", "--c", "0.75", "--x-small", "1.3", "--x-large", "0.5",
+                "--sigma-sweep", "2,5", "--samples", "60000"]
+        outputs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("RISKREV_THREADS", threads)
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_seed_changes_mc_output(self, capsys):
         base = ["risk", "--set", "triangle", "--c", "1", "--sigma", "1", "--mc",
                 "--samples", "20000"]

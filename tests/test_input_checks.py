@@ -3,23 +3,33 @@
 ``exact_risk`` owns "sigma is one positive finite real", ``geometry`` owns
 "theta* is a finite point of P" and, through ``ExampleGeometry``, "c and
 x are real numbers, not bools", and ``montecarlo`` owns "counts are
-integers" and, in ``_effective_sigma``, the effective noise
-sigma / sqrt(n_obs).  Each row of the table below calls one entry point,
+integers", in ``_effective_sigma``, the effective noise
+sigma / sqrt(n_obs), and, in ``_worker_count``, "``RISKREV_THREADS`` is a
+positive integer".  Each row of the table below calls one entry point,
 public or that owner, with one bad value and expects a ``ValueError`` whose
 message starts with the argument's name.
 """
 
 import math
+import os
+from unittest import mock
 
 import pytest
 
 from riskrev.asymptotics import limiting_risk, small_noise_risk, vertex_probabilities_2d
 from riskrev.exact_risk import RiskQuery, risk_segment_exact
 from riskrev.geometry import ExampleGeometry, tangent_cone_2d
-from riskrev.montecarlo import MCConfig, _effective_sigma, mc_risks
+from riskrev.montecarlo import MCConfig, _effective_sigma, _worker_count, mc_risks
 
 TRI = ExampleGeometry(c=1.0).triangle()
 CFG = MCConfig(n=100)
+
+
+def threads_from(raw):
+    """The thread count that ``RISKREV_THREADS=raw`` gives."""
+    with mock.patch.dict(os.environ, {"RISKREV_THREADS": raw}):
+        return _worker_count()
+
 
 REFUSALS = {
     "mc_risks-sigma-array": (
@@ -65,6 +75,14 @@ REFUSALS = {
         lambda: risk_segment_exact(ExampleGeometry(c=0.5), True, 1.0), r"^t_star must lie in \[0, 1\], got True$"),
     "_effective_sigma-n_obs-fraction": (
         lambda: _effective_sigma(1.0, 1.5), r"^n_obs must be an integer, got 1\.5$"),
+    "RISKREV_THREADS-empty": (
+        lambda: threads_from(""), r"^RISKREV_THREADS must be a positive integer, got ''$"),
+    "RISKREV_THREADS-negative": (
+        lambda: threads_from("-1"), r"^RISKREV_THREADS must be a positive integer, got '-1'$"),
+    "RISKREV_THREADS-fraction": (
+        lambda: threads_from("2.5"), r"^RISKREV_THREADS must be a positive integer, got '2\.5'$"),
+    "RISKREV_THREADS-exponent": (
+        lambda: threads_from("1e3"), r"^RISKREV_THREADS must be a positive integer, got '1e3'$"),
 }
 
 

@@ -9,15 +9,19 @@ and against scipy's Kolmogorov-Smirnov machinery.
 
 import hashlib
 import math
+import os
 import struct
+import threading
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from riskrev import montecarlo
 from riskrev.exact_risk import RiskQuery, risk_segment_exact, risk_triangle_exact
-from riskrev.asymptotics import _sup_candidates
+from riskrev.asymptotics import _sup_candidates, statistical_dimension_mc
 from riskrev.geometry import (
     _PROJECT_BLOCK,
     ConvexPolytope,
@@ -111,12 +115,117 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             mc_risk(g.triangle(), q, MCConfig(n=1000))
 
+    def test_unset_thread_env_means_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("RISKREV_THREADS", raising=False)
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert montecarlo._worker_count() == usable
+
     def test_partial_final_chunk(self):
         # n that is not a chunk multiple exercises the tail chunk path
         g = ExampleGeometry(c=1.0)
         q = RiskQuery(theta_star=(0.0, 0.0), sigma=1.0)
         est = mc_risk(g.triangle(), q, MCConfig(n=10_001, seed=5, chunk=4096))
         assert est.n == 10_001
+
+
+def whole_chunk_normals(seed, chunk_index, m, d):
+    """The draw as one whole-chunk expression: uniforms, floor, inverse CDF."""
+    key = np.array([seed & montecarlo._UINT64_MASK, chunk_index], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random((m, d))
+    np.maximum(u, montecarlo._U_FLOOR, out=u)
+    return special.ndtri(u)
+
+
+# two chunks of 4 slabs each (the second partial) in the plane
+MULTI_SLAB_CFG = MCConfig(n=120_000, seed=7, chunk=1 << 16)
+
+
+class TestSlabbedDraw:
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("slab", [None, 4, 12])
+    def test_bitwise_equal_to_whole_chunk_draw(self, monkeypatch, slab, threads):
+        # small slabs spread many slabs over several workers
+        if slab is not None:
+            monkeypatch.setattr(montecarlo, "_DRAW_SLAB", slab)
+        monkeypatch.setenv("RISKREV_THREADS", threads)
+        size = montecarlo._DRAW_SLAB
+        totals = (1, 3, size - 1, size, size + 1, 3 * size + 7)
+        shapes = [(total // d, d) for total in totals for d in (1, 2, 3) if total % d == 0]
+        for seed in (0, -5, 2**64 - 1, DEFAULT_SEED):
+            for chunk_index in (0, 1, 2**40):
+                for m, d in shapes:
+                    got = _chunk_normals(seed, chunk_index, m, d)
+                    want = whole_chunk_normals(seed, chunk_index, m, d)
+                    assert got.shape == (m, d)
+                    assert got.tobytes() == want.tobytes(), (seed, chunk_index, m, d)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        # perfbench's speed sampler only samples while one thread is alive
+        monkeypatch.setenv("RISKREV_THREADS", "3")
+        before = threading.active_count()
+        mc_risk(ExampleGeometry(c=0.5).triangle(), RiskQuery(theta_star=(0.0, 0.0), sigma=2.0), MULTI_SLAB_CFG)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_draw_peaks_at_its_output(self, monkeypatch, threads):
+        monkeypatch.setenv("RISKREV_THREADS", threads)
+        m, d = 1 << 18, 2
+        tracemalloc.start()
+        try:
+            z = _chunk_normals(1, 0, m, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert z.nbytes == 8 * m * d
+        assert peak <= 1.1 * z.nbytes
+
+
+class TestThreadsOverSlabs:
+    """Thread counts on chunks of several slabs, so that more than one worker draws."""
+
+    def test_chunks_span_several_slabs(self):
+        last = MULTI_SLAB_CFG.n - MULTI_SLAB_CFG.chunk
+        assert 2 * last >= 3 * montecarlo._DRAW_SLAB
+
+    def test_worker_threads_draw(self, monkeypatch):
+        drawn_by = set()
+
+        def ndtri(u, out):
+            drawn_by.add(threading.get_ident())
+            return special.ndtri(u, out=out)
+
+        monkeypatch.setattr(montecarlo, "special", types.SimpleNamespace(ndtri=ndtri))
+        monkeypatch.setenv("RISKREV_THREADS", "3")
+        _chunk_normals(1, 0, 1 << 18, 2)  # 16 slabs
+        assert len(drawn_by) >= 2
+        assert threading.get_ident() not in drawn_by
+
+    def test_mc_risk(self, monkeypatch):
+        tri = ExampleGeometry(c=0.5).triangle()
+        q = RiskQuery(theta_star=(0.0, 0.0), sigma=2.0)
+        results = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("RISKREV_THREADS", threads)
+            results.append(mc_risk(tri, q, MULTI_SLAB_CFG))
+        assert results[0] == results[1]
+
+    def test_mc_risks(self, monkeypatch):
+        poly = ExampleGeometry(c=0.75, x=1.3).theta_x_polytope()
+        candidates = _sup_candidates(poly, 4)
+        results = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("RISKREV_THREADS", threads)
+            results.append(mc_risks(poly, candidates, 5.0, MULTI_SLAB_CFG))
+        assert results[0] == results[1]
+
+    def test_statistical_dimension_mc(self, monkeypatch):
+        # one chunk of 40,000 rows in R^3: 120,000 normals, 4 slabs
+        orthant = np.eye(3)
+        results = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("RISKREV_THREADS", threads)
+            results.append(statistical_dimension_mc(orthant, n=40_000, seed=9))
+        assert results[0] == results[1]
 
 
 SHARED_CASES = {

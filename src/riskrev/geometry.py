@@ -4,12 +4,12 @@ Polytopes are given by their vertices, conv{v_1, ..., v_K}.  One function,
 ``_block_projector``, picks the projector for a polytope: in the plane an
 exact edge search (a segment is one edge, a point one edge of length zero),
 in any other dimension Wolfe's min-norm-point iteration, each point with its
-own active set and a certified result.  Both work on blocks of points, and
-the batch projections are row independent: a point projected alone gives
-the same bits as inside any batch.  The running triangle family also has a
-region-table projector.  Tangent and normal cones are classified for planar
-polytopes, and cones given by generators support nonnegative least-squares
-projection.
+own active set and a certified result.  Cones given by generators have an
+exact nonnegative least-squares projection by subset enumeration.  All three
+work on blocks of points, and the batch projections are row independent: a
+point projected alone gives the same bits as inside any batch.  The running
+triangle family also has a region-table projector.  Tangent and normal cones
+are classified for planar polytopes.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe for shared concurrent use.
@@ -233,9 +233,9 @@ def _edge_chain(k: int) -> list[tuple[int, int]]:
     return [(0, 1)] if k == 2 else []
 
 
-# points per block of the planar projection: the block's seven float and two
-# flag scratch rows (see _PolygonBlocks), under 1 MB, stay in cache across the
-# edges
+# points per block of the planar and the cone projection: a polygon's seven
+# float and two flag scratch rows (see _PolygonBlocks), under 1 MB, stay in
+# cache across the edges, and a low-dimensional cone's across the subsets
 _PROJECT_BLOCK = 1 << 14
 
 
@@ -721,14 +721,39 @@ def tangent_cone_2d(P: ConvexPolytope, theta) -> Cone2D:
     return Cone2D(ConeKind.FULL, 2.0 * math.pi)
 
 
+# least-squares coefficients at or above this keep a candidate active set feasible
+_CONE_COEF_FLOOR = -1e-12
+
+
+def _left_sum(terms, out: np.ndarray, tmp: np.ndarray):
+    """``out`` = the sum of row * scale over the pairs in ``terms``, left to right; ``tmp`` holds each product."""
+    (row, scale), *rest = terms
+    np.multiply(row, scale, out=out)
+    for row, scale in rest:
+        out += np.multiply(row, scale, out=tmp)
+
+
 def project_cone_nonneg_batch(generators, Z: np.ndarray) -> np.ndarray:
-    """Vectorized projection of rows of ``Z`` onto cone{g_1, ..., g_m}.
+    """Projection of the rows of an (n, d) array ``Z`` onto cone{g_1, ..., g_m}.
 
     Solves min ||z - sum_j lambda_j g_j|| over lambda >= 0 exactly, by
     enumerating candidate active sets: the optimal projection is achieved by
     an unconstrained least-squares fit on some subset of generators whose
-    coefficients come out nonnegative, so taking the best feasible fit over
-    all subsets (including the empty one, i.e. the origin) is exact.
+    coefficients come out nonnegative (at least -1e-12), so taking the best
+    feasible fit over all subsets of at most d generators is exact.  The
+    empty subset, the origin, is the first best; a later subset replaces it
+    only where its squared distance is strictly smaller.
+
+    Each subset's pseudo-inverse P is computed once per call.  Rows are
+    projected in blocks of ``_PROJECT_BLOCK``, held as (d, b) coordinate rows
+    in scratch allocated once per call, and every sum runs left to right,
+    one elementwise pass per term: coef_j = z_0 P[0, j] + z_1 P[1, j] + ...,
+    proj_i = sum_j coef_j A[j, i] and d2 = sum_i (z_i - proj_i)^2.  So a row
+    projected alone gives the same bits as inside any batch, and
+    coordinate-axis generators, whose products are exact, give exact feet.
+    The result is a new C-contiguous (n, d) array.  A row with no finite
+    distance to the cone (NaN or infinite coordinates, or an overflowing
+    squared distance) raises :class:`ProjectionError` naming its index.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim != 2 or G.shape[0] < 1:
@@ -743,22 +768,69 @@ def project_cone_nonneg_batch(generators, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != d:
         raise ValueError(f"Z must be an (n, {d}) array")
-    best = np.zeros_like(Z)
-    best_d2 = np.einsum("ij,ij->i", Z, Z)
+    n = len(Z)
+    size = min(max(n, 1), _PROJECT_BLOCK)
     # an optimal active set can always be chosen linearly independent
-    for size in range(1, min(m, d) + 1):
-        for subset in itertools.combinations(range(m), size):
-            A = G[list(subset)]  # (size, d)
-            coef = Z @ np.linalg.pinv(A)  # (n, size)
-            feasible = np.all(coef >= -1e-12, axis=1)
-            if not np.any(feasible):
-                continue
-            proj = coef @ A
-            d2 = np.einsum("ij,ij->i", Z - proj, Z - proj)
-            better = feasible & (d2 < best_d2)
-            best[better] = proj[better]
-            best_d2[better] = d2[better]
-    return best
+    subsets = (
+        (A, np.linalg.pinv(A))
+        for k in range(1, min(m, d) + 1)
+        for A in (G[list(subset)] for subset in itertools.combinations(range(m), k))
+    )
+    if n > size:
+        # kept for the later blocks; one block reads them as they come
+        subsets = list(subsets)
+    # coordinate rows of z, the best foot, the candidate foot and its
+    # coefficients; t is a product term, later the int64 blend bits, and d2
+    # later the int64 select mask
+    z_rows, best, proj = np.empty((3, d, size))
+    coefs = np.empty((min(m, d), size))
+    t_row, d2_row, best_d2_row = np.empty((3, size))
+    feasible_row, better_row = np.empty((2, size), dtype=bool)
+    out = np.empty((n, d))
+    for first in range(0, n, size):
+        b = min(size, n - first)
+        z, x, p = z_rows[:, :b], best[:, :b], proj[:, :b]
+        t, d2, best_d2 = t_row[:b], d2_row[:b], best_d2_row[:b]
+        feasible, better = feasible_row[:b], better_row[:b]
+        bits, mask = t.view(np.int64), d2.view(np.int64)
+        np.copyto(z, Z[first : first + b].T)
+        x.fill(0.0)
+        # rows with no finite distance go through inf/NaN arithmetic, then raise
+        with np.errstate(invalid="ignore", over="ignore"):
+            _left_sum(zip(z, z), best_d2, t)
+            for A, pinv in subsets:
+                coef = coefs[: len(A), :b]
+                for c, column in zip(coef, pinv.T):
+                    _left_sum(zip(z, column), c, t)
+                np.greater_equal(coef[0], _CONE_COEF_FLOOR, out=feasible)
+                for c in coef[1:]:
+                    feasible &= np.greater_equal(c, _CONE_COEF_FLOOR, out=better)
+                if not feasible.any():
+                    continue
+                for pi, column in zip(p, A.T):
+                    _left_sum(zip(coef, column), pi, t)
+                np.subtract(z[0], p[0], out=d2)
+                np.square(d2, out=d2)
+                for zi, pi in zip(z[1:], p[1:]):
+                    np.subtract(zi, pi, out=t)
+                    d2 += np.square(t, out=t)
+                np.less(d2, best_d2, out=better)
+                better &= feasible
+                np.copyto(best_d2, d2, where=better)
+                # x = foot where better, as x ^= (x ^ foot) & -better
+                np.negative(better.view(np.int8), out=mask)
+                for xc, pc in zip(x.view(np.int64), p.view(np.int64)):
+                    np.bitwise_xor(xc, pc, out=bits)
+                    bits &= mask
+                    xc ^= bits
+        finite = np.isfinite(best_d2, out=better)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ProjectionError(
+                f"point {first + i} {Z[first + i].tolist()!r} has no finite distance to the cone"
+            )
+        out[first : first + b] = x.T
+    return out
 
 
 def project_cone_nonneg(generators, z) -> np.ndarray:
@@ -780,7 +852,11 @@ def project_cone_nonneg(generators, z) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     kkt_dual = float(np.max((G @ r) / norms))
     kkt_comp = abs(float(p @ r))
-    if kkt_dual > _CERTIFICATE_TOL * (1.0 + z_norm) or kkt_comp > _CERTIFICATE_TOL * (1.0 + z_norm * z_norm):
+    # written so that a NaN residual fails
+    if not (
+        kkt_dual <= _CERTIFICATE_TOL * (1.0 + z_norm)
+        and kkt_comp <= _CERTIFICATE_TOL * (1.0 + z_norm * z_norm)
+    ):
         raise ProjectionError(
             f"cone projection failed KKT check: dual residual {kkt_dual:.3e}, "
             f"complementarity {kkt_comp:.3e}, tol {_CERTIFICATE_TOL:.3e}"

@@ -73,6 +73,12 @@ class TestStatisticalDimension:
         est = statistical_dimension_mc(gens, n=40_000, seed=304)
         assert abs(est.mean - 1.5) <= 4.0 * est.stderr
 
+    def test_orthant_bits_pinned(self):
+        # two chunks at the default seed; recorded with the BLAS subset
+        # enumeration, which coordinate-axis generators reproduce exactly
+        est = statistical_dimension_mc(np.eye(3), n=300_000)
+        assert (est.mean, est.stderr) == (1.4961464031671345, 0.0035285446121432755)
+
     def test_deterministic(self):
         a = statistical_dimension_mc([[1.0, 0.0]], n=5_000, seed=5)
         b = statistical_dimension_mc([[1.0, 0.0]], n=5_000, seed=5)

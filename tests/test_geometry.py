@@ -10,6 +10,7 @@ inequality.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from riskrev.geometry import (
     project_triangle_example,
     tangent_cone_2d,
 )
+from riskrev.montecarlo import _chunk_normals
 
 C_VALUES = [0.2, 0.5, 1.0, 2.0, 5.0]
 
@@ -555,7 +557,7 @@ class TestConeProjection:
         Z = rng.normal(size=(100, 3))
         batch = project_cone_nonneg_batch(G, Z)
         for z, row in zip(Z, batch):
-            np.testing.assert_allclose(row, project_cone_nonneg(G, z), atol=1e-10)
+            assert project_cone_nonneg(G, z).tobytes() == row.tobytes()
 
     def test_generator_cap(self):
         G = np.ones((17, 2))
@@ -567,6 +569,152 @@ class TestConeProjection:
         G = np.array([[1.0, 0.0], [0.0, 1.0]])
         z = np.array([0.3, 2.0])
         np.testing.assert_allclose(project_cone_nonneg(G, z), z, atol=1e-12)
+
+
+def _blas_cone_projection(G, Z):
+    """The subset enumeration with BLAS products and row-masked updates, as the
+    cone projection ran before it worked in blocks; kept as the oracle."""
+    G = np.asarray(G, dtype=float)
+    m, d = G.shape
+    best = np.zeros_like(Z)
+    best_d2 = np.einsum("ij,ij->i", Z, Z)
+    for size in range(1, min(m, d) + 1):
+        for subset in itertools.combinations(range(m), size):
+            A = G[list(subset)]
+            coef = Z @ np.linalg.pinv(A)
+            feasible = np.all(coef >= -1e-12, axis=1)
+            if not np.any(feasible):
+                continue
+            proj = coef @ A
+            d2 = np.einsum("ij,ij->i", Z - proj, Z - proj)
+            better = feasible & (d2 < best_d2)
+            best[better] = proj[better]
+            best_d2[better] = d2[better]
+    return best
+
+
+def _cone_points(rng, G, n):
+    """Normal points at scales 1e-3 to 1e3, half of them shifted into the cone."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    Z = scale * rng.normal(size=(n, G.shape[1]))
+    inside = rng.exponential(size=(n, len(G))) @ G
+    return np.where(rng.integers(2, size=(n, 1)).astype(bool), Z + scale * inside, Z)
+
+
+def _assert_near_oracle(G, Z, got):
+    """Each row of ``got`` within 1e-12 (1 + ||z||) of the BLAS enumeration's."""
+    error = np.abs(got - _blas_cone_projection(G, Z)).max(axis=1)
+    assert np.all(error <= 1e-12 * (1.0 + np.linalg.norm(Z, axis=1)))
+
+
+def _signed_axes(rng, d):
+    """A random nonempty subset of the 2d signed coordinate axes of R^d, in random order."""
+    axes = np.vstack([np.eye(d), -np.eye(d)])
+    k = int(rng.integers(1, 2 * d + 1))
+    return axes[rng.permutation(2 * d)[:k]]
+
+
+CONE_ROW_CASES = {
+    "random-4x2": np.random.default_rng(31).normal(size=(4, 2)),
+    "random-6x3": np.random.default_rng(32).normal(size=(6, 3)),
+    "random-7x4": np.random.default_rng(33).normal(size=(7, 4)),
+    "rank-deficient": np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+    "d1-ray": np.array([[2.0]]),
+    "d1-line": np.array([[0.5], [-3.0]]),
+}
+
+
+class TestConeBlocks:
+    @pytest.mark.parametrize("name", list(CONE_ROW_CASES))
+    def test_single_row_is_one_batch_row(self, name):
+        G = CONE_ROW_CASES[name]
+        Z = _cone_points(np.random.default_rng(41), G, 120)
+        batch = project_cone_nonneg_batch(G, Z)
+        assert batch.shape == Z.shape
+        for i, row in enumerate(batch):
+            assert project_cone_nonneg_batch(G, Z[i : i + 1])[0].tobytes() == row.tobytes(), i
+
+    @pytest.mark.parametrize("n", [_PROJECT_BLOCK - 1, _PROJECT_BLOCK, _PROJECT_BLOCK + 1])
+    def test_block_edges(self, n):
+        G = CONE_ROW_CASES["random-6x3"]
+        Z = _cone_points(np.random.default_rng(n), G, n)
+        batch = project_cone_nonneg_batch(G, Z)
+        assert batch.shape == (n, 3) and batch.flags.c_contiguous
+        split = n // 3
+        pieces = np.vstack([project_cone_nonneg_batch(G, Z[:split]), project_cone_nonneg_batch(G, Z[split:])])
+        assert pieces.tobytes() == batch.tobytes()
+        for i in {0, _PROJECT_BLOCK - 2, n - 2, n - 1}:
+            assert project_cone_nonneg_batch(G, Z[i : i + 1])[0].tobytes() == batch[i].tobytes(), i
+        _assert_near_oracle(G, Z, batch)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_no_rows(self, d):
+        got = project_cone_nonneg_batch(np.eye(d), np.empty((0, d)))
+        assert got.shape == (0, d) and got.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "m, d", [(1, 1), (3, 1), (16, 1), (2, 2), (5, 2), (16, 2), (3, 3), (7, 3), (16, 3), (4, 4), (16, 4), (5, 5), (16, 5)]
+    )
+    def test_matches_blas_enumeration(self, m, d):
+        rng = np.random.default_rng(100 * m + d)
+        G = rng.normal(size=(m, d))
+        Z = _cone_points(rng, G, 200)
+        got = project_cone_nonneg_batch(G, Z)
+        assert got.flags.c_contiguous
+        _assert_near_oracle(G, Z, got)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_coordinate_axes_match_bit_for_bit(self, d):
+        rng = np.random.default_rng(200 + d)
+        for _ in range(8):
+            G = _signed_axes(rng, d)
+            Z = _cone_points(rng, G, 500)
+            got = project_cone_nonneg_batch(G, Z)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, _blas_cone_projection(G, Z), err_msg=f"{G.tolist()}")
+
+    @pytest.mark.parametrize(
+        "bad, row",
+        [
+            ([[math.nan, 1.0], [-math.inf, 2.0], [math.inf, 0.0]], 0),
+            ([[0.5, 1.0], [-math.inf, 2.0]], 1),
+            ([[0.5, 1.0], [0.3, 0.1], [math.inf, 0.0]], 2),
+            # the true squared distance overflows
+            ([[0.5, 1.0], [1e200, -1e200]], 1),
+            ([[0.5, 0.5]] * _PROJECT_BLOCK + [[0.1, 0.2], [0.0, math.nan]], _PROJECT_BLOCK + 1),
+        ],
+    )
+    def test_rows_without_finite_distance_raise(self, bad, row):
+        G = np.eye(2)
+        with pytest.raises(ProjectionError, match=rf"^point {row} .*no finite distance to the cone$"):
+            project_cone_nonneg_batch(G, np.array(bad))
+        with pytest.raises(ProjectionError, match=r"^point 0 "):
+            project_cone_nonneg(G, bad[row])
+
+    def test_ties_keep_the_earlier_subset(self):
+        # 1e-20 + 1 rounds to 1, so {e_3} and {e_1, e_3} tie at d2 = 1 and the
+        # smaller subset, enumerated first, keeps its foot
+        Z = np.array([[1e-10, -1.0, 0.5]])
+        got = project_cone_nonneg_batch(np.eye(3), Z)
+        assert got.tolist() == [[0.0, 0.0, 0.5]]
+        assert got.tobytes() == _blas_cone_projection(np.eye(3), Z).tobytes()
+
+    def test_huge_rows_with_finite_distance(self):
+        # ||z||^2 overflows, but the foot is z itself or the axis, at a
+        # finite distance
+        Z = np.array([[1e200, 1e200], [1e200, 3.0], [-2.0, 1e300]])
+        got = project_cone_nonneg_batch(np.eye(2), Z)
+        assert got.tolist() == [[1e200, 1e200], [1e200, 3.0], [0.0, 1e300]]
+
+    def test_memory_is_the_output_and_a_block(self):
+        Z = _chunk_normals(1, 0, 1 << 18, 3)
+        tracemalloc.start()
+        try:
+            out = project_cone_nonneg_batch(np.eye(3), Z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
 
 
 class TestMinNormPointEdgeCases:

@@ -7,7 +7,9 @@ integers", in ``_effective_sigma``, the effective noise
 sigma / sqrt(n_obs), and, in ``_worker_count``, "``RISKREV_THREADS`` is a
 positive integer".  Each row of the table below calls one entry point,
 public or that owner, with one bad value and expects a ``ValueError`` whose
-message starts with the argument's name.
+message starts with the argument's name.  A point that is a valid argument
+but has no finite projection is refused by the projection itself, with a
+``ProjectionError`` naming the point's row.
 """
 
 import math
@@ -18,7 +20,13 @@ import pytest
 
 from riskrev.asymptotics import limiting_risk, small_noise_risk, vertex_probabilities_2d
 from riskrev.exact_risk import RiskQuery, risk_segment_exact
-from riskrev.geometry import ExampleGeometry, tangent_cone_2d
+from riskrev.geometry import (
+    ExampleGeometry,
+    ProjectionError,
+    project_cone_nonneg,
+    project_cone_nonneg_batch,
+    tangent_cone_2d,
+)
 from riskrev.montecarlo import MCConfig, _effective_sigma, _worker_count, mc_risks
 
 TRI = ExampleGeometry(c=1.0).triangle()
@@ -89,4 +97,20 @@ REFUSALS = {
 @pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refused_by_name(call, message):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+PROJECTION_REFUSALS = {
+    "project_cone_nonneg_batch-non-finite-rows": (
+        lambda: project_cone_nonneg_batch([[1.0, 0.0], [0.0, 1.0]], [[math.nan, 1.0], [-math.inf, 2.0], [math.inf, 0.0]]),
+        r"^point 0 \[nan, 1\.0\] has no finite distance to the cone$"),
+    "project_cone_nonneg-nan": (
+        lambda: project_cone_nonneg([[1.0, 0.0], [0.0, 1.0]], [math.nan, 1.0]),
+        r"^point 0 \[nan, 1\.0\] has no finite distance to the cone$"),
+}
+
+
+@pytest.mark.parametrize("call, message", PROJECTION_REFUSALS.values(), ids=PROJECTION_REFUSALS.keys())
+def test_projection_refuses_non_finite_points(call, message):
+    with pytest.raises(ProjectionError, match=message):
         call()

@@ -31,6 +31,7 @@ from .geometry import (
     _edge_chain,
     _member_points,
     _points,
+    _real_array,
     normal_cone_angle_2d,
     project_cone_nonneg_batch,
     tangent_cone_2d,
@@ -103,7 +104,7 @@ def statistical_dimension_mc(generators, n: int, seed: int = DEFAULT_SEED) -> Ri
     Averages ||Pi_C(Z)||^2 over standard normal draws using the exact
     nonnegative least-squares cone projection; deterministic in ``seed``.
     """
-    G = np.asarray(generators, dtype=float)
+    G = _real_array(generators, "generators")
     if G.ndim != 2 or G.shape[0] < 1:
         raise ValueError("generators must be a nonempty m x d array")
     cfg = MCConfig(n=n, seed=seed)
@@ -385,17 +386,15 @@ def _scan_level(cfg: MCConfig, searches: list[_SupSearch]) -> float:
 
     Each chunk is drawn once and shared by all of them.  The sum of
     sqrt(loss) of each estimate is taken per chunk, before the moment
-    reduction overwrites the loss, and summed in chunk order, so the
-    worker count cannot change it.
+    reduction overwrites the loss, and summed in chunk order.
     """
-    n_chunks = (cfg.n + cfg.chunk - 1) // cfg.chunk
-    per_chunk = [None] * n_chunks
+    per_chunk = []
     queued = [(s, s.todo) for s in searches if s.todo]
 
     def chunk_losses(start, z):
         scratch = np.empty(min(len(z), _ROOT_BLOCK))
         sums = []
-        per_chunk[start // cfg.chunk] = (float(np.max(np.einsum("ij,ij->i", z, z))), sums)
+        per_chunk.append((float(np.max(np.einsum("ij,ij->i", z, z))), sums))
         for s, todo in queued:
             for loss in _losses(s.P, s.candidates[todo], s.sigma, start, z):
                 sums.append(_root_sum(loss, scratch))

@@ -2,14 +2,16 @@
 
 Polytopes are given by their vertices, conv{v_1, ..., v_K}.  One function,
 ``_block_projector``, picks the projector for a polytope: in the plane an
-exact edge search (a segment is one edge, a point one edge of length zero),
-in any other dimension Wolfe's min-norm-point iteration, each point with its
-own active set and a certified result.  Cones given by generators have an
-exact nonnegative least-squares projection by subset enumeration.  All three
-work on blocks of points, and the batch projections are row independent: a
-point projected alone gives the same bits as inside any batch.  The running
-triangle family also has a region-table projector.  Tangent and normal cones
-are classified for planar polytopes.
+exact edge search (``_PolygonBlocks``), in any other dimension Wolfe's
+min-norm-point iteration (``_MinNormPoint``), each point with its own active
+set and a certified result.  Cones given by generators have an exact
+projection by subset enumeration (``_ConeBlocks``).  All three are block
+projectors: ``project(y, first)`` maps a (d, b) block of coordinate rows,
+b <= ``size``, to a (d, b) array and names a bad point by its index from
+``first``; ``_project_rows`` drives any of them over the rows of an (n, d)
+array.  A point projected alone gives the same bits as inside any batch.
+The running triangle family also has a region-table projector.  Tangent and
+normal cones are classified for planar polytopes.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe for shared concurrent use.
@@ -41,6 +43,17 @@ def _real(value) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     return math.nan
+
+
+def _real_array(value, name: str, ndmin: int = 0) -> np.ndarray:
+    """A float copy of ``value`` if it holds real numbers, not complex, bool or text; else ValueError naming ``name``."""
+    try:
+        arr = np.array(value, ndmin=ndmin)
+        if arr.dtype.kind in "iufO":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be numeric, got {value!r}")
 
 
 def _cross2(o, a, b):
@@ -85,7 +98,7 @@ class ConvexPolytope:
     __slots__ = ("vertices", "dim")
 
     def __init__(self, vertices):
-        arr = np.array(vertices, dtype=float)
+        arr = _real_array(vertices, "vertices")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("vertices must be a nonempty K x d array")
         if not np.all(np.isfinite(arr)):
@@ -239,12 +252,32 @@ def _edge_chain(k: int) -> list[tuple[int, int]]:
 _PROJECT_BLOCK = 1 << 14
 
 
+def _select(x: np.ndarray, foot: np.ndarray, better: np.ndarray, bits: np.ndarray, mask: np.ndarray):
+    """x = foot where ``better``, as x ^= (x ^ foot) & -better on the int64 bits of the (d, b) rows.
+
+    ``bits`` and ``mask`` are int64 scratch rows: a masked copy, whose
+    branches depend on the data, costs more than these three plain passes.
+    """
+    np.negative(better.view(np.int8), out=mask)
+    for xc, fc in zip(x.view(np.int64), foot.view(np.int64)):
+        np.bitwise_xor(xc, fc, out=bits)
+        bits &= mask
+        xc ^= bits
+
+
+def _refuse(finite: np.ndarray, y: np.ndarray, first: int, target: str):
+    """Raise :class:`ProjectionError` for the first point of the (d, b) block ``y`` that is not ``finite``."""
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ProjectionError(f"point {first + i} {y[:, i].tolist()!r} has no finite distance to the {target}")
+
+
 class _PolygonBlocks:
     """Projection onto a planar polytope, one block of points at a time.
 
     The polytope is the chain of edges of :func:`_edge_chain`; a point has
-    none, and its foot is its vertex.  Holds scratch for blocks of up to
-    ``size`` points, so it is not safe for concurrent use:
+    none, and its foot is its vertex.  Holds scratch for a call of ``rows``
+    points, in blocks of up to ``size``, so it is not safe for concurrent use:
     :func:`_block_projector` makes a new one per call.  The scratch is seven
     float rows, whatever K: the offsets y - v, which later hold an edge's
     foot; t, also read as int64 bits; the squared distance, also read as the
@@ -252,7 +285,7 @@ class _PolygonBlocks:
     rows.  Two flag rows hold inside and better.
     """
 
-    def __init__(self, P: ConvexPolytope, size: int):
+    def __init__(self, P: ConvexPolytope, rows: int):
         v = P.vertices
         edge = np.roll(v, -1, axis=0) - v
         len_sq = np.einsum("ij,ij->i", edge, edge)
@@ -261,7 +294,7 @@ class _PolygonBlocks:
         self._edges = [
             (v[i, 0], v[i, 1], edge[i, 0], edge[i, 1], len_sq[i]) for i, _ in _edge_chain(len(v))
         ]
-        self.size = size
+        self.size = size = min(max(rows, 1), _PROJECT_BLOCK)
         self._floats = np.empty((7, size))
         self._flags = np.empty((2, size), dtype=bool)
 
@@ -272,10 +305,9 @@ class _PolygonBlocks:
 
         Per edge it evaluates the foot v + t e, t = clip(<y - v, e> / ||e||^2,
         0, 1); on a polygon it keeps the foot of the last edge whose distance
-        is strictly below the best so far, and points inside stay.  A point
-        with no finite distance to the set (NaN or infinite coordinates, or,
-        on a polygon, an overflowing squared distance) raises
-        :class:`ProjectionError` naming its index from ``first``.
+        is strictly below the best so far, and points inside stay.  It refuses
+        a point with no finite distance to the set: NaN or infinite
+        coordinates, or, on a polygon, an overflowing squared distance.
         """
         b = y.shape[1]
         y0, y1 = y
@@ -283,8 +315,6 @@ class _PolygonBlocks:
         (d0, d1), (x0, x1) = d, x
         t, d2, best = self._floats[2:5, :b]
         inside, better = flags = self._flags[:, :b]
-        # the select works on int64 bits: a masked copy, whose branches
-        # depend on the data, costs more than three plain passes
         bits, mask = t.view(np.int64), d2.view(np.int64)
         closed = self._closed
         # every step rounds as e0 * d1 >= e1 * d0, (d0 * e0 + d1 * e1) / len_sq,
@@ -325,12 +355,7 @@ class _PolygonBlocks:
                     continue
                 np.less(d2, best, out=better)
                 np.fmin(best, d2, out=best)
-                # x = foot where better, as x ^= (x ^ foot) & -better
-                np.negative(better.view(np.int8), out=mask)
-                for xc, fc in zip(x.view(np.int64), d.view(np.int64)):
-                    np.bitwise_xor(xc, fc, out=bits)
-                    bits &= mask
-                    xc ^= bits
+                _select(x, d, better, bits, mask)
         if closed:
             finite = np.isfinite(best, out=better)
             np.copyto(x, y, where=inside)
@@ -342,22 +367,12 @@ class _PolygonBlocks:
                 np.copyto(x, self._point)
             finite = np.isfinite(y, out=flags).all(axis=0)
             finite &= np.isfinite(x0, out=inside)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ProjectionError(
-                f"point {first + i} ({float(y0[i])!r}, {float(y1[i])!r}) has no finite "
-                "distance to the polygon"
-            )
+        _refuse(finite, y, first, "polygon")
         return x
 
 
 def project_polygon_2d_batch(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
-    """Planar :func:`project_polytope_batch` for an (n, 2) array of points.
-
-    Points are projected in blocks of ``_PROJECT_BLOCK``; a point with no
-    finite distance to the polytope raises :class:`ProjectionError` naming
-    its row.
-    """
+    """Planar :func:`project_polytope_batch` for an (n, 2) array of points, raising as it does."""
     if P.dim != 2:
         raise ValueError("project_polygon_2d_batch requires a planar polytope")
     return project_polytope_batch(P, Y)
@@ -579,19 +594,19 @@ def _min_norm_point(P: ConvexPolytope) -> _MinNormPoint:
 
 
 def _block_projector(P: ConvexPolytope, rows: int):
-    """The projector for ``P`` and a call of ``rows`` points: a new edge search
-    in the plane, the shared min-norm-point solver elsewhere.  ``project(y,
-    first)`` projects a (d, b) block of coordinate rows, b <= ``size``, and
-    counts points from ``first`` in its errors.
+    """The projector for ``P`` and a call of ``rows`` points: a new
+    ``_PolygonBlocks`` in the plane, the shared ``_MinNormPoint`` elsewhere.
+    Like ``_ConeBlocks``, each maps a (d, b) block of coordinate rows, b <=
+    ``size``, by ``project(y, first)`` to a (d, b) array, possibly a view of
+    its scratch, and counts points from ``first`` in its errors.
     """
     if P.dim == 2:
-        return _PolygonBlocks(P, min(max(rows, 1), _PROJECT_BLOCK))
+        return _PolygonBlocks(P, rows)
     return _min_norm_point(P)
 
 
-def _project_rows(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
-    """Projections of the rows of the (n, d) array ``Y``, one projector block at a time."""
-    projector = _block_projector(P, len(Y))
+def _project_rows(projector, Y: np.ndarray) -> np.ndarray:
+    """Projections of the rows of the (n, d) array ``Y``, one ``projector`` block at a time, as a new C-ordered array."""
     out = np.empty_like(Y, order="C")
     for start in range(0, len(Y), projector.size):
         rows = slice(start, start + projector.size)
@@ -619,7 +634,7 @@ def project_polytope_batch(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != P.dim:
         raise ValueError(f"Y must be an (n, {P.dim}) array")
-    return _project_rows(P, Y)
+    return _project_rows(_block_projector(P, len(Y)), Y)
 
 
 def project_polytope(P: ConvexPolytope, y) -> np.ndarray:
@@ -662,10 +677,7 @@ def normal_cone_angle_2d(P: ConvexPolytope, i: int) -> float:
 
 def _points(thetas, name: str = "theta_star") -> np.ndarray:
     """``thetas`` as a nonempty 2-D float array of finite points; else ValueError naming ``name``."""
-    try:
-        points = np.array(thetas, dtype=float, ndmin=2)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be numeric, got {thetas!r}") from None
+    points = _real_array(thetas, name, ndmin=2)
     if points.ndim != 2 or points.size == 0:
         raise ValueError(f"{name} must be a point or a list of points")
     if not np.all(np.isfinite(points)):
@@ -681,7 +693,7 @@ def _member_points(P: ConvexPolytope, thetas, name: str = "theta_star") -> np.nd
     points = _points(thetas, name)
     if points.shape[1] != P.dim:
         raise ValueError(f"{name} must have dimension {P.dim}")
-    outside = np.linalg.norm(_project_rows(P, points) - points, axis=1) > MEMBERSHIP_TOL
+    outside = np.linalg.norm(project_polytope_batch(P, points) - points, axis=1) > MEMBERSHIP_TOL
     if np.any(outside):
         raise ValueError(f"{name} {points[int(np.argmax(outside))]} must belong to the polytope")
     return points
@@ -715,7 +727,7 @@ def tangent_cone_2d(P: ConvexPolytope, theta) -> Cone2D:
         if float(np.linalg.norm(v[i] - theta)) <= MEMBERSHIP_TOL:
             return Cone2D(ConeKind.WEDGE, math.pi - normal_cone_angle_2d(P, i))
     for edge in _edge_chain(k):
-        (foot,) = _project_rows(ConvexPolytope(v[list(edge)]), theta[None])
+        (foot,) = project_polytope_batch(ConvexPolytope(v[list(edge)]), theta[None])
         if float(np.linalg.norm(foot - theta)) <= MEMBERSHIP_TOL:
             return Cone2D(ConeKind.HALFPLANE, math.pi)
     return Cone2D(ConeKind.FULL, 2.0 * math.pi)
@@ -733,6 +745,68 @@ def _left_sum(terms, out: np.ndarray, tmp: np.ndarray):
         out += np.multiply(row, scale, out=tmp)
 
 
+class _ConeBlocks:
+    """Projection onto cone{g_1, ..., g_m} by subset enumeration, one block of points at a time.
+
+    Holds each subset's pseudo-inverse and scratch for ``size`` points, so
+    :func:`project_cone_nonneg_batch` makes a new one per call.  The product
+    term row doubles as the select bits, the squared distance as its mask.
+    """
+
+    def __init__(self, G: np.ndarray, rows: int):
+        m, d = G.shape
+        # an optimal active set can always be chosen linearly independent
+        self._subsets = [
+            (A, np.linalg.pinv(A))
+            for k in range(1, min(m, d) + 1)
+            for A in (G[list(subset)] for subset in itertools.combinations(range(m), k))
+        ]
+        self.size = size = min(max(rows, 1), _PROJECT_BLOCK)
+        self._rows = np.empty((3, d, size))
+        self._coefs = np.empty((min(m, d), size))
+        self._floats = np.empty((3, size))
+        self._flags = np.empty((2, size), dtype=bool)
+
+    # rows with no finite distance go through inf/NaN arithmetic, then raise
+    @np.errstate(invalid="ignore", over="ignore")
+    def project(self, y: np.ndarray, first: int) -> np.ndarray:
+        """Project the (d, b) block of coordinate rows ``y``, into a view of the scratch.
+
+        Each sum runs left to right, one pass per term: with P = pinv(A), coef_j =
+        z_0 P[0, j] + z_1 P[1, j] + ..., proj_i = sum_j coef_j A[j, i], d2 = sum_i (z_i - proj_i)^2.
+        """
+        b = y.shape[1]
+        z, x, p = self._rows[:, :, :b]
+        t, d2, best_d2 = self._floats[:, :b]
+        feasible, better = self._flags[:, :b]
+        bits, mask = t.view(np.int64), d2.view(np.int64)
+        np.copyto(z, y)
+        x.fill(0.0)
+        _left_sum(zip(z, z), best_d2, t)
+        for A, pinv in self._subsets:
+            coef = self._coefs[: len(A), :b]
+            for c, column in zip(coef, pinv.T):
+                _left_sum(zip(z, column), c, t)
+            np.greater_equal(coef[0], _CONE_COEF_FLOOR, out=feasible)
+            for c in coef[1:]:
+                feasible &= np.greater_equal(c, _CONE_COEF_FLOOR, out=better)
+            if not feasible.any():
+                continue
+            for pi, column in zip(p, A.T):
+                _left_sum(zip(coef, column), pi, t)
+            np.subtract(z[0], p[0], out=d2)
+            np.square(d2, out=d2)
+            for zi, pi in zip(z[1:], p[1:]):
+                np.subtract(zi, pi, out=t)
+                d2 += np.square(t, out=t)
+            np.less(d2, best_d2, out=better)
+            better &= feasible
+            np.copyto(best_d2, d2, where=better)
+            _select(x, p, better, bits, mask)
+        _refuse(np.isfinite(best_d2, out=better), y, first, "cone")
+        return x
+
+
 def project_cone_nonneg_batch(generators, Z: np.ndarray) -> np.ndarray:
     """Projection of the rows of an (n, d) array ``Z`` onto cone{g_1, ..., g_m}.
 
@@ -744,18 +818,15 @@ def project_cone_nonneg_batch(generators, Z: np.ndarray) -> np.ndarray:
     empty subset, the origin, is the first best; a later subset replaces it
     only where its squared distance is strictly smaller.
 
-    Each subset's pseudo-inverse P is computed once per call.  Rows are
-    projected in blocks of ``_PROJECT_BLOCK``, held as (d, b) coordinate rows
-    in scratch allocated once per call, and every sum runs left to right,
-    one elementwise pass per term: coef_j = z_0 P[0, j] + z_1 P[1, j] + ...,
-    proj_i = sum_j coef_j A[j, i] and d2 = sum_i (z_i - proj_i)^2.  So a row
-    projected alone gives the same bits as inside any batch, and
-    coordinate-axis generators, whose products are exact, give exact feet.
-    The result is a new C-contiguous (n, d) array.  A row with no finite
-    distance to the cone (NaN or infinite coordinates, or an overflowing
-    squared distance) raises :class:`ProjectionError` naming its index.
+    Rows go through ``_ConeBlocks`` in blocks of ``_PROJECT_BLOCK``, whose
+    sums run left to right, so a row projected alone gives the same bits as
+    inside any batch, and coordinate-axis generators, whose products are
+    exact, give exact feet.  The result is a new C-contiguous (n, d) array.
+    A row with no finite distance to the cone (NaN or infinite coordinates,
+    or an overflowing squared distance) raises :class:`ProjectionError`
+    naming its index.
     """
-    G = np.asarray(generators, dtype=float)
+    G = _real_array(generators, "generators")
     if G.ndim != 2 or G.shape[0] < 1:
         raise ValueError("generators must be a nonempty m x d array")
     if not np.all(np.isfinite(G)):
@@ -768,69 +839,7 @@ def project_cone_nonneg_batch(generators, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != d:
         raise ValueError(f"Z must be an (n, {d}) array")
-    n = len(Z)
-    size = min(max(n, 1), _PROJECT_BLOCK)
-    # an optimal active set can always be chosen linearly independent
-    subsets = (
-        (A, np.linalg.pinv(A))
-        for k in range(1, min(m, d) + 1)
-        for A in (G[list(subset)] for subset in itertools.combinations(range(m), k))
-    )
-    if n > size:
-        # kept for the later blocks; one block reads them as they come
-        subsets = list(subsets)
-    # coordinate rows of z, the best foot, the candidate foot and its
-    # coefficients; t is a product term, later the int64 blend bits, and d2
-    # later the int64 select mask
-    z_rows, best, proj = np.empty((3, d, size))
-    coefs = np.empty((min(m, d), size))
-    t_row, d2_row, best_d2_row = np.empty((3, size))
-    feasible_row, better_row = np.empty((2, size), dtype=bool)
-    out = np.empty((n, d))
-    for first in range(0, n, size):
-        b = min(size, n - first)
-        z, x, p = z_rows[:, :b], best[:, :b], proj[:, :b]
-        t, d2, best_d2 = t_row[:b], d2_row[:b], best_d2_row[:b]
-        feasible, better = feasible_row[:b], better_row[:b]
-        bits, mask = t.view(np.int64), d2.view(np.int64)
-        np.copyto(z, Z[first : first + b].T)
-        x.fill(0.0)
-        # rows with no finite distance go through inf/NaN arithmetic, then raise
-        with np.errstate(invalid="ignore", over="ignore"):
-            _left_sum(zip(z, z), best_d2, t)
-            for A, pinv in subsets:
-                coef = coefs[: len(A), :b]
-                for c, column in zip(coef, pinv.T):
-                    _left_sum(zip(z, column), c, t)
-                np.greater_equal(coef[0], _CONE_COEF_FLOOR, out=feasible)
-                for c in coef[1:]:
-                    feasible &= np.greater_equal(c, _CONE_COEF_FLOOR, out=better)
-                if not feasible.any():
-                    continue
-                for pi, column in zip(p, A.T):
-                    _left_sum(zip(coef, column), pi, t)
-                np.subtract(z[0], p[0], out=d2)
-                np.square(d2, out=d2)
-                for zi, pi in zip(z[1:], p[1:]):
-                    np.subtract(zi, pi, out=t)
-                    d2 += np.square(t, out=t)
-                np.less(d2, best_d2, out=better)
-                better &= feasible
-                np.copyto(best_d2, d2, where=better)
-                # x = foot where better, as x ^= (x ^ foot) & -better
-                np.negative(better.view(np.int8), out=mask)
-                for xc, pc in zip(x.view(np.int64), p.view(np.int64)):
-                    np.bitwise_xor(xc, pc, out=bits)
-                    bits &= mask
-                    xc ^= bits
-        finite = np.isfinite(best_d2, out=better)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ProjectionError(
-                f"point {first + i} {Z[first + i].tolist()!r} has no finite distance to the cone"
-            )
-        out[first : first + b] = x.T
-    return out
+    return _project_rows(_ConeBlocks(G, len(Z)), Z)
 
 
 def project_cone_nonneg(generators, z) -> np.ndarray:
@@ -841,7 +850,7 @@ def project_cone_nonneg(generators, z) -> np.ndarray:
     generator, and is orthogonal to the projection) at the certificate
     tolerance ``_CERTIFICATE_TOL``.
     """
-    G = np.asarray(generators, dtype=float)
+    G = _real_array(generators, "generators")
     z = np.asarray(z, dtype=float)
     if G.ndim != 2 or z.shape != (G.shape[1],):
         raise ValueError("z must be a vector matching the generator dimension")

@@ -154,22 +154,19 @@ def _chunked_estimate(d: int, cfg: MCConfig, chunk_losses) -> list[RiskEstimate]
     each is bitwise identical to a run of its loss alone.
     """
     n, seed, chunk = cfg.n, cfg.seed, cfg.chunk
-    n_chunks = (n + chunk - 1) // chunk
-
-    def run(j: int):
-        m = min(chunk, n - j * chunk)
-        z = _chunk_normals(seed, j, m, d)
+    parts = []
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
         moments = []
-        for loss in chunk_losses(j * chunk, z):
+        # only the loss generator holds the normals, so they go before the next chunk's are drawn
+        for loss in chunk_losses(start, _chunk_normals(seed, start // chunk, m, d)):
             mean = float(loss.mean())
             loss -= mean
             np.square(loss, out=loss)
             moments.append((m, mean, float(np.sum(loss))))
             # release it before the next is requested, which may start a new loss loop
             del loss
-        return moments
-
-    parts = [run(j) for j in range(n_chunks)]
+        parts.append(moments)
     estimates = []
     for per_chunk in zip(*parts):
         count, mean, m2 = _merge_moments(per_chunk)

@@ -103,6 +103,22 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["statdim", "--polytope-file", "{file}", "--theta", "0,0"],
+            ["risk", "--set", "polytope-file", "--file", "{file}", "--theta", "0,0", "--sigma", "1", "--mc"],
+        ],
+        ids=["statdim", "risk"],
+    )
+    @pytest.mark.parametrize("vertices", [{"a": 1}, [["0", "0"], ["1", "0"]]], ids=["object", "text"])
+    def test_non_numeric_polytope_file_exits_two(self, capsys, tmp_path, argv, vertices):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": vertices}))
+        code, _, err = run_cli(capsys, [arg.format(file=path) for arg in argv])
+        assert code == 2
+        assert "vertices must be numeric" in err
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -26,7 +26,10 @@ from riskrev.geometry import (
     ExampleGeometry,
     ProjectionError,
     RegionLabel,
+    _ConeBlocks,
     _MinNormPoint,
+    _PolygonBlocks,
+    _project_rows,
     normal_cone_angle_2d,
     project_cone_nonneg,
     project_cone_nonneg_batch,
@@ -873,3 +876,50 @@ class TestMinNormPointBatch:
     def test_validation(self):
         with pytest.raises(ValueError):
             project_polytope_batch(CUBE, np.zeros((4, 2)))
+
+
+# every block projector, as a factory of one for a call of ``rows`` points
+BLOCK_PROJECTORS = {
+    **{f"polygon-K{k}": (2, lambda rows, k=k: _PolygonBlocks(KERNEL_POLYTOPES[k], rows)) for k in (1, 2, 3)},
+    "min-norm-point-d1": (1, lambda rows: _MinNormPoint(ConvexPolytope([[-1.0], [0.5], [2.0]]))),
+    "min-norm-point-d3": (3, lambda rows: _MinNormPoint(CUBE)),
+    "cone-orthant": (3, lambda rows: _ConeBlocks(np.eye(3), rows)),
+    "cone-random-6x3": (3, lambda rows: _ConeBlocks(CONE_ROW_CASES["random-6x3"], rows)),
+}
+
+
+def _every_other_row(Y):
+    """``Y`` as a view of every other row of a larger array whose skipped rows are NaN."""
+    spread = np.full((2 * len(Y), Y.shape[1]), math.nan)
+    spread[::2] = Y
+    return spread[::2]
+
+
+class TestBlockProjectorProtocol:
+    """``project`` maps a (d, b) block to (d, b), and ``_project_rows`` returns a
+    new C-ordered (n, d) array whose bytes do not depend on the input's layout.
+
+    The losses sum the rows of that array, and an F-ordered one rounds some
+    row sums differently, so a projector that broke the contract would move
+    seeded outputs.
+    """
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["n=0", "size-1", "size", "size+1"])
+    @pytest.mark.parametrize("name", list(BLOCK_PROJECTORS))
+    def test_contract(self, name, offset):
+        d, make = BLOCK_PROJECTORS[name]
+        size = make(1 << 30).size
+        n = 0 if offset is None else size + offset
+        rng = np.random.default_rng(len(name) + n)
+        Y = 3.0 * rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 1))
+        out = _project_rows(make(n), Y)
+        assert out.shape == (n, d) and out.dtype == np.float64 and out.flags.c_contiguous
+        assert not np.shares_memory(out, Y)
+        for layout in (np.asfortranarray(Y), _every_other_row(Y)):
+            got = _project_rows(make(n), layout)
+            assert got.flags.c_contiguous and got.tobytes() == out.tobytes()
+        if n:
+            b = min(n, size)
+            block = make(n).project(Y[:b].T, 0)
+            assert block.shape == (d, b)
+            assert np.ascontiguousarray(block.T).tobytes() == out[:b].tobytes()

@@ -1,8 +1,10 @@
 """One owner per input rule: every entry point refuses a bad argument by name.
 
 ``exact_risk`` owns "sigma is one positive finite real", ``geometry`` owns
-"theta* is a finite point of P" and, through ``ExampleGeometry``, "c and
-x are real numbers, not bools", and ``montecarlo`` owns "counts are
+"theta* is a finite point of P", through ``_real_array`` "vertices and
+generators are real numbers, not complex, bool or text" and, through
+``ExampleGeometry``, "c and x are real numbers, not bools", and
+``montecarlo`` owns "counts are
 integers", in ``_effective_sigma``, the effective noise
 sigma / sqrt(n_obs), and, in ``_worker_count``, "``RISKREV_THREADS`` is a
 positive integer".  Each row of the table below calls one entry point,
@@ -18,9 +20,12 @@ from unittest import mock
 
 import pytest
 
-from riskrev.asymptotics import limiting_risk, small_noise_risk, vertex_probabilities_2d
+import numpy as np
+
+from riskrev.asymptotics import limiting_risk, small_noise_risk, statistical_dimension_mc, vertex_probabilities_2d
 from riskrev.exact_risk import RiskQuery, risk_segment_exact
 from riskrev.geometry import (
+    ConvexPolytope,
     ExampleGeometry,
     ProjectionError,
     project_cone_nonneg,
@@ -91,6 +96,23 @@ REFUSALS = {
         lambda: threads_from("2.5"), r"^RISKREV_THREADS must be a positive integer, got '2\.5'$"),
     "RISKREV_THREADS-exponent": (
         lambda: threads_from("1e3"), r"^RISKREV_THREADS must be a positive integer, got '1e3'$"),
+    "ConvexPolytope-vertices-dict": (
+        lambda: ConvexPolytope({"a": 1}), r"^vertices must be numeric, got \{'a': 1\}$"),
+    "ConvexPolytope-vertices-complex": (lambda: ConvexPolytope([[1 + 2j, 0]]), r"^vertices must be numeric"),
+    "ConvexPolytope-vertices-complex-array": (
+        lambda: ConvexPolytope(np.array([[1 + 2j, 0.0], [0.0, 1.0]])), r"^vertices must be numeric"),
+    "ConvexPolytope-vertices-text": (
+        lambda: ConvexPolytope([["0", "0"], ["1", "0"]]), r"^vertices must be numeric"),
+    "ConvexPolytope-vertices-bool": (
+        lambda: ConvexPolytope([[True, False], [False, True]]), r"^vertices must be numeric"),
+    "project_cone_nonneg_batch-generators-dict": (
+        lambda: project_cone_nonneg_batch({"a": 1}, [[1.0, 0.0]]), r"^generators must be numeric, got \{'a': 1\}$"),
+    "project_cone_nonneg_batch-generators-complex": (
+        lambda: project_cone_nonneg_batch([[1j, 0.0]], [[1.0, 0.0]]), r"^generators must be numeric"),
+    "project_cone_nonneg-generators-dict": (
+        lambda: project_cone_nonneg({"a": 1}, [1.0, 0.0]), r"^generators must be numeric"),
+    "statistical_dimension_mc-generators-text": (
+        lambda: statistical_dimension_mc([["1", "0"]], n=10), r"^generators must be numeric"),
 }
 
 

@@ -29,8 +29,11 @@ from .geometry import (
     ConvexPolytope,
     ExampleGeometry,
     _edge_chain,
+    _generators,
+    _integer,
     _member_points,
     _points,
+    _real,
     _real_array,
     normal_cone_angle_2d,
     project_cone_nonneg_batch,
@@ -42,7 +45,6 @@ from .montecarlo import (
     MCConfig,
     RiskEstimate,
     _chunked_estimate,
-    _integer,
     _losses,
     sample_unit_sphere,
 )
@@ -68,14 +70,14 @@ class VertexDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        if len(probs) < 1:
-            raise ValueError("probs must be nonempty")
+        probs = _real_array(self.probs, "probs")
+        if probs.ndim != 1 or len(probs) < 1:
+            raise ValueError("probs must be a nonempty 1-D array")
         if any(not (-1e-12 <= p <= 1.0 + 1e-12) for p in probs):
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", tuple(probs.tolist()))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -84,13 +86,15 @@ class VertexDistribution:
 def statistical_dimension_2d(cone: Cone2D) -> float:
     """delta(C) = E||Pi_C(Z)||^2 for a planar cone.
 
-    A ray contributes 1/2, a wedge of angle t contributes 1/2 + t/pi (the
+    A ray contributes 1/2, a line 1, a wedge of angle t 1/2 + t/pi (the
     halfplane is the t = pi case), the full plane 2, and the origin 0.
     """
     if cone.kind is ConeKind.POINT:
         return 0.0
     if cone.kind is ConeKind.RAY:
         return 0.5
+    if cone.kind is ConeKind.LINE:
+        return 1.0
     if cone.kind is ConeKind.WEDGE:
         return 0.5 + cone.apex_angle / math.pi
     if cone.kind is ConeKind.HALFPLANE:
@@ -104,9 +108,7 @@ def statistical_dimension_mc(generators, n: int, seed: int = DEFAULT_SEED) -> Ri
     Averages ||Pi_C(Z)||^2 over standard normal draws using the exact
     nonnegative least-squares cone projection; deterministic in ``seed``.
     """
-    G = _real_array(generators, "generators")
-    if G.ndim != 2 or G.shape[0] < 1:
-        raise ValueError("generators must be a nonempty m x d array")
+    G = _generators(generators)
     cfg = MCConfig(n=n, seed=seed)
 
     def chunk_losses(start, z):
@@ -197,9 +199,9 @@ def delta_x(c: float, x: float) -> float:
     limiting risk at theta* = v1.
     """
     c = ExampleGeometry(c=c).c
-    x = float(x)
+    given, x = x, _real(x)
     if not (math.isfinite(x) and 0.0 < x < 1.0 / c):
-        raise ValueError(f"x must lie in (0, 1/c), got {x!r}")
+        raise ValueError(f"x must lie in (0, 1/c), got {given!r}")
     one_plus = 1.0 + x * x
     return one_plus / (2.0 * math.pi) * (0.5 * math.pi * x * x / one_plus - math.atan(x))
 
@@ -232,7 +234,7 @@ def envelope_curve(c: float, x_grid) -> tuple[np.ndarray, ...]:
     """
     g = ExampleGeometry(c=c)
     c = g.c
-    x = np.array(x_grid, dtype=float)
+    x = np.array(_real_array(x_grid, "x_grid"))
     if x.ndim != 1 or len(x) < 1:
         raise ValueError("x_grid must be a nonempty 1-D array")
     if not np.all(np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0 / c):

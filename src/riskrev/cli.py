@@ -40,8 +40,8 @@ from .asymptotics import (
     statistical_dimension_mc,
 )
 from .exact_risk import RiskQuery, risk_segment_exact, risk_triangle_exact
-from .geometry import ConvexPolytope, ExampleGeometry, ProjectionError, tangent_cone_2d
-from .montecarlo import DEFAULT_SEED, MCConfig, _effective_sigma, _integer, mc_risk
+from .geometry import ConvexPolytope, ExampleGeometry, ProjectionError, _integer, tangent_cone_2d
+from .montecarlo import DEFAULT_SEED, MCConfig, _effective_sigma, mc_risk
 
 DEFAULT_SAMPLES = 1_000_000
 

@@ -26,7 +26,7 @@ from .gaussfn import (
     std_normal_cdf_minus_half,
     std_normal_pdf,
 )
-from .geometry import ExampleGeometry, RegionLabel, _points, _real
+from .geometry import ExampleGeometry, RegionLabel, _points, _real, _real_array
 
 # |total - sum of region contributions| must stay below this
 BREAKDOWN_TOL = 1e-12
@@ -85,12 +85,9 @@ def _sigmas(sigma) -> np.ndarray:
     named as given.
     """
     try:
-        numeric = np.asarray(sigma).dtype.kind in "iuf"
-    except ValueError:  # a ragged sequence
-        numeric = False
-    if not numeric:
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
-    sigma = np.asarray(sigma, dtype=float)
+        sigma = _real_array(sigma, "sigma")
+    except ValueError:
+        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}") from None
     bad = sigma[~(np.isfinite(sigma) & (sigma > 0.0))]
     if bad.size:
         raise ValueError(f"sigma must be a positive finite real, got {float(bad[0])!r}")

@@ -15,6 +15,8 @@ import math
 import numpy as np
 from scipy import special
 
+from .geometry import _real_array
+
 IDENTITY_TOL = 1e-12
 QUADRATURE_TOL = 1e-10
 
@@ -28,7 +30,7 @@ def _result(value):
 
 
 def _require_finite(name, value):
-    array = np.asarray(value, dtype=float)
+    array = _real_array(value, name)
     bad = array[~np.isfinite(array)]
     if bad.size:
         raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
@@ -67,7 +69,7 @@ def owens_t(h, a):
         T(h, -a) = -T(h, a),  T(-h, a) = T(h, a).
     """
     h = _require_finite("h", h)
-    a = np.asarray(a, dtype=float)
+    a = _real_array(a, "a")
     if np.isnan(a).any():
         raise ValueError("a must not be NaN")
     limit = np.copysign(0.5 * special.ndtr(-np.abs(h)), a)

@@ -38,22 +38,53 @@ class ProjectionError(RuntimeError):
     """A projection failed to certify its result or had no finite answer."""
 
 
+def _is_real(value) -> bool:
+    """True for a real number other than a bool: Python's and numpy's ints and floats, Fractions."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _real(value) -> float:
     """``value`` as a float if it is a real number other than a bool, else NaN, which every range check refuses."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    return math.nan
+    try:
+        return float(value) if _is_real(value) else math.nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        return math.nan
 
 
 def _real_array(value, name: str, ndmin: int = 0) -> np.ndarray:
-    """A float copy of ``value`` if it holds real numbers, not complex, bool or text; else ValueError naming ``name``."""
-    try:
-        arr = np.array(value, ndmin=ndmin)
-        if arr.dtype.kind in "iufO":
-            return arr.astype(float, copy=False)
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"{name} must be numeric, got {value!r}")
+    """``value`` as a float array of at least ``ndmin`` dimensions; else ValueError naming ``name``.
+
+    An ndarray of integer or float dtype passes, and a float64 one with at
+    least ``ndmin`` dimensions comes back as itself, uncopied, so callers
+    that store the result copy it; missing leading axes are added as a view.
+    Any other value passes if every entry is a real number other than a
+    bool, as :func:`_real` decides for a scalar: numpy would read
+    ``[1.5, True]`` as [1.5, 1.0] and ``"0.5"`` as 0.5, and cut a complex
+    value to its real part.  ``None``, text, complex, dicts, ragged lists
+    and integers beyond the float range are refused.
+    """
+    array = value
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        try:
+            array = np.array(value, dtype=object)
+            array = array.astype(float) if all(map(_is_real, array.flat)) else None
+        except (ValueError, OverflowError):  # a ragged sequence, or an int beyond the float range
+            array = None
+        if array is None:
+            raise ValueError(f"{name} must be numeric, got {value!r}")
+    array = np.asarray(array, dtype=float)
+    return array if array.ndim >= ndmin else array.reshape((1,) * (ndmin - array.ndim) + array.shape)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is integral and not a bool; else ValueError naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _cross2(o, a, b):
@@ -98,7 +129,7 @@ class ConvexPolytope:
     __slots__ = ("vertices", "dim")
 
     def __init__(self, vertices):
-        arr = _real_array(vertices, "vertices")
+        arr = np.array(_real_array(vertices, "vertices"))
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("vertices must be a nonempty K x d array")
         if not np.all(np.isfinite(arr)):
@@ -205,6 +236,7 @@ class RegionLabel(Enum):
 class ConeKind(Enum):
     POINT = "point"
     RAY = "ray"
+    LINE = "line"
     WEDGE = "wedge"
     HALFPLANE = "halfplane"
     FULL = "full"
@@ -215,27 +247,29 @@ class Cone2D:
     """Closed convex cone in the plane, described by the arc of its directions.
 
     ``apex_angle`` is the arc measure (radians) of the cone's unit directions:
-    0 for a point or ray, the opening angle in (0, pi) for a wedge, pi for a
-    halfplane, and 2*pi for the full plane.
+    0 for a point, a ray or a line (whose directions are two opposite
+    points), the opening angle in (0, pi) for a wedge, pi for a halfplane,
+    and 2*pi for the full plane.
     """
 
     kind: ConeKind
     apex_angle: float
 
     def __post_init__(self):
-        angle = float(self.apex_angle)
-        object.__setattr__(self, "apex_angle", angle)
+        angle = _real(self.apex_angle)
         expected = {
             ConeKind.POINT: 0.0,
             ConeKind.RAY: 0.0,
+            ConeKind.LINE: 0.0,
             ConeKind.HALFPLANE: math.pi,
             ConeKind.FULL: 2.0 * math.pi,
         }
         if self.kind is ConeKind.WEDGE:
             if not 0.0 < angle < math.pi:
-                raise ValueError(f"wedge apex angle must lie in (0, pi), got {angle!r}")
-        elif abs(angle - expected[self.kind]) > 1e-12:
-            raise ValueError(f"apex angle {angle!r} inconsistent with kind {self.kind}")
+                raise ValueError(f"wedge apex angle must lie in (0, pi), got {self.apex_angle!r}")
+        elif not abs(angle - expected[self.kind]) <= 1e-12:
+            raise ValueError(f"apex angle {self.apex_angle!r} inconsistent with kind {self.kind}")
+        object.__setattr__(self, "apex_angle", angle)
 
 
 def _edge_chain(k: int) -> list[tuple[int, int]]:
@@ -398,7 +432,7 @@ def project_triangle_example(g: ExampleGeometry, y):
     """
     if g.x is not None:
         raise ValueError("region table applies to the full triangle (x must be None)")
-    y = np.asarray(y, dtype=float)
+    y = _real_array(y, "y")
     if y.shape != (2,):
         raise ValueError("y must be a 2-vector")
     c = g.c
@@ -631,7 +665,7 @@ def project_polytope_batch(P: ConvexPolytope, Y: np.ndarray) -> np.ndarray:
     and its residual.  Each row's result depends on that row alone, bit for
     bit, whatever the batch it is projected in.
     """
-    Y = np.asarray(Y, dtype=float)
+    Y = _real_array(Y, "Y")
     if Y.ndim != 2 or Y.shape[1] != P.dim:
         raise ValueError(f"Y must be an (n, {P.dim}) array")
     return _project_rows(_block_projector(P, len(Y)), Y)
@@ -642,7 +676,7 @@ def project_polytope(P: ConvexPolytope, y) -> np.ndarray:
 
     One row of :func:`project_polytope_batch`, certified and raising as it does.
     """
-    y = np.asarray(y, dtype=float)
+    y = _real_array(y, "y")
     if y.shape != (P.dim,):
         raise ValueError(f"y must be a {P.dim}-vector")
     return project_polytope_batch(P, y[None, :])[0]
@@ -657,6 +691,7 @@ def normal_cone_angle_2d(P: ConvexPolytope, i: int) -> float:
     """
     if P.dim != 2:
         raise ValueError("normal_cone_angle_2d requires a planar polytope")
+    i = _integer("i", i)
     k = P.n_vertices
     if k < 2:
         raise ValueError("normal cone angle needs at least two vertices")
@@ -704,10 +739,9 @@ def tangent_cone_2d(P: ConvexPolytope, theta) -> Cone2D:
 
     Returns the full plane at interior points, a halfplane on the relative
     interior of a polygon edge, a wedge with the interior angle at a polygon
-    vertex, a ray at segment endpoints, and the origin cone for a one-point
-    polytope.  Membership and case classification use ``MEMBERSHIP_TOL``.
-    A point in the relative interior of a segment has a full line as tangent
-    cone, which this classification cannot express; that case raises.
+    vertex, a ray at segment endpoints, a line on the relative interior of a
+    segment, and the origin cone for a one-point polytope.  Membership and
+    case classification use ``MEMBERSHIP_TOL``.
     """
     if P.dim != 2:
         raise ValueError("tangent_cone_2d requires a planar polytope")
@@ -719,10 +753,7 @@ def tangent_cone_2d(P: ConvexPolytope, theta) -> Cone2D:
     if k == 2:
         if min(np.linalg.norm(v[0] - theta), np.linalg.norm(v[1] - theta)) <= MEMBERSHIP_TOL:
             return Cone2D(ConeKind.RAY, 0.0)
-        raise ValueError(
-            "tangent cone at the relative interior of a segment is a full line, "
-            "which Cone2D does not represent"
-        )
+        return Cone2D(ConeKind.LINE, 0.0)
     for i in range(k):
         if float(np.linalg.norm(v[i] - theta)) <= MEMBERSHIP_TOL:
             return Cone2D(ConeKind.WEDGE, math.pi - normal_cone_angle_2d(P, i))
@@ -807,6 +838,18 @@ class _ConeBlocks:
         return x
 
 
+def _generators(generators) -> np.ndarray:
+    """``generators`` as a nonempty, finite m x d float array with m <= ``MAX_CONE_GENERATORS``; else ValueError."""
+    G = _real_array(generators, "generators")
+    if G.ndim != 2 or G.size == 0:
+        raise ValueError("generators must be a nonempty m x d array")
+    if not np.all(np.isfinite(G)):
+        raise ValueError("generators must be finite")
+    if len(G) > MAX_CONE_GENERATORS:
+        raise ValueError(f"subset enumeration supports at most {MAX_CONE_GENERATORS} generators, got {len(G)}")
+    return G
+
+
 def project_cone_nonneg_batch(generators, Z: np.ndarray) -> np.ndarray:
     """Projection of the rows of an (n, d) array ``Z`` onto cone{g_1, ..., g_m}.
 
@@ -826,19 +869,10 @@ def project_cone_nonneg_batch(generators, Z: np.ndarray) -> np.ndarray:
     or an overflowing squared distance) raises :class:`ProjectionError`
     naming its index.
     """
-    G = _real_array(generators, "generators")
-    if G.ndim != 2 or G.shape[0] < 1:
-        raise ValueError("generators must be a nonempty m x d array")
-    if not np.all(np.isfinite(G)):
-        raise ValueError("generators must be finite")
-    m, d = G.shape
-    if m > MAX_CONE_GENERATORS:
-        raise ValueError(
-            f"subset enumeration supports at most {MAX_CONE_GENERATORS} generators, got {m}"
-        )
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[1] != d:
-        raise ValueError(f"Z must be an (n, {d}) array")
+    G = _generators(generators)
+    Z = _real_array(Z, "Z")
+    if Z.ndim != 2 or Z.shape[1] != G.shape[1]:
+        raise ValueError(f"Z must be an (n, {G.shape[1]}) array")
     return _project_rows(_ConeBlocks(G, len(Z)), Z)
 
 
@@ -850,9 +884,9 @@ def project_cone_nonneg(generators, z) -> np.ndarray:
     generator, and is orthogonal to the projection) at the certificate
     tolerance ``_CERTIFICATE_TOL``.
     """
-    G = _real_array(generators, "generators")
-    z = np.asarray(z, dtype=float)
-    if G.ndim != 2 or z.shape != (G.shape[1],):
+    G = _generators(generators)
+    z = _real_array(z, "z")
+    if z.shape != (G.shape[1],):
         raise ValueError("z must be a vector matching the generator dimension")
     p = project_cone_nonneg_batch(G, z[None, :])[0]
     r = z - p

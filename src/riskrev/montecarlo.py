@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .exact_risk import RiskQuery, _sigma
-from .geometry import ConvexPolytope, ProjectionError, _block_projector, _member_points
+from .geometry import ConvexPolytope, ProjectionError, _block_projector, _integer, _member_points, _real_array
 
 DEFAULT_SEED = 20240613
 DEFAULT_CHUNK = 1 << 18
@@ -56,17 +56,6 @@ class RiskEstimate:
             raise ValueError("n must be at least 1")
         if not (math.isfinite(self.mean) and self.stderr >= 0.0):
             raise ValueError("mean must be finite and stderr nonnegative")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int, if it is integral and not a bool; else ValueError naming ``name``."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            if int(value) == value:
-                return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -266,12 +255,12 @@ def sample_unit_sphere(d: int, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
 
 def cauchy_cdf(r):
     """Distribution function of the standard Cauchy law, 1/2 + arctan(r)/pi."""
-    return 0.5 + np.arctan(r) / math.pi
+    return 0.5 + np.arctan(_real_array(r, "r")) / math.pi
 
 
 def _ks_distance(sample: np.ndarray, cdf) -> float:
     """Exact Kolmogorov-Smirnov sup distance of a sample to a continuous CDF."""
-    x = np.sort(np.asarray(sample, dtype=float))
+    x = np.sort(sample)
     n = len(x)
     if n == 0:
         raise ValueError("empty sample")

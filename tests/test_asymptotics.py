@@ -25,7 +25,7 @@ from riskrev.asymptotics import (
     vertex_probabilities_mc,
     worst_case_limiting_risk,
 )
-from riskrev.exact_risk import risk_triangle_exact
+from riskrev.exact_risk import risk_segment_exact, risk_triangle_exact
 from riskrev.geometry import Cone2D, ConeKind, ConvexPolytope, ExampleGeometry
 from riskrev.montecarlo import sample_unit_sphere
 
@@ -50,6 +50,7 @@ class TestStatisticalDimension:
     def test_analytic_cone_values(self):
         assert statistical_dimension_2d(Cone2D(ConeKind.POINT, 0.0)) == 0.0
         assert statistical_dimension_2d(Cone2D(ConeKind.RAY, 0.0)) == 0.5
+        assert statistical_dimension_2d(Cone2D(ConeKind.LINE, 0.0)) == 1.0
         assert statistical_dimension_2d(Cone2D(ConeKind.HALFPLANE, math.pi)) == 1.5
         assert statistical_dimension_2d(Cone2D(ConeKind.FULL, TWO_PI)) == 2.0
         wedge = Cone2D(ConeKind.WEDGE, math.pi / 4.0)
@@ -67,6 +68,10 @@ class TestStatisticalDimension:
         r = 1.0 / math.sqrt(2.0)
         est = statistical_dimension_mc([[1.0, 0.0], [r, r]], n=60_000, seed=303)
         assert abs(est.mean - 0.75) <= 4.0 * est.stderr
+
+    def test_mc_line(self):
+        est = statistical_dimension_mc([[1.0, 1.0], [-1.0, -1.0]], n=200_000)
+        assert abs(est.mean - 1.0) <= 4.0 * est.stderr
 
     def test_mc_orthant_3d(self):
         gens = np.eye(3)
@@ -105,6 +110,13 @@ class TestSmallNoiseRisk:
             seed=41,
         )
         assert got == pytest.approx(0.5 * sigma * sigma, rel=0.1)
+
+    @pytest.mark.parametrize("sigma", [1e-2, 1e-3, 1e-4])
+    def test_segment_interior_is_a_line(self, sigma):
+        # the oracle of the exact segment risk's own small-noise test
+        g = ExampleGeometry(c=1.0)
+        assert small_noise_risk(g.segment(), (0.5, 0.5), sigma) / sigma**2 == 1.0
+        assert risk_segment_exact(g, 0.5, sigma) / sigma**2 == pytest.approx(1.0, rel=1e-6)
 
     def test_non_planar_without_generators_rejected(self):
         poly = ConvexPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

@@ -111,7 +111,9 @@ class TestExitCodes:
         ],
         ids=["statdim", "risk"],
     )
-    @pytest.mark.parametrize("vertices", [{"a": 1}, [["0", "0"], ["1", "0"]]], ids=["object", "text"])
+    @pytest.mark.parametrize(
+        "vertices", [{"a": 1}, [["0", "0"], ["1", "0"]], [[10**400, 0], [0, 0]]], ids=["object", "text", "huge"]
+    )
     def test_non_numeric_polytope_file_exits_two(self, capsys, tmp_path, argv, vertices):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dim": 2, "vertices": vertices}))
@@ -351,6 +353,13 @@ class TestStatdim:
             record = json.loads(out)
             assert record["method"] == "analytic"
             assert record["delta"] == pytest.approx(want, abs=1e-12)
+
+    def test_segment_interior_is_a_line(self, capsys, tmp_path):
+        path = tmp_path / "seg.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [[0.0, 0.0], [1.0, 1.0]]}))
+        code, out, _ = run_cli(capsys, ["statdim", "--polytope-file", str(path), "--theta", "0.5,0.5"])
+        assert code == 0
+        assert json.loads(out)["delta"] == 1.0
 
     def test_mc_route(self, capsys):
         code, out, _ = run_cli(

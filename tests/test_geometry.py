@@ -11,6 +11,7 @@ inequality.
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from riskrev.geometry import (
     _MinNormPoint,
     _PolygonBlocks,
     _project_rows,
+    _real_array,
     normal_cone_angle_2d,
     project_cone_nonneg,
     project_cone_nonneg_batch,
@@ -63,6 +65,26 @@ def _random_polygon(rng, k):
         poly = ConvexPolytope(pts)
         if poly.n_vertices >= 3:
             return poly
+
+
+class TestRealArray:
+    def test_float64_array_is_returned_uncopied(self):
+        a = np.zeros((3, 2))
+        assert _real_array(a, "a") is a
+        assert _real_array(a, "a", ndmin=2) is a
+
+    def test_ndmin_adds_leading_axes(self):
+        a = np.arange(3.0)
+        b = _real_array(a, "a", ndmin=2)
+        assert b.shape == (1, 3) and np.shares_memory(a, b)
+        assert _real_array(1.5, "x", ndmin=2).shape == (1, 1)
+        assert _real_array([0, 1], "x", ndmin=2).tolist() == [[0.0, 1.0]]
+        assert _real_array([[0, 1]], "x", ndmin=1).shape == (1, 2)
+
+    def test_integer_array_and_fractions_become_float64(self):
+        a = _real_array(np.array([1, 2], dtype=np.int32), "a")
+        assert a.dtype == np.float64 and a.tolist() == [1.0, 2.0]
+        assert _real_array([Fraction(1, 3)], "a").tolist() == [1 / 3]
 
 
 class TestConvexPolytope:
@@ -488,8 +510,8 @@ class TestCones:
     def test_tangent_cone_segment_and_point(self):
         seg = ExampleGeometry(c=2.0).segment()
         assert tangent_cone_2d(seg, [0.0, 0.0]).kind is ConeKind.RAY
-        with pytest.raises(ValueError):
-            tangent_cone_2d(seg, [0.25, 0.5])  # relative interior: a full line
+        # relative interior: a line through theta, two opposite directions
+        assert tangent_cone_2d(seg, [0.25, 0.5]) == Cone2D(ConeKind.LINE, 0.0)
         point = ConvexPolytope([[0.7, -0.2]])
         assert tangent_cone_2d(point, [0.7, -0.2]).kind is ConeKind.POINT
 

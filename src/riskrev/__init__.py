@@ -25,10 +25,12 @@ from .asymptotics import (
     worst_case_limiting_risk,
 )
 from .exact_risk import (
+    PolygonRisk,
     RegionRiskBreakdown,
     RiskQuery,
     large_noise_limit_diff,
     risk_difference,
+    risk_polygon_exact,
     risk_segment_exact,
     risk_triangle_exact,
     small_noise_diff_coeff,
@@ -77,6 +79,7 @@ __all__ = [
     "DEFAULT_SEED",
     "ExampleGeometry",
     "MCConfig",
+    "PolygonRisk",
     "ProjectionError",
     "RegionLabel",
     "RegionRiskBreakdown",
@@ -102,6 +105,7 @@ __all__ = [
     "project_polytope_batch",
     "project_triangle_example",
     "risk_difference",
+    "risk_polygon_exact",
     "risk_segment_exact",
     "risk_triangle_exact",
     "sample_unit_sphere",

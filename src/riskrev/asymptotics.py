@@ -9,12 +9,10 @@ general, evaluates worst-case (sup over theta*) limiting risks and their
 envelope over the movable-vertex triangle family, and searches a noise grid
 for a finite-sigma worst-case risk reversal between nested sets.
 
-The reversal scan estimates each set's sup-risk as the largest Monte Carlo
-mean over a candidate grid of theta* values, and projects only the
-candidates that could still be the largest: the loss is Lipschitz in theta*
-sample by sample, so the computed candidates bound every other one on the
-same draws, and a candidate whose bound is below the best mean so far is
-never computed.  The result is bitwise that of computing every candidate.
+The reversal scan takes each set's sup-risk as the largest exact risk
+(:func:`~riskrev.exact_risk.risk_polygon_exact`) over a candidate grid of
+theta* values, and cross-checks the two winners at each sigma by Monte
+Carlo on one shared draw.
 """
 
 import math
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_risk import _sigma, _sigmas
+from .exact_risk import _sigma, _sigmas, risk_polygon_exact
 from .geometry import (
     Cone2D,
     ConeKind,
@@ -52,15 +50,9 @@ from .montecarlo import (
 # number of interior points per polytope edge in the sup-risk candidate grid
 DEFAULT_EDGE_POINTS = 32
 
-# separation, in combined standard errors, required to declare a reversal
-REVERSAL_STDERR_FACTOR = 4.0
-
-# the per-sample rounding allowance is sqrt(_ALLOWANCE_C * eps) * R; see _rounding_allowance
-_ALLOWANCE_C = 128.0
-
-# samples per block of the sqrt(loss) sums: a scratch block of the chunk's
-# size measured about 1 MB more peak memory on the reversal benchmark
-_ROOT_BLOCK = 1 << 12
+# a reversal needs sup_small - sup_large above this times max(1, |sup|):
+# far above the exact engine's error, which is about 1e-13 relative
+REVERSAL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -258,18 +250,20 @@ class ReversalScan:
     """Result of a finite-sigma worst-case reversal search: the CLI record's entries.
 
     ``reversal_sigma`` is the smallest grid noise level at which the smaller
-    set's estimated sup-risk exceeds the larger set's by more than
-    ``REVERSAL_STDERR_FACTOR`` combined standard errors, or None.  The other
-    tuples are columns over ``sigma_grid``: each set's sup-risk, the largest
-    Monte Carlo risk over its vertices plus ``edge_points`` interior points
-    per edge, and that candidate's standard error.
+    set's sup-risk exceeds the larger set's by more than ``REVERSAL_RTOL``
+    times max(1, |sup|), or None.  The other tuples are columns over
+    ``sigma_grid``: each set's sup-risk, the largest exact risk over its
+    vertices plus ``edge_points`` interior points per edge; the Monte Carlo
+    risk at that winning candidate; and that estimate's standard error.
     """
 
     reversal_sigma: float | None
     sigma_grid: tuple[float, ...]
     sup_small: tuple[float, ...]
+    mc_small: tuple[float, ...]
     stderr_small: tuple[float, ...]
     sup_large: tuple[float, ...]
+    mc_large: tuple[float, ...]
     stderr_large: tuple[float, ...]
     edge_points: int
 
@@ -279,139 +273,6 @@ def _sup_candidates(P: ConvexPolytope, edge_points: int) -> np.ndarray:
     v = P.vertices
     t = np.linspace(0.0, 1.0, edge_points + 2)[1:-1, None]
     return np.vstack([v, *(v[i] + t * (v[j] - v[i]) for i, j in _edge_chain(P.n_vertices))])
-
-
-def _rounding_allowance(P: ConvexPolytope, candidates: np.ndarray, sigma: float, z_norm: float) -> float:
-    """A bound e on |sqrt(loss) - ||r||| for every sample of every candidate.
-
-    Here loss is the squared error as ``_losses`` computes it at theta and
-    r = Pi(theta + w) - theta its exact value, w being the rounded sigma z
-    that all candidates share; ``z_norm`` is the largest row norm of the
-    draw.  e = (sqrt(c eps) + 4 eps kappa) R, with eps = 2^-52, c = 128,
-    R = max ||theta|| + sigma z_norm + 1 over ``candidates`` (which hold
-    the vertices), and kappa = 1 / min(sin(alpha / 2), sin(alpha)) over
-    the interior angles alpha of a polygon (0 for a segment or a point).
-
-    Every point, offset and distance the kernel handles is at most 2R long.
-    Its feet v + t e and squared distances carry O(eps R) and relative
-    3 eps / 2 rounding, so the foot q of the edge it picks is within
-    O(eps R) of a point q' of P with ||y - q'||^2 <= ||y - p||^2 + 74 eps R^2,
-    p being the projection of its input y.  For a convex set
-    ||y - q'||^2 >= ||y - p||^2 + ||p - q'||^2, so a near-tie moves the foot
-    by at most sqrt(74 eps) R; c = 128 leaves room for the O(eps R) terms
-    (rounding y, the feet and the loss).  A point whose inside test rounds
-    the wrong way lies within 4 eps R of each edge line it is on the wrong
-    side of, hence within 4 eps R kappa of the polygon's boundary, which
-    the kappa term covers.
-    """
-    eps = np.finfo(float).eps
-    kappa = 0.0
-    v = P.vertices
-    if len(v) >= 3:
-        before, after = np.roll(v, 1, axis=0) - v, np.roll(v, -1, axis=0) - v
-        cross = np.abs(before[:, 0] * after[:, 1] - before[:, 1] * after[:, 0])
-        alpha = np.arctan2(cross, np.einsum("ij,ij->i", before, after))
-        kappa = 1.0 / float(np.min(np.minimum(np.sin(alpha / 2.0), np.sin(alpha))))
-    radius = float(np.max(np.linalg.norm(candidates, axis=1))) + sigma * z_norm + 1.0
-    return (math.sqrt(_ALLOWANCE_C * eps) + 4.0 * eps * kappa) * radius
-
-
-class _SupSearch:
-    """One set's sup-risk at one sigma: the candidates computed so far and the edge intervals still open.
-
-    Candidates are the rows of ``_sup_candidates``.  Level 0 computes the
-    vertices.  Each edge is a chain of candidate indices, vertex to vertex,
-    and an open interval of a chain lies between two computed candidates.
-    After each level, :meth:`refine` closes every open interval whose
-    interior candidates all have a bound below the best mean, and asks the
-    next level to compute the middle candidate of each other one.
-    """
-
-    def __init__(self, P: ConvexPolytope, candidates: np.ndarray, edge_points: int, sigma: float):
-        self.P, self.candidates, self.sigma = P, candidates, sigma
-        k = P.n_vertices
-        self.estimates: dict[int, RiskEstimate] = {}
-        self.root_means: dict[int, float] = {}
-        self.todo = list(range(k))
-        self.open = [
-            ([i, *range(k + e * edge_points, k + (e + 1) * edge_points), j], 0, edge_points + 1)
-            for e, (i, j) in enumerate(_edge_chain(k))
-        ]
-
-    def best(self) -> RiskEstimate:
-        """The first computed candidate, in candidate order, with the largest mean."""
-        return max((self.estimates[i] for i in sorted(self.estimates)), key=lambda e: e.mean)
-
-    def bounds(self, z_norm: float) -> np.ndarray:
-        """Per-candidate upper bounds on the mean loss, from the computed candidates.
-
-        Per sample sqrt(loss_k) <= sqrt(loss_j) + h_jk + 2e, with h_jk =
-        ||theta_k - theta_j||, since r(theta) = Pi(theta + w) - theta =
-        w - (I - Pi)(theta + w) and I - Pi is nonexpansive; squaring and
-        averaging gives mean_k <= m_j + 2 (h_jk + 2e) A_j + (h_jk + 2e)^2,
-        A_j being the mean of sqrt(loss_j).  The bound is the minimum over j.
-        """
-        done = sorted(self.estimates)
-        means = np.array([self.estimates[j].mean for j in done])
-        roots = np.array([self.root_means[j] for j in done])
-        gap = np.linalg.norm(self.candidates[:, None, :] - self.candidates[done][None, :, :], axis=2)
-        gap += 2.0 * _rounding_allowance(self.P, self.candidates, self.sigma, z_norm)
-        return np.min(means + 2.0 * gap * roots + gap * gap, axis=1)
-
-    def refine(self, z_norm: float, slack: float) -> None:
-        """Close the intervals that cannot hold the maximum; queue the middle of the others.
-
-        ``slack`` is the relative slack on both sides of each test.
-        """
-        below = self.bounds(z_norm) * (1.0 + slack) < self.best().mean * (1.0 - slack)
-        self.todo, still_open = [], []
-        for chain, lo, hi in self.open:
-            if below[chain[lo + 1 : hi]].all():
-                continue
-            mid = (lo + hi) // 2
-            self.todo.append(chain[mid])
-            still_open += [(chain, a, b) for a, b in ((lo, mid), (mid, hi)) if b - a >= 2]
-        self.open = still_open
-
-
-def _root_sum(loss: np.ndarray, scratch: np.ndarray) -> float:
-    """sum(sqrt(loss)), one block of ``scratch``'s size at a time, so no temporary is the size of ``loss``."""
-    total = 0.0
-    for first in range(0, len(loss), len(scratch)):
-        part = loss[first : first + len(scratch)]
-        total += float(np.sum(np.sqrt(part, out=scratch[: len(part)])))
-    return total
-
-
-def _scan_level(cfg: MCConfig, searches: list[_SupSearch]) -> float:
-    """Compute every search's queued candidates in one Monte Carlo pass; return the draw's largest row norm.
-
-    Each chunk is drawn once and shared by all of them.  The sum of
-    sqrt(loss) of each estimate is taken per chunk, before the moment
-    reduction overwrites the loss, and summed in chunk order.
-    """
-    per_chunk = []
-    queued = [(s, s.todo) for s in searches if s.todo]
-
-    def chunk_losses(start, z):
-        scratch = np.empty(min(len(z), _ROOT_BLOCK))
-        sums = []
-        per_chunk.append((float(np.max(np.einsum("ij,ij->i", z, z))), sums))
-        for s, todo in queued:
-            for loss in _losses(s.P, s.candidates[todo], s.sigma, start, z):
-                sums.append(_root_sum(loss, scratch))
-                yield loss
-                # as _chunked_estimate does, so the next loss loop can reuse its memory
-                del loss
-
-    estimates = _chunked_estimate(2, cfg, chunk_losses)
-    # each estimate's per-chunk sums, in chunk order
-    root_sums = zip(*(sums for _, sums in per_chunk))
-    slots = ((s, i) for s, todo in queued for i in todo)
-    for (s, i), estimate, sums in zip(slots, estimates, root_sums):
-        s.estimates[i] = estimate
-        s.root_means[i] = sum(sums) / cfg.n
-    return math.sqrt(max(z_sq for z_sq, _ in per_chunk))
 
 
 def detect_finite_sigma_reversal(
@@ -432,18 +293,11 @@ def detect_finite_sigma_reversal(
     segment.  Small noise levels cannot produce a reversal, so a grid capped
     at small sigma legitimately returns None.
 
-    Each sup is searched level by level (see :class:`_SupSearch`): level 0
-    computes the vertices of both sets at every sigma, and each later level
-    the middle candidate of every edge interval that the Lipschitz bound of
-    :meth:`_SupSearch.bounds` cannot close.  A level is one Monte Carlo
-    pass, in which each chunk's normals are drawn once and shared by every
-    candidate of that level (common random numbers), so there are at most
-    1 + ceil(log2(edge_points + 1)) passes.  Each computed estimate is
-    bitwise the ``mc_risks`` one at its sigma, and a candidate is left out
-    only if its bound, and so its mean, is below the best mean computed,
-    so the columns are bitwise those of computing every candidate.  The
-    bound's rounding allowance (see :func:`_rounding_allowance`) grows
-    with sigma, and from about sigma = 1e5 on no interval closes.
+    At each sigma, each set's sup is the exact risk's maximum over the rows
+    of :func:`_sup_candidates`, the first candidate on ties.  Monte Carlo at
+    ``n`` samples only cross-checks the winners: one pass draws each chunk's
+    normals once for all of them (common random numbers), and each estimate
+    is bitwise :func:`~riskrev.montecarlo.mc_risk` at its winner and sigma.
     """
     if g_small.x is None or g_large.x is None:
         raise ValueError("both geometries must carry a movable vertex x")
@@ -459,28 +313,29 @@ def detect_finite_sigma_reversal(
     if edge_points < 0:
         raise ValueError(f"edge_points must be at least 0, got {edge_points}")
     cfg = MCConfig(n=n, seed=seed, chunk=chunk)
-    # above the rounding of the means a pruning test compares: each sum
-    # chains at most n_chunks + chunk / _ROOT_BLOCK partial sums, and 1e-12
-    # covers numpy's pairwise sums and the few operations of a bound
-    n_chunks = (cfg.n + cfg.chunk - 1) // cfg.chunk
-    slack = 1e-12 + 4.0 * np.finfo(float).eps * (n_chunks + cfg.chunk / _ROOT_BLOCK)
     sets = []
     for g in (g_small, g_large):
         P = g.theta_x_polytope()
         sets.append((P, _member_points(P, _sup_candidates(P, edge_points))))
     # sigma-major, the smaller set first at each sigma
-    searches = [_SupSearch(P, candidates, edge_points, sigma) for sigma in sigmas for P, candidates in sets]
-    while any(s.todo for s in searches):
-        z_norm = _scan_level(cfg, searches)
-        for s in searches:
-            s.refine(z_norm, slack)
+    winners, sups = [], []
+    for sigma in sigmas:
+        for P, candidates in sets:
+            risks = risk_polygon_exact(P, candidates, sigma).total
+            best = int(np.argmax(risks))
+            winners.append((P, candidates[best : best + 1], sigma))
+            sups.append(float(risks[best]))
+
+    def chunk_losses(start, z):
+        for P, theta, sigma in winners:
+            yield from _losses(P, theta, sigma, start, z)
+
+    checks = _chunked_estimate(2, cfg, chunk_losses)
     rows = []
     reversal_sigma = None
-    for sigma, small, large in zip(sigmas, searches[::2], searches[1::2]):
-        small, large = small.best(), large.best()
-        # the four columns of ReversalScan, in field order
-        rows.append((small.mean, small.stderr, large.mean, large.stderr))
-        margin = REVERSAL_STDERR_FACTOR * math.hypot(small.stderr, large.stderr)
-        if reversal_sigma is None and small.mean - large.mean > margin:
+    for sigma, small, large, mc_small, mc_large in zip(sigmas, sups[::2], sups[1::2], checks[::2], checks[1::2]):
+        # the six columns of ReversalScan, in field order
+        rows.append((small, mc_small.mean, mc_small.stderr, large, mc_large.mean, mc_large.stderr))
+        if reversal_sigma is None and small - large > REVERSAL_RTOL * max(1.0, abs(small), abs(large)):
             reversal_sigma = sigma
     return ReversalScan(reversal_sigma, tuple(sigmas), *zip(*rows), edge_points)

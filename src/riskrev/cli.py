@@ -39,7 +39,7 @@ from .asymptotics import (
     statistical_dimension_2d,
     statistical_dimension_mc,
 )
-from .exact_risk import RiskQuery, risk_segment_exact, risk_triangle_exact
+from .exact_risk import RiskQuery, risk_polygon_exact, risk_segment_exact, risk_triangle_exact
 from .geometry import ConvexPolytope, ExampleGeometry, ProjectionError, _integer, tangent_cone_2d
 from .montecarlo import DEFAULT_SEED, MCConfig, _effective_sigma, mc_risk
 
@@ -54,10 +54,13 @@ VERIFY_STDERR_FACTOR = 4.0
 # statistical comparison in --verify instead of the 1e-9 one
 _STDERR_COLUMN = {
     "mc_mean": "mc_stderr",
-    "sup_small": "stderr_small",
-    "sup_large": "stderr_large",
+    "mc_small": "stderr_small",
+    "mc_large": "stderr_large",
     "delta": "stderr",
 }
+
+# a closed form and the polygon engine must agree to this times max(1, |risk|)
+EXACT_AGREEMENT_RTOL = 1e-9
 
 
 class _NumericalFailure(RuntimeError):
@@ -163,6 +166,12 @@ def _check_finite(output: Output):
 
 
 def compute_risk(params: dict) -> Output:
+    """One (theta*, sigma) point: the exact risk of a planar set, and Monte Carlo with ``--mc``.
+
+    A segment or triangle's closed form is checked against
+    :func:`risk_polygon_exact`; a disagreement beyond ``EXACT_AGREEMENT_RTOL``
+    is a numerical failure naming both values.
+    """
     if not isinstance(params["mc"], bool):
         raise ValueError(f"mc must be true or false, got {params['mc']!r}")
     which = params["set"]
@@ -187,15 +196,23 @@ def compute_risk(params: dict) -> Output:
             theta = (0.0, 0.0)
         if params.get("theta") is not None:
             raise ValueError("--theta applies only to --set polytope-file")
+        engine = risk_polygon_exact(polytope, theta, sigma_eff).total
+        if abs(record["exact"] - engine) > EXACT_AGREEMENT_RTOL * max(1.0, abs(engine)):
+            raise _NumericalFailure(
+                f"the {which} closed form gives {record['exact']!r} but the polygon engine "
+                f"gives {engine!r} at sigma {sigma_eff!r}"
+            )
     elif which == "polytope-file":
         if params.get("file") is None or params.get("theta") is None:
             raise ValueError("--set polytope-file requires --file and --theta")
         if params.get("t_star") is not None:
             raise ValueError("--t-star applies only to --set segment")
-        if not params["mc"]:
-            raise ValueError("general polytopes have no closed form; pass --mc")
         polytope = load_polytope(params["file"])
         theta = params["theta"]
+        if polytope.dim == 2:
+            record["exact"] = risk_polygon_exact(polytope, theta, sigma_eff).total
+        elif not params["mc"]:
+            raise ValueError(f"a {polytope.dim}-dimensional polytope has no closed form; pass --mc")
     else:
         raise ValueError(f"unknown set {which!r}")
 
@@ -398,13 +415,15 @@ plt.legend()
         ),
         compute_reversal,
         """
-plt.errorbar(rows["sigma_grid"], rows["sup_small"], yerr=rows["stderr_small"],
-             label="sup-risk, smaller set")
-plt.errorbar(rows["sigma_grid"], rows["sup_large"], yerr=rows["stderr_large"],
-             label="sup-risk, larger set")
+plt.plot(rows["sigma_grid"], rows["sup_small"], "o-", label="sup-risk, smaller set")
+plt.plot(rows["sigma_grid"], rows["sup_large"], "s-", label="sup-risk, larger set")
+plt.errorbar(rows["sigma_grid"], rows["mc_small"], yerr=rows["stderr_small"], fmt="none",
+             label="Monte Carlo at the winner, smaller set")
+plt.errorbar(rows["sigma_grid"], rows["mc_large"], yerr=rows["stderr_large"], fmt="none",
+             label="Monte Carlo at the winner, larger set")
 plt.xscale("log")
 plt.xlabel("sigma")
-plt.ylabel("estimated sup-risk")
+plt.ylabel("exact sup-risk")
 plt.legend()
 """,
     ),

@@ -6,11 +6,16 @@ segment conv{v1, v2} and the triangle conv{v1, v2, v3} the risk
 E||thetahat - theta*||^2 admits exact expressions in Phi and Owen's T; this
 module evaluates them in numerically stable form, exposes the triangle risk
 as a sum of per-region contributions, and provides the two noise-limit
-coefficients of the segment/triangle risk difference.  Each risk takes a
-scalar sigma, giving floats, or an array of them, giving arrays entry by
-entry equal to the scalar calls: a whole sigma grid is one call.  Passing a
-sequence of geometries instead of one adds a leading slope axis, so a whole
-(c, sigma) grid is one call too, row by row equal to the one-geometry calls.
+coefficients of the segment/triangle risk difference.  Each of those risks
+takes a scalar sigma, giving floats, or an array of them, giving arrays
+entry by entry equal to the scalar calls: a whole sigma grid is one call.
+Passing a sequence of geometries instead of one adds a leading slope axis,
+so a whole (c, sigma) grid is one call too, row by row equal to the
+one-geometry calls.
+
+:func:`risk_polygon_exact` covers every planar polytope (a point, a segment
+or a convex polygon) at any theta* in it, one sigma and many theta* per
+call, piece by piece in Phi, phi and Owen's T.
 """
 
 import math
@@ -26,7 +31,16 @@ from .gaussfn import (
     std_normal_cdf_minus_half,
     std_normal_pdf,
 )
-from .geometry import ExampleGeometry, RegionLabel, _points, _real, _real_array
+from .geometry import (
+    ConvexPolytope,
+    ExampleGeometry,
+    RegionLabel,
+    _edge_chain,
+    _member_points,
+    _points,
+    _real,
+    _real_array,
+)
 
 # |total - sum of region contributions| must stay below this
 BREAKDOWN_TOL = 1e-12
@@ -220,6 +234,211 @@ def risk_triangle_exact(g, sigma) -> RegionRiskBreakdown:
     values = (interior, np.zeros(shape), a2, np.full(shape, a3), a12, np.full(shape, a13), a23)
     regions = {label: _result(value) for label, value in zip(RegionLabel, values)}
     return RegionRiskBreakdown(regions=regions, total=sum(regions.values()))
+
+
+def _normal_mass(a, b):
+    """P(a <= Z <= b) elementwise, for a <= b, from the tail that keeps its digits."""
+    upper = std_normal_cdf(-a) - std_normal_cdf(-b)
+    lower = std_normal_cdf(b) - std_normal_cdf(a)
+    middle = std_normal_cdf_minus_half(b) - std_normal_cdf_minus_half(a)
+    return np.where(a >= 1.0, upper, np.where(b <= -1.0, lower, middle))
+
+
+def _tail(x, b):
+    """Phi(-x)/2 - T(x, b) for x >= 0: the mass beyond the line at distance x, past the angle arctan(b) from its foot.
+
+    For b > 1 that difference cancels by up to exp(x^2 / 2), so it is taken
+    as T(bx, 1/b) - Phi(-bx) (Phi(x) - 1/2), from Owen's T(h, a) + T(ah, 1/a)
+    = (Phi(h) + Phi(ah))/2 - Phi(h) Phi(ah).  Either way the rounding is
+    within a few ulps of exp(-max(x, bx)^2 / 2), at most exp(-d^2 / 4) for
+    the region's distance d = x sqrt(1 + b^2) from the origin.
+    """
+    far = (b > 1.0) & np.isfinite(b)
+    b_far = np.where(far, b, 1.0)
+    bx = np.where(far, b_far * x, 0.0)
+    near = 0.5 * std_normal_cdf(-x) - owens_t(x, np.where(far, 0.0, b))
+    return np.where(far, owens_t(bx, 1.0 / b_far) - std_normal_cdf(-bx) * std_normal_cdf_minus_half(x), near)
+
+
+def _orthant(h, k, a_h, a_k, arc):
+    """P(U <= h, V <= k) for standard normals U, V of correlation rho, by Owen's (1956) T.
+
+    Owen's form is 1/2 Phi(h) + 1/2 Phi(k) - T(h, a_h) - T(k, a_k) - beta,
+    with a_h = (k - rho h) / (h r), a_k = (h - rho k) / (k r),
+    r = sqrt(1 - rho^2), and beta = 1/2 if hk < 0, or if one of them is 0 and
+    the other negative.  The caller passes a_h and a_k, formed without the
+    differences k - rho h and h - rho k, which cancel at a sharp vertex.  A
+    zero argument takes the limit from above, a_h = +/-inf with the sign of
+    k, and h = k = 0 gives ``arc`` = 1/4 + arcsin(rho) / (2 pi).  Regrouped
+    by argument, each term is a :func:`_tail`: +_tail(-x, a_x) for x < 0 and
+    1/2 - _tail(x, -a_x) for x >= 0, so a mass far from the origin is a sum
+    of small terms, not a difference of halves.
+    """
+    both_zero = (h == 0.0) & (k == 0.0)
+    a_h = np.where(both_zero, 0.0, np.where(h == 0.0, np.copysign(np.inf, k), a_h))
+    a_k = np.where(both_zero, 0.0, np.where(k == 0.0, np.copysign(np.inf, h), a_k))
+    x, a = np.stack(np.broadcast_arrays(h, k)), np.stack(np.broadcast_arrays(a_h, a_k))
+    sign = np.where(x < 0.0, 1.0, -1.0)
+    mass = ((h >= 0.0) & (k >= 0.0)) + (sign * _tail(np.abs(x), sign * a)).sum(axis=0)
+    return np.where(both_zero, arc, mass)
+
+
+# a fan triangle whose far vertex is within sqrt(2 * _SERIES_S) sigma of
+# theta* takes the series of P(2, s); there the closed form cancels.  At
+# s <= 2 the series' 40th term is below 1e-34 of its first, and a fixed
+# count keeps each theta* row's bits independent of the others
+_SERIES_S = 2.0
+_SERIES_TERMS = 40
+
+
+def _fan_series(q, qx1, qx2, s1, s2):
+    """(1/2pi) integral P(2, s) dalpha over fan triangles, by the series of P(2, s) in s.
+
+    Along the edge, x = tan of the angle from theta*'s foot, s = q (1 + x^2)
+    with q = h^2 / 2, and dalpha = dx / (1 + x^2).  P(2, s) = sum_{m >= 2}
+    (-1)^m s^m / ((m - 2)! m), and J_m(x) = integral_0^x s^m dalpha =
+    (x q s^(m-1) + 2 (m - 1) q J_(m-1)) / (2m - 1), J_1 = q x, is odd in x
+    with the sign of x in every term, so J_m(x2) - J_m(x1) only cancels as
+    much as the edge is short.  ``qx1``, ``qx2`` are q x at the two ends and
+    ``s1``, ``s2`` the s there, each at most ``_SERIES_S``.
+    """
+    j1, j2 = qx1, qx2
+    p1 = p2 = 1.0
+    total = np.zeros(np.shape(q))
+    factorial = 1.0
+    for m in range(2, _SERIES_TERMS + 2):
+        p1, p2 = p1 * s1, p2 * s2
+        j1 = (qx1 * p1 + 2.0 * (m - 1) * q * j1) / (2 * m - 1)
+        j2 = (qx2 * p2 + 2.0 * (m - 1) * q * j2) / (2 * m - 1)
+        factorial *= max(m - 2, 1)
+        term = (j2 - j1) / (factorial * m)
+        total = total + term if m % 2 == 0 else total - term
+    return total / (2.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class PolygonRisk:
+    """Risk of projecting onto a planar polytope, split over the projector's pieces.
+
+    The polytope's edges are the closed chain v_k -> v_(k+1) of its
+    counterclockwise vertices; a segment is the chain v_0 -> v_1 -> v_0, and
+    a point has no edge.  ``strips[..., k]`` is the contribution of the
+    half-strip outside edge k, ``vertices[..., j]`` that of vertex j's normal
+    cone, and ``interior`` that of the polytope itself.  Each is a float per
+    theta*, or an array over a leading theta* axis; ``total`` is their sum.
+    """
+
+    interior: float | np.ndarray
+    strips: np.ndarray
+    vertices: np.ndarray
+    total: float | np.ndarray
+
+
+def risk_polygon_exact(P: ConvexPolytope, theta, sigma) -> PolygonRisk:
+    """Exact risk E||Pi_P(theta* + sigma Z) - theta*||^2 for a planar polytope, piece by piece.
+
+    ``theta`` is one theta* or an (m, 2) array of them, each a point of P;
+    ``sigma`` is one noise level.  Edge k = (v_i -> v_j) has unit tangent
+    t_k, outward normal n_k and length L_k; tau_k = (theta* - v_i).t_k and
+    a_k = (v_i - theta*).n_k >= 0.  With alpha = -tau_k/sigma and
+    beta = (L_k - tau_k)/sigma:
+
+        strip k:   Phi(-a_k/sigma) [sigma^2 integral_alpha^beta z^2 phi(z) dz
+                                    + a_k^2 (Phi(beta) - Phi(alpha))]
+        vertex j:  ||v_j - theta*||^2 Phi_2((tau_k - L_k)/sigma, -tau_(k+1)/sigma;
+                                             -t_k.t_(k+1)),  k the edge ending at v_j
+        interior:  2 sigma^2 sum_k [ (atan x2 - atan x1)/2pi - (T(h, x2) - T(h, x1))
+                                     - (h/2) phi(h) (Phi(h x2) - Phi(h x1)) ]
+
+    over the fan triangles (theta*, v_i, v_j), with h = a_k/sigma,
+    x1 = -tau_k/a_k and x2 = (L_k - tau_k)/a_k; a triangle with a_k = 0 has no
+    area.  Phi_2 is the bivariate normal orthant mass (:func:`_orthant`); a
+    segment's end has t_(k+1) = -t_k and mass Phi((tau_k - L_k)/sigma), and a
+    point's one vertex has mass 1.  A fan triangle within
+    sqrt(2 _SERIES_S) sigma of theta* takes the series of :func:`_fan_series`,
+    so the interior does not cancel however large sigma is.
+
+    Raises ``FloatingPointError`` naming theta* if a piece is not finite or
+    the total lies outside [0, squared diameter].
+    """
+    if P.dim != 2:
+        raise ValueError("risk_polygon_exact requires a planar polytope")
+    thetas = _member_points(P, theta)
+    single = np.ndim(theta) == 1
+    sigma = _sigma(sigma)
+    v = P.vertices
+    k = len(v)
+    m = len(thetas)
+    # w[:, i] = theta* - v_i
+    w = thetas[:, None, :] - v[None, :, :]
+    dist_sq = np.einsum("mkd,mkd->mk", w, w)
+    if k == 1:
+        strips, corners, interior = np.zeros((m, 0)), dist_sq, np.zeros(m)
+    else:
+        ends = [j for _, j in _edge_chain(k)] if k >= 3 else [1, 0]
+        edge = v[ends] - v
+        length = np.hypot(edge[:, 0], edge[:, 1])
+        t = edge / length[:, None]
+        normal = np.stack([t[:, 1], -t[:, 0]], axis=1)
+        tau = np.einsum("mkd,kd->mk", w, t)
+        # (theta* - v_j).t_k for the end v_j of edge k, taken directly, not as tau - L
+        tau_end = np.einsum("mkd,kd->mk", w[:, ends], t)
+        a = -np.einsum("mkd,kd->mk", w, normal)
+        lo, hi = -tau / sigma, -tau_end / sigma
+        strips = std_normal_cdf(-a / sigma) * (
+            sigma * sigma * _int_z2_phi(lo, hi) + a * a * _normal_mass(lo, hi)
+        )
+        # vertex j ends edge j - 1 and starts edge j
+        h = np.roll(tau_end, 1, axis=1) / sigma
+        if k == 2:
+            mass = std_normal_cdf(h)
+        else:
+            # with p = j - 1 the edge into v_j: a_h = -a_p / tau_end_p and
+            # a_k = a_j / tau_j, and the normal cone spans the turning angle at v_j
+            a_in, end_in = np.roll(a, 1, axis=1), np.roll(tau_end, 1, axis=1)
+            before = np.roll(t, 1, axis=0)
+            turn = np.arctan2(before[:, 0] * t[:, 1] - before[:, 1] * t[:, 0], np.einsum("kd,kd->k", before, t))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mass = _orthant(h, -tau / sigma, -a_in / end_in, a / tau, turn / (2.0 * math.pi))
+        corners = dist_sq * mass
+        interior = np.zeros(m) if k == 2 else _interior(w, w[:, ends], dist_sq, length, a, tau, tau_end, sigma)
+    total = interior + strips.sum(axis=1) + corners.sum(axis=1)
+    bad = ~(np.isfinite(strips).all(axis=1) & np.isfinite(corners).all(axis=1) & np.isfinite(interior)
+            & (total >= 0.0) & (total <= P.squared_diameter() * (1.0 + 1e-9)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FloatingPointError(
+            f"polygon risk at theta* {thetas[i].tolist()!r}, sigma {sigma!r} is {float(total[i])!r}, "
+            "not a finite value in [0, squared diameter]"
+        )
+    if single:
+        return PolygonRisk(float(interior[0]), strips[0], corners[0], float(total[0]))
+    return PolygonRisk(interior, strips, corners, total)
+
+
+def _interior(w, w_end, dist_sq, length, a, tau, tau_end, sigma):
+    """The interior piece: 2 sigma^2 times the sum of the fan triangles' brackets (see :func:`risk_polygon_exact`)."""
+    two_sig2 = 2.0 * sigma * sigma
+    s1, s2 = dist_sq / two_sig2, np.roll(dist_sq, -1, axis=1) / two_sig2
+    series = np.maximum(s1, s2) <= _SERIES_S
+    closed = ~series & (a != 0.0)
+    bracket = np.zeros(a.shape)
+    if series.any():
+        q, qx1, qx2 = (x[series] / two_sig2 for x in (a * a, -a * tau, -a * tau_end))
+        bracket[series] = _fan_series(q, qx1, qx2, s1[series], s2[series])
+    if closed.any():
+        a_c, tau_c, end_c = a[closed], tau[closed], tau_end[closed]
+        # atan x2 - atan x1 is the angle the edge subtends at theta*; its sine
+        # is taken as a L, so that a rounded a and the angle share one sign
+        cross = a_c * np.broadcast_to(length, a.shape)[closed]
+        angle = np.arctan2(cross, np.einsum("nd,nd->n", w[closed], w_end[closed]))
+        h = a_c / sigma
+        bracket[closed] = (
+            angle / (2.0 * math.pi)
+            - (owens_t(h, -end_c / a_c) - owens_t(h, -tau_c / a_c))
+            - 0.5 * h * std_normal_pdf(h) * _normal_mass(-tau_c / sigma, -end_c / sigma)
+        )
+    return two_sig2 * bracket.sum(axis=1)
 
 
 def risk_difference(g, sigma):

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .exact_risk import RiskQuery, _sigma
-from .geometry import ConvexPolytope, ProjectionError, _block_projector, _integer, _member_points, _real_array
+from .geometry import ConvexPolytope, ProjectionError, _block_projector, _integer, _member_points, _real, _real_array
 
 DEFAULT_SEED = 20240613
 DEFAULT_CHUNK = 1 << 18
@@ -52,10 +52,16 @@ class RiskEstimate:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
+        mean, stderr = _real(self.mean), _real(self.stderr)
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be a finite real, got {self.mean!r}")
+        if not stderr >= 0.0:
+            raise ValueError(f"stderr must be a nonnegative real, got {self.stderr!r}")
+        n, seed = _integer("n", self.n), _integer("seed", self.seed)
+        if n < 1:
             raise ValueError("n must be at least 1")
-        if not (math.isfinite(self.mean) and self.stderr >= 0.0):
-            raise ValueError("mean must be finite and stderr nonnegative")
+        for name, value in (("mean", mean), ("stderr", stderr), ("n", n), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -332,6 +332,10 @@ class TestEnvelope:
             envelope_curve(0.75, [-0.1])
 
 
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
 class TestReversalScan:
     def test_sup_risk_matches_individual_estimates_bitwise(self):
         # the shared-stream sup computation must reproduce per-point mc_risk
@@ -415,88 +419,68 @@ class TestReversalScan:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("x_small", [1.3, 1.0 / 0.75])  # 1/c is the segment
     def test_columns_are_the_per_sigma_sup_of_mc_risks(self, monkeypatch, threads, x_small):
+        # the sup columns are the exact maximum over the candidates, and the
+        # Monte Carlo columns are mc_risks at that maximising candidate
         from riskrev.asymptotics import _sup_candidates
+        from riskrev.exact_risk import risk_polygon_exact
         from riskrev.montecarlo import MCConfig, mc_risks
 
         monkeypatch.setenv("RISKREV_THREADS", threads)
         sets = ExampleGeometry(c=0.75, x=x_small), ExampleGeometry(c=0.75, x=0.5)
-        # pruning works at the middle sigmas and switches itself off at 1e6
         sigmas = (0.3, 2.0, 5.0, 40.0, 1e3, 1e6)
         cfg = MCConfig(n=5_000, seed=64, chunk=2048)  # three chunks, the last one partial
         scan = detect_finite_sigma_reversal(*sets, sigmas, n=cfg.n, seed=cfg.seed, edge_points=32, chunk=cfg.chunk)
         assert scan.sigma_grid == sigmas
-        columns = ((scan.sup_small, scan.stderr_small), (scan.sup_large, scan.stderr_large))
-        for geometry, (sup, stderr) in zip(sets, columns):
+        columns = (
+            (scan.sup_small, scan.mc_small, scan.stderr_small),
+            (scan.sup_large, scan.mc_large, scan.stderr_large),
+        )
+        for geometry, (sup, mc, stderr) in zip(sets, columns):
             poly = geometry.theta_x_polytope()
+            candidates = _sup_candidates(poly, 32)
             for i, sigma in enumerate(sigmas):
-                best = max(mc_risks(poly, _sup_candidates(poly, 32), sigma, cfg), key=lambda e: e.mean)
-                assert (sup[i], stderr[i]) == (best.mean, best.stderr)
+                risks = risk_polygon_exact(poly, candidates, sigma).total
+                best = int(np.argmax(risks))
+                assert _bits(sup[i]) == _bits(risks[best]) and sup[i] == risks.max()
+                (check,) = mc_risks(poly, candidates[best], sigma, cfg)
+                assert (_bits(mc[i]), _bits(stderr[i])) == (_bits(check.mean), _bits(check.stderr))
 
-    def test_pruned_candidates_are_below_their_bound_and_the_best(self, monkeypatch):
+    def test_first_candidate_wins_a_tie(self, monkeypatch):
         from riskrev import asymptotics
-        from riskrev.asymptotics import _rounding_allowance, _sup_candidates
-        from riskrev.montecarlo import MCConfig, _chunk_normals, _losses, mc_risks
+        from riskrev.exact_risk import PolygonRisk
 
-        computed = []
+        def flat(P, thetas, sigma):
+            return PolygonRisk(np.zeros(len(thetas)), None, None, np.full(len(thetas), 0.25))
+
+        monkeypatch.setattr(asymptotics, "risk_polygon_exact", flat)
+        winners = []
         losses = asymptotics._losses
 
-        def counted(P, thetas, sigma, start, z):
-            if start == 0:
-                computed.append((P, sigma, thetas.copy()))
+        def seen(P, thetas, sigma, start, z):
+            winners.append(thetas.tolist())
             return losses(P, thetas, sigma, start, z)
 
-        monkeypatch.setattr(asymptotics, "_losses", counted)
-        sets = ExampleGeometry(c=0.75, x=1.3), ExampleGeometry(c=0.75, x=0.5)  # criterion 8's
-        sigmas = (2.0, 5.0)
-        cfg = MCConfig(n=20_000, seed=65, chunk=8192)
-        scan = detect_finite_sigma_reversal(*sets, sigmas, n=cfg.n, seed=cfg.seed, chunk=cfg.chunk)
-        draws = [_chunk_normals(cfg.seed, j, min(cfg.chunk, cfg.n - j * cfg.chunk), 2) for j in range(3)]
-        z_norm = max(float(np.max(np.linalg.norm(z, axis=1))) for z in draws)
-        columns = (scan.sup_small, scan.sup_large)
-        for geometry, sup in zip(sets, columns):
-            poly = geometry.theta_x_polytope()
-            candidates = _sup_candidates(poly, 32)
-            for i, sigma in enumerate(sigmas):
-                rows = [t for P, s, thetas in computed
-                        if s == sigma and np.array_equal(P.vertices, poly.vertices) for t in thetas]
-                done = [int(np.flatnonzero((candidates == t).all(axis=1))[0]) for t in rows]
-                assert len(done) == len(set(done)) <= 0.4 * len(candidates)
-                means = np.array([e.mean for e in mc_risks(poly, candidates, sigma, cfg)])
-                assert means.max() == sup[i]
-                roots = np.zeros(len(candidates))
-                for j, z in enumerate(draws):
-                    for k, loss in enumerate(_losses(poly, candidates, sigma, j * cfg.chunk, z)):
-                        roots[k] += np.sqrt(loss).sum()
-                roots /= cfg.n
-                gap = np.linalg.norm(candidates[:, None, :] - candidates[done][None, :, :], axis=2)
-                gap += 2.0 * _rounding_allowance(poly, candidates, sigma, z_norm)
-                bound = np.min(means[done] + 2.0 * gap * roots[done] + gap * gap, axis=1)
-                pruned = np.setdiff1d(np.arange(len(candidates)), done)
-                assert len(pruned) > 0
-                # the bound from the final computed set is at most the one each pruning saw
-                assert np.all(bound[pruned] < sup[i])
-                assert np.all(means[pruned] <= bound[pruned])
+        monkeypatch.setattr(asymptotics, "_losses", seen)
+        scan = detect_finite_sigma_reversal(
+            ExampleGeometry(c=0.75, x=1.3), ExampleGeometry(c=0.75, x=0.5), [1.0], n=100, chunk=100
+        )
+        assert scan.sup_small == scan.sup_large == (0.25,)
+        assert winners == [[[0.0, 0.0]], [[0.0, 0.0]]]
 
-    @pytest.mark.parametrize("sigma", [0.3, 5.0, 1e3, 1e6, 1e9])
-    def test_per_sample_lipschitz_bound(self, sigma):
-        from riskrev.asymptotics import _rounding_allowance, _sup_candidates
-        from riskrev.montecarlo import _chunk_normals, _losses
-
-        z = _chunk_normals(66, 0, 2000, 2)
-        z_norm = float(np.max(np.linalg.norm(z, axis=1)))
-        # 1.3333 is a sliver triangle, 1/c the segment
-        for x in (1.3, 0.5, 1.3333, 1.0 / 0.75):
-            poly = ExampleGeometry(c=0.75, x=x).theta_x_polytope()
-            candidates = _sup_candidates(poly, 32)
-            roots = np.sqrt([loss.copy() for loss in _losses(poly, candidates, sigma, 0, z)])
-            gap = np.linalg.norm(candidates[:, None, :] - candidates[None, :, :], axis=2)
-            gap += 2.0 * _rounding_allowance(poly, candidates, sigma, z_norm)
-            # sqrt(loss_k) <= sqrt(loss_j) + h_jk + 2e on every sample, for every pair (j, k)
-            assert np.all(roots[None, :, :] <= roots[:, None, :] + gap[:, :, None])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reversal_sigma_is_exact_and_independent_of_the_draw(self, seed):
+        # criterion 8's sets: sup_small - sup_large is -0.0040 at sigma = 2 and
+        # +0.0341 at sigma = 5, so the answer is 5 at any sample count
+        scan = detect_finite_sigma_reversal(
+            ExampleGeometry(c=0.75, x=1.3), ExampleGeometry(c=0.75, x=0.5), [1.0, 2.0, 5.0, 10.0], n=50, seed=seed
+        )
+        assert scan.reversal_sigma == 5.0
+        gaps = np.subtract(scan.sup_small, scan.sup_large)
+        assert gaps[1] == pytest.approx(-0.0040, abs=1e-4) and gaps[2] == pytest.approx(0.0341, abs=1e-4)
 
     @pytest.mark.parametrize("sigmas", [[1.0], [0.5, 5.0, 20.0], np.geomspace(0.1, 100.0, 7)], ids=len)
     def test_one_draw_per_chunk_for_the_whole_scan(self, monkeypatch, sigmas):
-        # each level of the search draws every chunk once, in order, for both sets at every sigma
+        # the cross-check draws every chunk once, in order, for both winners at every sigma
         from riskrev import montecarlo
 
         draws = []
@@ -517,11 +501,7 @@ class TestReversalScan:
                 edge_points=edge_points,
                 chunk=2048,
             )
-            levels = len(draws) // 3
-            assert draws == [0, 1, 2] * levels
-            assert 1 <= levels <= 1 + math.ceil(math.log2(edge_points + 1))
-            if edge_points == 0:
-                assert draws == [0, 1, 2]
+            assert draws == [0, 1, 2]
 
     def test_scalar_grid_is_one_point(self):
         scan = detect_finite_sigma_reversal(

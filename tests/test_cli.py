@@ -166,13 +166,13 @@ class TestRiskCommand:
         record = json.loads(out)
         assert abs(record["mc_mean"] - record["exact"]) <= 4.0 * record["mc_stderr"]
 
-    def test_polytope_file_requires_mc(self, capsys, tmp_path):
-        path = tmp_path / "tri.json"
-        path.write_text(json.dumps(TRIANGLE_FILE))
+    def test_non_planar_polytope_file_requires_mc(self, capsys, tmp_path):
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
         code, _, err = run_cli(
             capsys,
             ["risk", "--set", "polytope-file", "--file", str(path),
-             "--theta", "0.2,0.2", "--sigma", "1"],
+             "--theta", "0.1,0.1,0.1", "--sigma", "1"],
         )
         assert code == 2
         assert "--mc" in err
@@ -188,7 +188,37 @@ class TestRiskCommand:
         assert code == 0
         record = json.loads(out)
         assert 0.0 < record["mc_mean"] < 2.0
-        assert "exact" not in record
+        assert abs(record["mc_mean"] - record["exact"]) <= 4.0 * record["mc_stderr"]
+
+    @pytest.mark.parametrize(
+        "vertices, theta, argv",
+        [
+            ([[0.0, 0.0], [2.0, 1.0], [0.0, 1.0]], "0,0", ["--set", "triangle", "--c", "0.5"]),
+            ([[0.0, 0.0], [2.0, 1.0]], "0.6,0.3", ["--set", "segment", "--c", "0.5", "--t-star", "0.3"]),
+        ],
+        ids=["triangle", "segment"],
+    )
+    @pytest.mark.parametrize("sigma", ["0.05", "1", "30"])
+    def test_planar_polytope_file_is_exact(self, capsys, tmp_path, vertices, theta, argv, sigma):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": vertices}))
+        code, out, _ = run_cli(
+            capsys,
+            ["risk", "--set", "polytope-file", "--file", str(path), "--theta", theta, "--sigma", sigma],
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert "mc_mean" not in record
+        _, want, _ = run_cli(capsys, ["risk", *argv, "--sigma", sigma])
+        want = json.loads(want)["exact"]
+        assert abs(record["exact"] - want) <= 1e-12 * max(1.0, want)
+
+    def test_closed_form_that_disagrees_with_the_engine_exits_three(self, capsys):
+        # the triangle's interior closed form cancels at large sigma: it prints
+        # 2.386591802637349 here, against about 2.381041
+        code, out, err = run_cli(capsys, ["risk", "--set", "triangle", "--c", "0.5", "--sigma", "1e7"])
+        assert (code, out) == (3, "")
+        assert "2.386591802637349" in err and "2.38104068751422" in err
 
     def test_mismatched_dim_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -404,7 +434,7 @@ class TestReversalCommand:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[1] == "sigma_grid,stderr_large,stderr_small,sup_large,sup_small"
+        assert lines[1] == "mc_large,mc_small,sigma_grid,stderr_large,stderr_small,sup_large,sup_small"
         assert len(lines) == 4
 
 
@@ -753,7 +783,7 @@ CONTRACT = [
          "--sigma-sweep", "0.05", "--samples", "1000", "--format", "csv"],
         '# {"c":0.75,"command":"reversal","edge_points":32,"n_obs":1,"reversal_sigma":null,'
         '"samples":1000,"seed":20240613,"sigma_sweep":"0.05","x_large":0.5,"x_small":1.3}',
-        "sigma_grid,stderr_large,stderr_small,sup_large,sup_small",
+        "mc_large,mc_small,sigma_grid,stderr_large,stderr_small,sup_large,sup_small",
     ),
 ]
 
@@ -775,8 +805,9 @@ def test_only_risk_averages_observations(capsys, argv):
 # sha256 of the CSV and JSON text of the README's exact-table examples,
 # recorded before the (c, sigma) grid became one closed-form call and the
 # CSV body one format operation; both changes keep every byte.  The
-# reversal example, at 2*10^4 samples, was recorded before the scan became
-# one Monte Carlo pass for both sets and every sigma.
+# reversal example, at 2*10^4 samples, was recorded when its sup columns
+# became the exact maximum over the candidates, with Monte Carlo columns at
+# the two winners.
 PINNED_TABLE_DIGESTS = {
     ("heatmap", "--c-sweep", "0.2:3:40", "--sigma-sweep", "0.05:50:40:log"): (
         "24624e1c868b70fd75c1af02beed018f35e366b030e66673ddc45aaaed729a34",
@@ -792,8 +823,8 @@ PINNED_TABLE_DIGESTS = {
     ),
     ("reversal", "--c", "0.75", "--x-small", "1.3", "--x-large", "0.5", "--sigma-sweep", "1,2,5,10,20",
      "--samples", "20000"): (
-        "20a50cac8333d76758a7f32672b03251387fada1d4e90a205fab80ceeeee3965",
-        "c39f57fd034456f075bf6637ede88edf26b9c920ea90768e3b1a04f5b41e0180",
+        "beac9ca1a42d268bbc5ee4a5017de19dd28d373d11928c8d9a077e70516bae20",
+        "fd38eb1652d4572517d8fb375856bbd4d7fc59dd64c02a601d3a4e510866440a",
     ),
 }
 

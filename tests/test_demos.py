@@ -16,8 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SAMPLES = "20000"
 
-# stdout at SAMPLES samples, recorded before the reversal scan became one
-# Monte Carlo pass for both sets and every sigma
+# stdout at SAMPLES samples, recorded when the scan's sup columns became
+# exact and Monte Carlo moved to a cross-check at each set's winner
 PINNED_STDOUT = {
     "worst_case_reversal": """\
 diverging-noise risks per vertex, c = 0.75:
@@ -30,15 +30,16 @@ worst-case limiting risk along the family x -> conv{v1, v2, (x, 1)}:
   at x = 1/c     envelope = 1.388889
   the dip means shrinking the set first helps, then hurts, the worst case
 
-Monte Carlo sup-risk scan at n = 20000 (common random numbers):
-   sigma   sup small set   sup large set
-     1.0        0.423045        0.459106
-     2.0        0.813358        0.814104
-     5.0        1.144450        1.103487
-    10.0        1.264613        1.211484
-    20.0        1.328153        1.266747
-  certified reversal at sigma = 10: the smaller set
-  has strictly larger worst-case risk by more than four standard errors
+exact sup-risk over 99 candidates per set, and Monte Carlo
+at each winner with n = 20000 (common random numbers):
+   sigma   sup small set   sup large set   MC small   MC large
+     1.0        0.420700        0.461357     0.4196     0.4591
+     2.0        0.812686        0.816690     0.8134     0.8141
+     5.0        1.142909        1.108832     1.1445     1.1035
+    10.0        1.262969        1.215459     1.2646     1.2115
+    20.0        1.323905        1.269826     1.3244     1.2667
+  reversal from sigma = 5: the smaller set has the
+  strictly larger exact worst-case risk over its candidates
 """,
 }
 

@@ -7,25 +7,39 @@ test file (a different algebraic grouping of the same quantities).
 Second, reduced-size Monte Carlo runs must agree statistically, both in
 total and region by region; the full-size agreement sweep lives in the
 acceptance tests.
+
+The polygon engine is held piece by piece to both closed forms, in total
+to a polar Gauss-Legendre quadrature written below, and to the two noise
+limits at the ends of the documented sigma range.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+from riskrev.asymptotics import limiting_risk, statistical_dimension_2d, vertex_probabilities_2d
 from riskrev.exact_risk import (
     RegionRiskBreakdown,
     _int_z2_phi,
     RiskQuery,
     large_noise_limit_diff,
     risk_difference,
+    risk_polygon_exact,
     risk_segment_exact,
     risk_triangle_exact,
     small_noise_diff_coeff,
 )
 from riskrev.gaussfn import owens_t, std_normal_cdf, std_normal_cdf_minus_half, std_normal_pdf
-from riskrev.geometry import ExampleGeometry, RegionLabel, project_triangle_example
+from riskrev.geometry import (
+    ConvexPolytope,
+    ExampleGeometry,
+    RegionLabel,
+    project_polytope_batch,
+    project_triangle_example,
+    tangent_cone_2d,
+)
 
 GRID_C = [0.2, 0.5, 1.0, 2.0, 5.0]
 DISPLAY_TOL = 1e-12
@@ -425,3 +439,194 @@ class TestRiskDifference:
         # positive for wide triangles (small c), negative for narrow ones
         assert large_noise_limit_diff(0.5) > 0.0
         assert large_noise_limit_diff(2.0) < 0.0
+
+
+def _polar_risk(P, theta, sigma, nodes=10, grading=8):
+    """E||Pi(theta + sigma Z) - theta||^2 by quadrature in polar coordinates around theta.
+
+    Along each ray the loss, taken from the package's projection, is a
+    quadratic in the radius between the crossings of the lines that bound
+    the projector's pieces (the edge lines and, at each end of each edge,
+    the line normal to it), so three samples fix it and the radial integral
+    against r exp(-r^2/2) is exact.  The angular integrand is smooth between
+    the directions to the vertices and along +-t and +-n of every edge; each
+    such interval gets Gauss-Legendre on a mesh graded geometrically toward
+    both ends.  Nothing here uses the engine's pieces or Owen's T.
+    """
+    v = P.vertices
+    ends = np.roll(v, -1, axis=0)
+    t = (ends - v) / np.hypot(*(ends - v).T)[:, None]
+    normal = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    lines = [(v, normal), (v, t), (ends, t)]
+    directions = np.vstack([v - theta, t, -t, normal, -normal])
+    directions = directions[np.hypot(*directions.T) > 1e-12]
+    breaks = np.unique(np.mod(np.arctan2(directions[:, 1], directions[:, 0]), 2.0 * math.pi))
+    breaks = np.append(breaks, breaks[0] + 2.0 * math.pi)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 ** np.arange(grading, 0, -1)
+    frac = np.concatenate([[0.0], 0.5 * half, [0.5], 1.0 - 0.5 * half[::-1], [1.0]])
+    cuts = breaks[:-1, None] + np.diff(breaks)[:, None] * frac
+    lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    angles = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * x
+    weights = (0.5 * (hi - lo))[:, None] * w
+    u = np.stack([np.cos(angles.ravel()), np.sin(angles.ravel())], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossings = np.hstack([((p - theta) * nu).sum(axis=1) / (sigma * (u @ nu.T)) for p, nu in lines])
+    r_max = 40.0
+    crossings = np.where((crossings > 0.0) & (crossings < r_max), crossings, r_max)
+    knots = np.sort(np.hstack([np.zeros((len(u), 1)), crossings, np.full((len(u), 1), r_max)]), axis=1)
+    a, b = knots[:, :-1], knots[:, 1:]
+    h, mid = b - a, 0.5 * (a + b)
+    # the loss at s = (r - mid) / h = -1/4, 0, 1/4 is f0, f1, f2
+    r = mid[..., None] + h[..., None] * np.array([-0.25, 0.0, 0.25])
+    points = theta + sigma * r[..., None] * u[:, None, None, :]
+    feet = project_polytope_batch(P, points.reshape(-1, 2)).reshape(points.shape)
+    f0, f1, f2 = np.moveaxis(((feet - theta) ** 2).sum(axis=-1), -1, 0)
+    c0, c1, c2 = f1, 2.0 * (f2 - f0), 8.0 * (f2 - 2.0 * f1 + f0)
+    # moments of r^j r exp(-r^2/2) over [a, b], j = 0, 1, 2
+    ea, eb = np.exp(-0.5 * a * a), np.exp(-0.5 * b * b)
+    m0 = ea - eb
+    m1 = a * ea - b * eb + math.sqrt(2.0 * math.pi) * (special.ndtr(b) - special.ndtr(a))
+    m2 = (a * a + 2.0) * ea - (b * b + 2.0) * eb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radial = c0 * m0 + c1 * (m1 - mid * m0) / h + c2 * (m2 - 2.0 * mid * m1 + mid * mid * m0) / (h * h)
+    radial = np.where(h > 0.0, radial, 0.0).sum(axis=1)
+    return float(radial @ weights.ravel()) / (2.0 * math.pi)
+
+
+def _random_polygons(seed, count, min_edge=0.0):
+    """``count`` random 3- to 8-gons, each with three theta*: a vertex, a point of an edge, an interior point."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        P = ConvexPolytope(rng.normal(size=(int(rng.integers(3, 9)), 2)))
+        v = P.vertices
+        if len(v) < 3 or np.min(np.hypot(*(np.roll(v, -1, axis=0) - v).T)) < min_edge:
+            continue
+        inside = rng.dirichlet(np.ones(len(v))) @ v
+        out.append((P, np.array([v[1], 0.3 * v[0] + 0.7 * v[1], inside])))
+    return out
+
+
+# interior piece of the triangle at theta* = v1: (c, sigma, 25-digit value of
+# its closed form, evaluated at 120 digits, where the double form cancels)
+INTERIOR_REFERENCE = [
+    (0.5, 1e2, "0.00001856625537223146111784598"),
+    (0.5, 1e4, "1.856807651191046659318461e-9"),
+    (0.5, 1e7, "1.856807669405427369571268e-15"),
+    (0.5, 1e12, "1.856807669405445583970309e-25"),
+    (0.2, 1e2, "0.0001855861909004592074547263"),
+    (0.2, 1e6, "1.85680766939598441966425e-12"),
+    (2.0, 1e9, "2.155223187702749337755008e-20"),
+]
+
+ENGINE_TOL = 1e-12
+
+
+class TestPolygonRisk:
+    @pytest.mark.parametrize("c", [0.2, 0.5, 0.75, 1.0, 2.0, 5.0])
+    def test_pieces_match_the_triangle_regions(self, c):
+        g = ExampleGeometry(c=c)
+        for sigma in np.geomspace(1e-2, 1e2, 25):
+            regions = risk_triangle_exact(g, sigma)
+            got = risk_polygon_exact(g.triangle(), g.v1, sigma)
+            # vertices v1, v2, v3 in that order; edges v1v2, v2v3, v3v1
+            pairs = [
+                (got.interior, regions[RegionLabel.INTERIOR]),
+                (got.strips[0], regions[RegionLabel.A12]),
+                (got.strips[1], regions[RegionLabel.A23]),
+                (got.strips[2], regions[RegionLabel.A13]),
+                (got.vertices[0], regions[RegionLabel.A1]),
+                (got.vertices[1], regions[RegionLabel.A2]),
+                (got.vertices[2], regions[RegionLabel.A3]),
+                (got.total, regions.total),
+            ]
+            for value, want in pairs:
+                assert abs(value - want) <= ENGINE_TOL * max(1.0, abs(want)), (sigma, value, want)
+
+    @pytest.mark.parametrize("c", [0.2, 0.5, 0.75, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("t_star", [0.0, 0.3, 1.0])
+    def test_pieces_match_the_segment_terms(self, c, t_star):
+        # risk_segment_exact's three terms: v1's half-plane, the band, v2's half-plane
+        g = ExampleGeometry(c=c)
+        root = math.sqrt(g.alpha_c)
+        for sigma in np.geomspace(1e-2, 1e2, 25):
+            got = risk_polygon_exact(g.segment(), t_star * g.v2, sigma)
+            a, b = -root * t_star / sigma, root * (1.0 - t_star) / sigma
+            pairs = [
+                (got.vertices[0], g.alpha_c * t_star**2 * std_normal_cdf(a)),
+                (got.strips.sum(), sigma * sigma * _int_z2_phi(a, b)),
+                (got.vertices[1], g.alpha_c * (1.0 - t_star) ** 2 * std_normal_cdf(-b)),
+                (got.total, risk_segment_exact(g, t_star, sigma)),
+            ]
+            assert got.interior == 0.0
+            for value, want in pairs:
+                assert abs(value - want) <= ENGINE_TOL * max(1.0, abs(want)), (sigma, value, want)
+
+    @pytest.mark.parametrize("c, sigma, want", INTERIOR_REFERENCE)
+    def test_interior_matches_high_precision_reference(self, c, sigma, want):
+        got = risk_polygon_exact(ExampleGeometry(c=c).triangle(), (0.0, 0.0), sigma).interior
+        assert got == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+    def test_random_polygons_match_polar_quadrature(self):
+        for P, thetas in _random_polygons(17, 6):
+            for sigma in (0.3, 3.0):
+                got = risk_polygon_exact(P, thetas, sigma).total
+                for theta, value in zip(thetas, got):
+                    want = _polar_risk(P, theta, sigma)
+                    assert abs(value - want) <= ENGINE_TOL * max(1.0, want), (P.vertices, theta, sigma)
+
+    def test_large_noise_approaches_the_limiting_risk(self):
+        # risk = limit + c1 / sigma + O(sigma^-2); c1 is read off at sigma = 1e7
+        for P, thetas in _random_polygons(18, 10):
+            dist = vertex_probabilities_2d(P)
+            for theta in thetas:
+                limit = limiting_risk(P, theta, dist)
+                c1 = (risk_polygon_exact(P, theta, 1e7).total - limit) * 1e7
+                for sigma in (1e8, 1e9, 1e10, 1e11, 1e12):
+                    got = risk_polygon_exact(P, theta, sigma).total
+                    assert abs(got - (limit + c1 / sigma)) <= 1e-14 * max(1.0, limit), (theta, sigma)
+
+    def test_small_noise_approaches_the_statistical_dimension(self):
+        # edges of at least 0.2 keep the other pieces exp(-100) away at sigma = 1e-4
+        for P, thetas in _random_polygons(19, 10, min_edge=0.2):
+            for theta in thetas:
+                delta = statistical_dimension_2d(tangent_cone_2d(P, theta))
+                for sigma in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+                    got = risk_polygon_exact(P, theta, sigma).total
+                    assert got == pytest.approx(sigma * sigma * delta, rel=1e-12, abs=0.0), (theta, sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-6, 1e-8])
+    def test_small_noise_next_to_a_vertex_cone_boundary(self, sigma):
+        # theta* on the bottom edge, 3 sigma from the line that bounds the
+        # far corner's normal cone: that cone's mass must not be a difference of halves
+        tilt = 3.0 * sigma / 0.5
+        P = ConvexPolytope([[0.0, 0.0], [1.0, 0.0], [1.0 + tilt, math.sqrt(1.0 - tilt * tilt)], [0.0, 1.0]])
+        got = risk_polygon_exact(P, (0.5, 0.0), sigma)
+        assert got.total == pytest.approx(1.5 * sigma * sigma, rel=1e-12, abs=0.0)
+
+    def test_rows_are_the_single_theta_calls(self):
+        for P, thetas in _random_polygons(20, 4):
+            for sigma in (1e-3, 1.0, 1e3):
+                rows = risk_polygon_exact(P, thetas, sigma)
+                for i, theta in enumerate(thetas):
+                    one = risk_polygon_exact(P, theta, sigma)
+                    assert type(one.total) is float and type(one.interior) is float
+                    assert _bits(one.total) == _bits(rows.total[i])
+                    assert np.array_equal(one.strips, rows.strips[i])
+                    assert np.array_equal(one.vertices, rows.vertices[i])
+
+    def test_point_polytope(self):
+        got = risk_polygon_exact(ConvexPolytope([[0.5, -1.0]]), (0.5, -1.0), 2.0)
+        assert (got.total, got.interior, got.strips.shape, got.vertices.tolist()) == (0.0, 0.0, (0,), [0.0])
+
+    def test_refusals(self):
+        triangle = ExampleGeometry(c=1.0).triangle()
+        with pytest.raises(ValueError, match="planar"):
+            risk_polygon_exact(ConvexPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), (0.0, 0.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match="must belong to the polytope"):
+            risk_polygon_exact(triangle, (2.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match="sigma must be a positive finite real"):
+            risk_polygon_exact(triangle, (0.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="sigma must be a scalar"):
+            risk_polygon_exact(triangle, (0.0, 0.0), [1.0, 2.0])

@@ -10,6 +10,7 @@ and against scipy's Kolmogorov-Smirnov machinery.
 import hashlib
 import math
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -54,6 +55,29 @@ class TestContainers:
             RiskEstimate(mean=1.0, stderr=-0.1, n=100, seed=1)
         with pytest.raises(ValueError):
             RiskEstimate(mean=1.0, stderr=0.1, n=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(mean=True), "mean must be a finite real, got True"),
+            (dict(mean="1.0"), "mean must be a finite real, got '1.0'"),
+            (dict(stderr=True), "stderr must be a nonnegative real, got True"),
+            (dict(stderr=math.nan), "stderr must be a nonnegative real, got nan"),
+            (dict(n=2.5), "n must be an integer, got 2.5"),
+            (dict(n="3"), "n must be an integer, got '3'"),
+            (dict(n=True), "n must be an integer, got True"),
+            (dict(seed="x"), "seed must be an integer, got 'x'"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_risk_estimate_refuses_non_numbers_by_name(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RiskEstimate(**{**dict(mean=1.0, stderr=0.0, n=2, seed=1), **fields})
+
+    def test_risk_estimate_stores_plain_numbers(self):
+        estimate = RiskEstimate(mean=np.float64(0.5), stderr=np.float32(0.25), n=np.int64(4), seed=2.0)
+        assert [type(v) for v in (estimate.mean, estimate.stderr, estimate.n, estimate.seed)] == [float, float, int, int]
+        assert (estimate.mean, estimate.stderr, estimate.n, estimate.seed) == (0.5, 0.25, 4, 2)
 
     def test_mc_config_validation(self):
         cfg = MCConfig(n=1000)

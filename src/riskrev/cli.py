@@ -7,14 +7,16 @@ Subcommands: ``risk`` (one evaluation point), ``diff-curve`` and ``heatmap``
 (finite-noise worst-case reversal scan).
 
 ``SUBCOMMANDS`` is the one table of these commands: each entry holds the
-help text, the flags, the computation and an optional plot body.  The
-argument parser, the metadata dict (``command``, the command's own flags,
-``seed``, ``samples`` and ``n_obs``) and the ``--emit-plot-script`` lookup
-are all built from it.  A computation takes the metadata dict and returns
-an :class:`Output`: a table of rows, rendered as CSV by default, or a flat
-record, rendered as JSON by default.  :func:`_table` turns either into the
-metadata, header, rows and footer that CSV output holds and that
-``--verify`` compares.
+help text, the flags, the computation, an optional plot body and whether a
+run draws Monte Carlo samples.  The argument parser, the metadata dict
+(``command``, the command's own flags, ``seed``, ``samples`` and ``n_obs``)
+and the ``--emit-plot-script`` lookup are all built from it.  A run that
+draws no samples keeps ``--seed`` and ``--samples`` in its metadata and, if
+either was given, says on stderr that it ignored them.  A computation takes
+the metadata dict and returns an :class:`Output`: a table of rows, rendered
+as CSV by default, or a flat record, rendered as JSON by default.
+:func:`_table` turns either into the metadata, header, rows and footer that
+CSV output holds and that ``--verify`` compares.
 
 Output is byte-stable: JSON is a single line with sorted keys, CSV uses
 fixed 15-significant-digit decimals and starts with a ``# {...}`` metadata
@@ -329,13 +331,16 @@ class Command:
     flag's parsed value goes into the metadata under its argparse dest,
     beside ``command``, ``seed``, ``samples`` and ``n_obs``.
     ``plot`` is the body of the ``--emit-plot-script`` companion script,
-    which reads the CSV columns as ``rows[name]``.
+    which reads the CSV columns as ``rows[name]``.  ``draws`` says whether a
+    run with these parameters draws Monte Carlo samples, the only use of
+    ``--seed`` and ``--samples``.
     """
 
     help: str
     flags: tuple
     compute: Callable[[dict], Output]
     plot: str | None = None
+    draws: Callable[[dict], bool] = lambda params: False
 
 
 SUBCOMMANDS = {
@@ -351,6 +356,7 @@ SUBCOMMANDS = {
             ("--mc", dict(action="store_true", help="add a Monte Carlo estimate")),
         ),
         compute_risk,
+        draws=lambda params: params["mc"],
     ),
     "diff-curve": Command(
         "risk difference along a noise sweep",
@@ -404,6 +410,7 @@ plt.legend()
             ("--generators", dict(help="semicolon-separated cone generators, e.g. '1,0;0,1'")),
         ),
         compute_statdim,
+        draws=lambda params: params.get("generators") is not None,
     ),
     "reversal": Command(
         "worst-case reversal scan over sigma",
@@ -426,12 +433,21 @@ plt.xlabel("sigma")
 plt.ylabel("exact sup-risk")
 plt.legend()
 """,
+        draws=lambda params: True,
     ),
 }
 
 
 # parsed options that steer a run but are not part of its metadata
-_RUN_OPTIONS = ("verify", "out", "format", "emit_plot_script")
+_RUN_OPTIONS = ("verify", "out", "format", "emit_plot_script", "given")
+
+
+class _Given(argparse.Action):
+    """Store the option's value and add the option to ``given``, so a run can tell it from its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.option_strings[0])
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +474,40 @@ def _table(output: Output):
     return {**output.metadata, **extras}, header, rows, None
 
 
+def _column_cells(column: np.ndarray):
+    """One column's cell format and cells: ``%.15g`` over its floats, or ``%s``
+    over its distinct values' ``%.15g`` strings when at most a quarter of its
+    bit patterns are distinct.  Keying on bits keeps 0.0 and -0.0 apart.
+
+    The distinct count comes from one plain sort of the bits, which costs a
+    few percent of formatting the column, so a column of distinct values
+    pays little for the check.
+    """
+    bits = column.view(np.int64)
+    ordered = np.sort(bits)
+    first = np.ones(len(bits), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    values = ordered[first]
+    if 4 * len(values) > len(bits):
+        return "%.15g", column
+    strings = np.array(["%.15g" % v for v in values.view(np.float64).tolist()], dtype=object)
+    return "%s", strings[np.searchsorted(values, bits)]
+
+
 def render_csv(output: Output) -> str:
-    """The CSV text: every cell formatted ``%.15g`` by one ``%`` over the whole table."""
+    """The CSV text: every cell is ``%.15g`` of its double, by one ``%`` over the whole table.
+
+    A column with many repeats formats each distinct value once and fills
+    its cells with those strings (:func:`_column_cells`); the bytes are the
+    same either way.
+    """
     metadata, header, rows, footer = _table(output)
-    cells = np.asarray(rows, dtype=float).ravel().tolist()
-    row_format = ",".join(["%.15g"] * len(header)) + "\n"
-    body = (row_format * len(rows)) % tuple(cells)
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    formats, columns = zip(*map(_column_cells, table.T))
+    # an object table where a column holds strings; the float table, uncopied, otherwise
+    cells = np.column_stack(columns) if "%s" in formats else table
+    row_format = ",".join(formats) + "\n"
+    body = (row_format * len(rows)) % tuple(cells.ravel().tolist())
     text = "# " + _json_line(metadata) + "\n" + ",".join(header) + "\n" + body
     if footer:
         text += "# " + _json_line(footer) + "\n"
@@ -599,8 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify", metavar="PATH", help="recheck a previously emitted CSV or JSON output instead of running a command"
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED, action=_Given)
+    common.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, action=_Given)
+    common.set_defaults(given=())
     common.add_argument("--out", metavar="PATH", help="write output to this file instead of stdout")
     common.add_argument("--format", choices=["csv", "json"], default=None)
     common.add_argument("--n-obs", type=int, default=1)
@@ -650,8 +695,12 @@ def main(argv=None) -> int:
             print("error: a subcommand or --verify is required", file=sys.stderr)
             return 2
         params = {k: v for k, v in vars(args).items() if k not in _RUN_OPTIONS}
-        output = SUBCOMMANDS[args.command].compute(params)
+        command = SUBCOMMANDS[args.command]
+        output = command.compute(params)
         _check_finite(output)
+        if args.given and not command.draws(params):
+            ignored = " and ".join(sorted(set(args.given)))
+            print(f"note: {args.command} draws no Monte Carlo samples here; {ignored} ignored", file=sys.stderr)
         _emit(output, args)
         return 0
     except (ValueError, OSError) as err:

@@ -127,17 +127,24 @@ def _half_z2_phi(x):
     Below |x| = 1, where Phi(x) - 1/2 - x phi(x) cancels, it sums the positive
     series of P: phi(x) (|x|^3/3 + |x|^5/(3*5) + |x|^7/(3*5*7) + ...).
     """
-    r = np.abs(x)
-    rs = np.minimum(r, 1.0)
-    term = total = rs * rs * rs / 3.0
+    r = np.abs(np.asarray(x, dtype=float))
+    pdf = np.asarray(std_normal_pdf(r))
+    half = np.empty_like(r)
+    small = r < 1.0
+    big = ~small
+    half[big] = std_normal_cdf_minus_half(r[big]) - r[big] * pdf[big]
+    rs = r[small]
+    r2 = rs * rs
+    term = r2 * rs / 3.0
+    total = term.copy()
     k = 5.0
-    # a converged sum ignores terms below 1e-17 of it while other entries go on
+    # a converged sum ignores the smaller terms it adds while other entries go on
     while (term > 1e-17 * total).any():
-        term = term * (rs * rs / k)
-        total = total + term
+        term *= r2 / k
+        total += term
         k += 2.0
-    pdf = std_normal_pdf(r)
-    return np.copysign(np.where(r < 1.0, total * pdf, std_normal_cdf_minus_half(r) - r * pdf), x)
+    half[small] = total * pdf[small]
+    return np.copysign(half, x)
 
 
 def _slopes(g, sigma: np.ndarray):
@@ -204,9 +211,11 @@ def risk_triangle_exact(g, sigma) -> RegionRiskBreakdown:
     x = 1.0 / (c * sigma)
     s = root / sigma
     sig2 = sigma * sigma
+    centred_x = std_normal_cdf_minus_half(x)
+    tail_u = std_normal_cdf(-u)
 
     interior = sig2 * (
-        u * std_normal_pdf(u) * (-std_normal_cdf_minus_half(x))
+        u * std_normal_pdf(u) * (-centred_x)
         - 2.0 * owens_t(u, 1.0 / c)
         + arc
     )
@@ -221,12 +230,10 @@ def risk_triangle_exact(g, sigma) -> RegionRiskBreakdown:
         + owens_t(s, 1.0 / (c * root))
         - owens_t(x, c)
     )
-    a3 = 0.5 * std_normal_cdf(-u)
+    a3 = 0.5 * tail_u
     a12 = 0.5 * sig2 * _half_z2_phi(s)
     a13 = 0.5 * sig2 * _half_z2_phi(u)
-    a23 = std_normal_cdf(-u) * (
-        std_normal_cdf_minus_half(x) + sig2 * _half_z2_phi(x)
-    )
+    a23 = tail_u * (centred_x + sig2 * _half_z2_phi(x))
 
     # in RegionLabel order: Interior, A1, A2, A3, A12, A13, A23; A3 and A13
     # depend on sigma only and are spread over the slope axis

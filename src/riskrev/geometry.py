@@ -392,7 +392,7 @@ class _PolygonBlocks:
                 _select(x, d, better, bits, mask)
         if closed:
             finite = np.isfinite(best, out=better)
-            np.copyto(x, y, where=inside)
+            _select(x, y, inside, bits, mask)
         else:
             # a point or a segment: the one foot is the projection, and its
             # distance may overflow, since no comparison needs it

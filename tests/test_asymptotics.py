@@ -26,7 +26,7 @@ from riskrev.asymptotics import (
     worst_case_limiting_risk,
 )
 from riskrev.exact_risk import risk_segment_exact, risk_triangle_exact
-from riskrev.geometry import Cone2D, ConeKind, ConvexPolytope, ExampleGeometry
+from riskrev.geometry import Cone2D, ConeKind, ConvexPolytope, ExampleGeometry, _edge_chain, tangent_cone_2d
 from riskrev.montecarlo import sample_unit_sphere
 
 TWO_PI = 2.0 * math.pi
@@ -117,6 +117,26 @@ class TestSmallNoiseRisk:
         g = ExampleGeometry(c=1.0)
         assert small_noise_risk(g.segment(), (0.5, 0.5), sigma) / sigma**2 == 1.0
         assert risk_segment_exact(g, 0.5, sigma) / sigma**2 == pytest.approx(1.0, rel=1e-6)
+
+    def test_smaller_set_has_smaller_small_noise_coefficient(self):
+        # the paper's small-noise side: Theta_S inside Theta_L gives
+        # T_S(theta*) inside T_L(theta*), and delta is monotone under
+        # inclusion, so the sigma^2 coefficient of Theta_S is at most that of
+        # Theta_L at every theta* in Theta_S; 1e-12 absorbs angle roundoff
+        rng = np.random.default_rng(20240613)
+        cases = 0
+        for _ in range(150):
+            large = ConvexPolytope(rng.standard_normal((rng.integers(3, 7), 2)))
+            weights = rng.dirichlet(np.ones(large.n_vertices), size=rng.integers(2, 6))
+            small = ConvexPolytope(weights @ large.vertices)
+            v = small.vertices
+            edges = [(v[i] + v[j]) / 2.0 for i, j in _edge_chain(len(v))]
+            for theta in [*v, *edges, v.mean(axis=0)]:
+                delta_small = statistical_dimension_2d(tangent_cone_2d(small, theta))
+                delta_large = statistical_dimension_2d(tangent_cone_2d(large, theta))
+                assert delta_small <= delta_large + 1e-12, (large.vertices, small.vertices, theta)
+                cases += 1
+        assert cases > 1000
 
     def test_non_planar_without_generators_rejected(self):
         poly = ConvexPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

@@ -807,8 +807,14 @@ def test_only_risk_averages_observations(capsys, argv):
 # CSV body one format operation; both changes keep every byte.  The
 # reversal example, at 2*10^4 samples, was recorded when its sup columns
 # became the exact maximum over the candidates, with Monte Carlo columns at
-# the two winners.
+# the two winners.  The benchmark's heatmap size was recorded before CSV
+# columns with many repeats formatted each distinct value once.
+BENCHMARK_HEATMAP = ("heatmap", "--c-sweep", "0.2:3:200", "--sigma-sweep", "0.01:1e4:200:log")
 PINNED_TABLE_DIGESTS = {
+    BENCHMARK_HEATMAP: (
+        "3ceb621143f1b366b292eb8a8e506b2e7feb09332a74f7d296821d213fa71557",
+        "e3af190747986543ec0233bc0e79c90ab566c2154b235f5d0d05ad834d83575c",
+    ),
     ("heatmap", "--c-sweep", "0.2:3:40", "--sigma-sweep", "0.05:50:40:log"): (
         "24624e1c868b70fd75c1af02beed018f35e366b030e66673ddc45aaaed729a34",
         "193eec15dc2673bf77a35d34a598c1af191fe61875345538887a7bc986bb9695",
@@ -831,7 +837,10 @@ PINNED_TABLE_DIGESTS = {
 
 class TestPinnedOutputs:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("argv", sorted(PINNED_TABLE_DIGESTS), ids=lambda argv: argv[0])
+    @pytest.mark.parametrize(
+        "argv", sorted(PINNED_TABLE_DIGESTS),
+        ids=lambda argv: "heatmap-benchmark" if argv == BENCHMARK_HEATMAP else argv[0],
+    )
     def test_readme_table_keeps_its_bytes(self, capsys, argv, fmt):
         code, out, _ = run_cli(capsys, [*argv, "--format", fmt])
         assert code == 0
@@ -857,30 +866,102 @@ class TestFormatContract:
     """CSV cells are ``f"{v:.15g}"`` joined by commas, whatever renders them."""
 
     @staticmethod
-    def _check(values: np.ndarray):
-        columns = 5
-        values = np.concatenate([values, np.zeros(-len(values) % columns)])
-        table = values.reshape(-1, columns)
-        output = cli.Output({"command": "test"}, header=list("abcde"), rows=table)
+    def _check(table: np.ndarray):
+        output = cli.Output({"command": "test"}, header=list("abcde")[: table.shape[1]], rows=table)
         body = cli.render_csv(output).split("\n")[2:-1]
         want = [",".join(f"{v:.15g}" for v in row) for row in table.tolist()]
         assert body == want
 
+    @classmethod
+    def _check_values(cls, values: np.ndarray):
+        """Row-major cells of five columns, zero-padded."""
+        cls._check(np.concatenate([values, np.zeros(-len(values) % 5)]).reshape(-1, 5))
+
     def test_edge_values(self):
-        self._check(_format_edge_values())
+        self._check_values(_format_edge_values())
 
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(20240613).integers(0, 2**64, size=200_000, dtype=np.uint64)
         values = bits.view(np.float64)
         values = values[np.isfinite(values)]
         assert len(values) > 100_000
-        self._check(values)
+        self._check_values(values)
+
+    # tables whose columns repeat values, as a (c, sigma) grid's do; random
+    # bit patterns never repeat one
+
+    def test_repeated_signed_zeros(self):
+        rng = np.random.default_rng(1)
+        zeros = np.where(rng.random(4000) < 0.5, 0.0, -0.0)
+        mixed = np.where(rng.random(4000) < 0.9, zeros, 1.5)
+        self._check(np.column_stack([zeros, mixed, rng.standard_normal(4000)]))
+
+    def test_repeated_extremes(self):
+        tiny = np.nextafter(0.0, 1.0)
+        big = np.finfo(float).max
+        extremes = np.array([tiny, -tiny, 2 * tiny, 1e-310, big, -big, np.nextafter(big, 0.0)])
+        rng = np.random.default_rng(2)
+        self._check(np.column_stack([rng.choice(extremes, 3000), rng.choice(_format_edge_values(), 3000)]))
+
+    def test_one_value_beside_distinct_values(self):
+        distinct = np.random.default_rng(3).standard_normal(2000)
+        self._check(np.column_stack([np.full(2000, 0.1 + 0.2), distinct, np.full(2000, -0.0)]))
+
+    def test_grid_columns(self):
+        c, sigma = np.meshgrid(np.linspace(0.2, 3, 50), np.geomspace(0.01, 1e4, 50), indexing="ij")
+        self._check(np.column_stack([c.ravel(), sigma.ravel(), np.sin(c * sigma).ravel()]))
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_tiny_tables(self, rows):
+        self._check(np.column_stack([np.full(rows, -0.0), np.full(rows, 1e16), np.full(rows, 5e-324)]))
 
     def test_list_rows_match_array_rows(self):
         table = _format_edge_values()[:40].reshape(8, 5)
         as_array = cli.Output({"command": "test"}, header=list("abcde"), rows=table)
         as_lists = cli.Output({"command": "test"}, header=list("abcde"), rows=table.tolist())
         assert cli.render_csv(as_array) == cli.render_csv(as_lists)
+
+
+@pytest.mark.parametrize(
+    "argv, flags, ignored",
+    [
+        (["heatmap", "--c-sweep", "0.5:1:3", "--sigma-sweep", "1,2"], ["--seed", "5"], "--seed"),
+        (["diff-curve", "--c-list", "0.5", "--sigma-sweep", "1,2"], ["--seed", "5", "--samples", "7"],
+         "--samples and --seed"),
+        (["envelope", "--c", "0.75", "--x-sweep", "0:1:5"], ["--samples", "7"], "--samples"),
+        (["statdim", "--polytope-file", "FILE", "--theta", "0,0"], ["--seed", "5"], "--seed"),
+        (["risk", "--set", "segment", "--c", "2", "--sigma", "0.5"], ["--seed", "5"], "--seed"),
+    ],
+    ids=["heatmap", "diff-curve", "envelope", "statdim", "risk"],
+)
+def test_ignored_seed_and_samples_are_named_on_stderr(capsys, tmp_path, argv, flags, ignored):
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(TRIANGLE_FILE))
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    code, out, err = run_cli(capsys, argv + flags)
+    assert code == 0
+    assert err == f"note: {argv[0]} draws no Monte Carlo samples here; {ignored} ignored\n"
+    # the results are those of the defaults; only the metadata echoes the flags
+    _, default_out, default_err = run_cli(capsys, argv)
+    assert default_err == ""
+
+    def results(text):
+        if text.startswith("{"):
+            return {k: v for k, v in json.loads(text).items() if k != "metadata"}
+        return text.split("\n")[1:]
+
+    assert results(out) == results(default_out)
+
+
+def test_runs_that_draw_say_nothing_about_seed(capsys):
+    argv = ["reversal", "--c", "0.75", "--x-small", "1.3", "--x-large", "0.5",
+            "--sigma-sweep", "0.05", "--samples", "1000", "--seed", "5", "--format", "csv"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith('# {"c":0.75,"command":"reversal"')
+    code, _, err = run_cli(capsys, ["risk", "--set", "segment", "--c", "2", "--sigma", "0.5",
+                                    "--mc", "--samples", "1000", "--seed", "5"])
+    assert (code, err) == (0, "")
 
 
 def test_metadata_and_header_contract(capsys):

@@ -22,6 +22,7 @@ from scipy import special
 from riskrev.asymptotics import limiting_risk, statistical_dimension_2d, vertex_probabilities_2d
 from riskrev.exact_risk import (
     RegionRiskBreakdown,
+    _half_z2_phi,
     _int_z2_phi,
     RiskQuery,
     large_noise_limit_diff,
@@ -194,6 +195,33 @@ class TestIntZ2Phi:
     @pytest.mark.parametrize("a, b, want", INT_Z2_PHI_REFERENCE)
     def test_matches_high_precision_reference(self, a, b, want):
         assert _int_z2_phi(a, b) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+    @staticmethod
+    def _whole_array_half(x):
+        """The series summed over every entry, |x| clipped to 1, until all converge."""
+        r = np.abs(x)
+        rs = np.minimum(r, 1.0)
+        term = total = rs * rs * rs / 3.0
+        k = 5.0
+        while (term > 1e-17 * total).any():
+            term = term * (rs * rs / k)
+            total = total + term
+            k += 2.0
+        pdf = std_normal_pdf(r)
+        return np.copysign(np.where(r < 1.0, total * pdf, std_normal_cdf_minus_half(r) - r * pdf), x)
+
+    def test_series_on_small_entries_keeps_the_whole_array_bits(self):
+        # each entry stops when its own term is below 1e-17 of its sum; the
+        # later terms a whole-array loop adds are below half an ulp of it
+        tiny = np.nextafter(0.0, 1.0)
+        x = np.concatenate([
+            [0.0, -0.0, tiny, -tiny, 1e-310, 1e-160, 1e-110, np.nextafter(1.0, 0.0), 1.0, -1.0, 40.0],
+            np.geomspace(1e-12, 1e12, 2001), -np.geomspace(1e-6, 30.0, 501),
+            np.random.default_rng(7).standard_normal(2000),
+        ])
+        assert _half_z2_phi(x).tobytes() == self._whole_array_half(x).tobytes()
+        for v in x[::50]:
+            assert _bits(_half_z2_phi(v)) == _bits(self._whole_array_half(v)), v
 
 
 # sigma grid of the array tests: the documented domain, 1e-8 to 1e12

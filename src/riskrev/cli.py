@@ -474,41 +474,21 @@ def _table(output: Output):
     return {**output.metadata, **extras}, header, rows, None
 
 
-def _column_cells(column: np.ndarray):
-    """One column's cell format and cells: ``%.15g`` over its floats, or ``%s``
-    over its distinct values' ``%.15g`` strings when at most a quarter of its
-    bit patterns are distinct.  Keying on bits keeps 0.0 and -0.0 apart.
-
-    The distinct count comes from one plain sort of the bits, which costs a
-    few percent of formatting the column, so a column of distinct values
-    pays little for the check.
-    """
-    bits = column.view(np.int64)
-    ordered = np.sort(bits)
-    first = np.ones(len(bits), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    values = ordered[first]
-    if 4 * len(values) > len(bits):
-        return "%.15g", column
-    strings = np.array(["%.15g" % v for v in values.view(np.float64).tolist()], dtype=object)
-    return "%s", strings[np.searchsorted(values, bits)]
-
-
 def render_csv(output: Output) -> str:
-    """The CSV text: every cell is ``%.15g`` of its double, by one ``%`` over the whole table.
+    """The CSV text: a ``# {...}`` metadata line, the header, one line per
+    row whose cells are ``'%.15g' % x`` of their doubles, and a ``# {...}``
+    footer line if the output has a footer.
 
-    A column with many repeats formats each distinct value once and fills
-    its cells with those strings (:func:`_column_cells`); the bytes are the
-    same either way.
+    :func:`riskrev._csvformat.csv_body` renders the rows: it formats each
+    distinct double of the table once, exactly, in numpy, and leaves only
+    the values outside its exact range to CPython's ``%``.
     """
+    # imported on first use, so that runs printing JSON never build its tables
+    from ._csvformat import csv_body
+
     metadata, header, rows, footer = _table(output)
     table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    formats, columns = zip(*map(_column_cells, table.T))
-    # an object table where a column holds strings; the float table, uncopied, otherwise
-    cells = np.column_stack(columns) if "%s" in formats else table
-    row_format = ",".join(formats) + "\n"
-    body = (row_format * len(rows)) % tuple(cells.ravel().tolist())
-    text = "# " + _json_line(metadata) + "\n" + ",".join(header) + "\n" + body
+    text = "# " + _json_line(metadata) + "\n" + ",".join(header) + "\n" + csv_body(table)
     if footer:
         text += "# " + _json_line(footer) + "\n"
     return text

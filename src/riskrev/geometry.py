@@ -781,7 +781,7 @@ class _ConeBlocks:
 
     Holds each subset's pseudo-inverse and scratch for ``size`` points, so
     :func:`project_cone_nonneg_batch` makes a new one per call.  The product
-    term row doubles as the select bits, the squared distance as its mask.
+    term row doubles as the select bits; a fourth float row holds their mask.
     """
 
     def __init__(self, G: np.ndarray, rows: int):
@@ -795,7 +795,7 @@ class _ConeBlocks:
         self.size = size = min(max(rows, 1), _PROJECT_BLOCK)
         self._rows = np.empty((3, d, size))
         self._coefs = np.empty((min(m, d), size))
-        self._floats = np.empty((3, size))
+        self._floats = np.empty((4, size))
         self._flags = np.empty((2, size), dtype=bool)
 
     # rows with no finite distance go through inf/NaN arithmetic, then raise
@@ -808,9 +808,9 @@ class _ConeBlocks:
         """
         b = y.shape[1]
         z, x, p = self._rows[:, :, :b]
-        t, d2, best_d2 = self._floats[:, :b]
+        t, d2, best_d2, mask_row = self._floats[:, :b]
         feasible, better = self._flags[:, :b]
-        bits, mask = t.view(np.int64), d2.view(np.int64)
+        bits, mask = t.view(np.int64), mask_row.view(np.int64)
         np.copyto(z, y)
         x.fill(0.0)
         _left_sum(zip(z, z), best_d2, t)
@@ -832,7 +832,7 @@ class _ConeBlocks:
                 d2 += np.square(t, out=t)
             np.less(d2, best_d2, out=better)
             better &= feasible
-            np.copyto(best_d2, d2, where=better)
+            _select(best_d2[None], d2[None], better, bits, mask)
             _select(x, p, better, bits, mask)
         _refuse(np.isfinite(best_d2, out=better), y, first, "cone")
         return x

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from riskrev import cli, exact_risk
+from riskrev import _csvformat, cli, exact_risk
 from riskrev.cli import main, parse_sweep
 from riskrev.exact_risk import risk_segment_exact, risk_triangle_exact
 from riskrev.geometry import ExampleGeometry
@@ -482,8 +482,9 @@ class TestVerifyAndArtifacts:
             ["heatmap", "--c-sweep", "0.2:3:40", "--sigma-sweep", "0.05:50:40:log"],
             ["diff-curve", "--c-list", "0.5,1,2", "--sigma-sweep", "0.01:100:200:log"],
             ["envelope", "--c", "0.75", "--x-sweep", "0:1.3333:13334"],
+            ["heatmap", "--c-sweep", "0.2:3:200", "--sigma-sweep", "0.01:1e4:200:log"],
         ],
-        ids=["heatmap", "diff-curve", "envelope"],
+        ids=["heatmap", "diff-curve", "envelope", "heatmap-benchmark"],
     )
     def test_roundtrip_readme_tables(self, capsys, tmp_path, argv, fmt):
         path = self._write(capsys, tmp_path, argv + ["--format", fmt], "out." + fmt)
@@ -505,6 +506,26 @@ class TestVerifyAndArtifacts:
         code, _, err = run_cli(capsys, ["--verify", str(path)])
         assert code == 3
         assert "verification failed" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heatmap", "--c-sweep", "0.2:3:40", "--sigma-sweep", "0.05:50:40:log"],
+            ["envelope", "--c", "0.75", "--x-sweep", "0:1.3333:13334"],
+        ],
+        ids=["heatmap", "envelope"],
+    )
+    def test_tampered_cell_in_readme_table_detected(self, capsys, tmp_path, argv):
+        path = self._write(capsys, tmp_path, argv, "table.csv")
+        lines = path.read_text().split("\n")
+        row = 2 + cli.VERIFY_STRIDE  # the second row --verify rechecks
+        cells = lines[row].split(",")
+        cells[-1] = repr(float(cells[-1]) * (1 + 1e-6) + 1e-6)
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        code, _, err = run_cli(capsys, ["--verify", str(path)])
+        assert code == 3
+        assert f"row {cli.VERIFY_STRIDE}, column {lines[1].split(',')[-1]}:" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -802,13 +823,13 @@ def test_only_risk_averages_observations(capsys, argv):
     assert run_cli(capsys, [*argv, "--n-obs", "1"])[0] == 0
 
 
-# sha256 of the CSV and JSON text of the README's exact-table examples,
-# recorded before the (c, sigma) grid became one closed-form call and the
-# CSV body one format operation; both changes keep every byte.  The
-# reversal example, at 2*10^4 samples, was recorded when its sup columns
-# became the exact maximum over the candidates, with Monte Carlo columns at
-# the two winners.  The benchmark's heatmap size was recorded before CSV
-# columns with many repeats formatted each distinct value once.
+# sha256 of the CSV and JSON text of the README's exact-table examples and
+# of the benchmark's 200 x 200 heatmap.  The exact tables were recorded
+# while every CSV cell was CPython's '%.15g' of its double, one cell at a
+# time; the numpy renderer that formats each distinct double once keeps
+# every byte of them.  The reversal example, at 2*10^4 samples, was
+# recorded when its sup columns became the exact maximum over the
+# candidates, with Monte Carlo columns at the two winners.
 BENCHMARK_HEATMAP = ("heatmap", "--c-sweep", "0.2:3:200", "--sigma-sweep", "0.01:1e4:200:log")
 PINNED_TABLE_DIGESTS = {
     BENCHMARK_HEATMAP: (
@@ -914,6 +935,48 @@ class TestFormatContract:
     @pytest.mark.parametrize("rows", [0, 1])
     def test_tiny_tables(self, rows):
         self._check(np.column_stack([np.full(rows, -0.0), np.full(rows, 1e16), np.full(rows, 5e-324)]))
+
+    # the exact vectorised range, 1e-8 <= |x| < 1e15, and its edges
+
+    def test_fast_range_values(self):
+        rng = np.random.default_rng(20261020)
+        values = (1 + rng.random(10**6)) * 10.0 ** rng.uniform(-8, 15, 10**6)
+        self._check_values(np.where(rng.random(10**6) < 0.5, -values, values))
+
+    @pytest.mark.parametrize("scale", [2.0**-10, 1.0, 2.0**20])
+    def test_exact_decimal_ties(self, scale):
+        # M / 2^15 for odd M has 16 significant digits, the last a 5: a true tie at 15
+        ties = np.arange(32769, 327680, 2) / 2.0**15
+        assert f"{ties[0]:.15g}" == "1.00003051757812"
+        self._check_values(ties * scale)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-9, 17)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        self._check_values(np.concatenate([values, -values]))
+
+    def test_rounding_carries_into_the_next_decade(self):
+        carries = np.array([999999999999999.5, 99999999999999.95, 9.9999999999999995e-5])
+        assert f"{carries[2]:.15g}" == "0.0001"
+        self._check_values(np.concatenate([carries, -carries]))
+
+    def test_non_finite_cells(self):
+        self._check(np.array([[np.inf, -np.inf, np.nan], [np.nan, 1.5, -np.inf], [-0.0, 0.0, 1e-300]]))
+
+    def test_fallback_cells_are_counted(self):
+        table = np.array([[np.nan, 1e300, 0.5], [np.nan, -0.0, 1e-9]])
+        assert _csvformat._fallback_cells(table) == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [BENCHMARK_HEATMAP, ("envelope", "--c", "0.75", "--x-sweep", "0:1.3333:13334")],
+        ids=["heatmap-benchmark", "envelope"],
+    )
+    def test_benchmark_tables_take_no_fallback(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        params = {k: v for k, v in vars(args).items() if k not in cli._RUN_OPTIONS}
+        _, _, rows, _ = cli._table(cli.SUBCOMMANDS[args.command].compute(params))
+        assert _csvformat._fallback_cells(rows) == 0
 
     def test_list_rows_match_array_rows(self):
         table = _format_edge_values()[:40].reshape(8, 5)

@@ -455,8 +455,10 @@ def project_triangle_example(g: ExampleGeometry, y):
     raise AssertionError(f"region table failed to classify {y!r}")  # unreachable
 
 
-# points per block of the min-norm-point projection: the block's (b, K, d)
-# temporaries stay small whatever the number of points
+# points per block of the min-norm-point projection: a block's (K, b) rows
+# of weights and gaps and its (d + 1) K rows of gathered affine maps stay
+# small whatever the number of points; 2^14 measured no faster on the cube
+# and about 1 MB more peak memory
 _POLYTOPE_BLOCK = 1 << 12
 
 # weights at or below this count as zero when the minimiser leaves the simplex
@@ -466,18 +468,17 @@ _WEIGHT_FLOOR = 1e-12
 # and on the relative KKT residuals that certify a cone projection
 _CERTIFICATE_TOL = 1e-9
 
+# vertices per word of an active-set key: a word, below 2^32, and a group
+# index, below a block's size, share one int64
+_KEY_BITS = 32
 
-def _sum_last(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, left to right, one elementwise add per term.
 
-    Unlike a BLAS product or a pairwise reduction, every entry rounds the
-    same way whatever the other rows, so a row projected alone equals the
-    same row inside any batch, bit for bit.
-    """
-    total = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        total += x[..., j]
-    return total
+def _normalised(w: np.ndarray) -> np.ndarray:
+    """The (K, b) rows ``w`` over their column sums, summed top to bottom one row at a time."""
+    total = w[0].copy()
+    for row in w[1:]:
+        total += row
+    return w / total
 
 
 class _MinNormPoint:
@@ -493,6 +494,14 @@ class _MinNormPoint:
     for the life of the object.  A cached map is a function of its active
     set alone, so results do not depend on what the object projected
     before, and one object may serve concurrent callers.
+
+    A block stays in the projector protocol's coordinate rows: points, p
+    and y - c are (d, b) arrays, and masks, weights and gaps (K, b) ones.
+    Every sum over coordinates or vertices adds whole rows left to right,
+    one elementwise add per term.  Unlike a BLAS product or a pairwise
+    reduction, each point then rounds the same way whatever the other
+    points, so a point projected alone equals the same point inside any
+    batch, bit for bit.
     """
 
     size = _POLYTOPE_BLOCK
@@ -507,28 +516,57 @@ class _MinNormPoint:
         self._unit = centred / self._scale
         self._max_iter = 64 * len(v) + 256
         self._affine = {}
+        # row w holds 2^(k mod 32) at each vertex k of key word w
+        k = np.arange(len(v))
+        self._key_weights = np.zeros((-(-len(v) // _KEY_BITS), len(v)))
+        self._key_weights[k // _KEY_BITS, k] = np.ldexp(1.0, k % _KEY_BITS)
 
-    def _affine_weights(self, mask: np.ndarray, yc: np.ndarray) -> np.ndarray:
-        """Affine minimiser weights of each row over its active set, zero off it."""
-        packed = np.packbits(mask, axis=1)
-        # one opaque byte string per row sorts far faster than unique(axis=0)
-        keys = packed.view(f"V{packed.shape[1]}").ravel()
-        unique, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        entries = [self._cached_map(key.tobytes(), mask[i]) for key, i in zip(unique, first)]
-        linear = np.stack([entry[0] for entry in entries])[group]
-        offset = np.stack([entry[1] for entry in entries])[group]
-        return _sum_last(linear * yc[:, None, :]) + offset
+    def _groups(self, active: np.ndarray):
+        """Group the columns of the (K, m) mask ``active`` by their active set.
 
-    def _cached_map(self, key: bytes, active: np.ndarray):
+        Returns ``(first, group, keys)``: a column of each distinct set,
+        each column's index into ``first``, and each set's key, the tuple of
+        its words of 32 vertex bits.  Each word, shifted in below the groups
+        of the words before it, costs one integer argsort, whatever K.
+        """
+        # sums of distinct powers of two below 2^32 are exact in any order
+        words = (self._key_weights @ active).astype(np.int64)
+        group = np.zeros(active.shape[1], dtype=np.int64)
+        for word in words:
+            key = (group << _KEY_BITS) | word
+            order = np.argsort(key)
+            ranked = key[order]
+            new = np.empty(len(key), dtype=bool)
+            new[:1] = True
+            np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+            group[order] = np.cumsum(new) - 1
+        first = order[new]
+        return first, group, zip(*words.take(first, axis=1).tolist())
+
+    def _affine_weights(self, active: np.ndarray, yc: np.ndarray) -> np.ndarray:
+        """Affine minimiser weights of each column over its active set, zero off it, as (K, m) rows."""
+        first, group, keys = self._groups(active)
+        maps = np.array([self._cached_map(key, active, i) for key, i in zip(keys, first.tolist())])
+        # B's column for each coordinate, then b: d + 1 (K, m) blocks
+        terms = np.take(maps.T, group, axis=1).reshape(len(yc) + 1, len(active), -1)
+        terms[:-1] *= yc[:, None, :]
+        weights = terms[0]
+        for term in terms[1:]:
+            weights += term
+        return weights
+
+    def _cached_map(self, key: tuple, active: np.ndarray, i: int) -> np.ndarray:
+        """The affine map of column ``i`` of ``active``, whose key words are ``key``."""
         entry = self._affine.get(key)
         if entry is None:
             # concurrent callers may both compute a missing entry; the two
             # are equal, so either may stay
-            entry = self._affine[key] = self._affine_map(active)
+            entry = self._affine[key] = self._affine_map(active[:, i])
         return entry
 
-    def _affine_map(self, active: np.ndarray):
-        """(B, b) with a = B (y - center) + b the affine minimiser weights over ``active``."""
+    def _affine_map(self, active: np.ndarray) -> np.ndarray:
+        """B's columns, then b, concatenated, with a = B (y - center) + b the
+        affine minimiser weights over ``active``."""
         idx = np.flatnonzero(active)
         s = len(idx)
         unit = self._unit[idx]
@@ -540,50 +578,67 @@ class _MinNormPoint:
         b = np.zeros(len(self._v))
         B[idx] = inverse[:s, :s] @ unit / self._scale
         b[idx] = inverse[:s, s]
-        return B, b
+        return np.concatenate([B.T.ravel(), b])
 
     def project(self, y: np.ndarray, first: int) -> np.ndarray:
         """Project the (d, b) block of coordinate rows ``y``; errors count points from ``first``."""
-        # iterate on row-major (b, d) points; the result is their transpose
-        y = np.ascontiguousarray(y.T)
+        y = np.ascontiguousarray(y)
         v = self._v
         with np.errstate(over="ignore"):
-            threshold = _CERTIFICATE_TOL * (1.0 + np.sqrt(_sum_last(y * y)))
+            norm_sq = y[0] * y[0]
+            for row in y[1:]:
+                norm_sq += row * row
+            threshold = _CERTIFICATE_TOL * (1.0 + np.sqrt(norm_sq))
             finite = np.isfinite(threshold)
             if not finite.all():
                 i = int(np.argmin(finite))
-                raise ProjectionError(f"point {first + i} {y[i].tolist()!r} has no finite norm")
+                raise ProjectionError(f"point {first + i} {y[:, i].tolist()!r} has no finite norm")
             # start from the nearest vertex
-            offset = v[None, :, :] - y[:, None, :]
-            nearest = np.argmin(_sum_last(offset * offset), axis=1)
-        out = np.empty_like(y)
-        rows = np.arange(len(y))
-        yc = y - self._center
-        mask = np.zeros((len(y), len(v)), dtype=bool)
-        mask[rows, nearest] = True
+            dist = np.square(v[:, :1] - y[0])
+            for j in range(1, len(y)):
+                dist += np.square(v[:, j : j + 1] - y[j])
+            nearest = np.argmin(dist, axis=0)
+        # the transpose of a C-ordered (b, d) array: the losses in montecarlo
+        # sum the result's rows, and their rounding depends on its layout
+        out = np.empty(y.shape[::-1]).T
+        rows = np.arange(y.shape[1])
+        yc = y - self._center[:, None]
+        mask = np.zeros((len(v), len(rows)), dtype=bool)
+        mask[nearest, rows] = True
         weights = mask.astype(float)
         for _ in range(self._max_iter):
-            p = _sum_last(weights[:, None, :] * v.T[None, :, :])
-            # certificate and gap test at once: <y - p, v_i - p> over all i
-            gaps = _sum_last((y - p)[:, None, :] * (v[None, :, :] - p[:, None, :]))
-            entering = np.argmax(gaps, axis=1)
-            residual = gaps[np.arange(len(gaps)), entering]
-            done = residual <= threshold
-            out[rows[done]] = p[done]
-            live = ~done
-            if not live.any():
-                return out.T
-            rows, y, yc, threshold, residual = rows[live], y[live], yc[live], threshold[live], residual[live]
-            mask, weights, entering = mask[live], weights[live], entering[live]
+            p = v[0][:, None] * weights[0]
+            term = np.empty_like(p)
+            for vk, wk in zip(v[1:], weights[1:]):
+                p += np.multiply(vk[:, None], wk, out=term)
+            # certificate and gap test at once: <y - p, v_k - p> over all k
+            r = y - p
+            gaps = v[:, :1] - p[0]
+            gaps *= r[0]
+            term = np.empty_like(gaps)
+            for j in range(1, len(y)):
+                gaps += np.multiply(np.subtract(v[:, j : j + 1], p[j], out=term), r[j], out=term)
+            entering = np.argmax(gaps, axis=0)
             every = np.arange(len(rows))
-            stuck = mask[every, entering]
+            residual = gaps[entering, every]
+            done = residual <= threshold
+            if done.any():
+                # take(axis=1) gathers columns faster than fancy indexing
+                finished, live = np.flatnonzero(done), np.flatnonzero(~done)
+                out[:, rows[finished]] = p.take(finished, axis=1)
+                if not len(live):
+                    return out
+                rows, threshold, residual, entering = rows[live], threshold[live], residual[live], entering[live]
+                y, yc, mask, weights = (x.take(live, axis=1) for x in (y, yc, mask, weights))
+                every = every[: len(rows)]
+            stuck = mask[entering, every]
             if stuck.any():
                 i = int(np.argmax(stuck))
                 raise ProjectionError(
                     f"point {first + rows[i]}: min-norm point stuck with the best vertex "
                     f"already active: residual {residual[i]:.3e} > threshold {threshold[i]:.3e}"
                 )
-            mask[every, entering] = True
+            mask[entering, every] = True
             self._minor_cycles(mask, weights, yc)
         raise ProjectionError(
             f"point {first + rows[0]}: min-norm point did not certify within "
@@ -591,34 +646,40 @@ class _MinNormPoint:
         )
 
     def _minor_cycles(self, mask: np.ndarray, weights: np.ndarray, yc: np.ndarray):
-        """Move each row to the affine minimiser of its active set, in place.
+        """Move each column to the affine minimiser of its active set, in place.
 
         Where the minimiser leaves the simplex, step from the current weights
         toward it until a weight reaches zero, drop that vertex and repeat,
         until the minimiser is strictly positive or one vertex is left.
         """
-        cycling = np.arange(len(mask))
-        while len(cycling):
-            active, current = mask[cycling], weights[cycling]
-            candidate = self._affine_weights(active, yc[cycling])
-            inside = np.all((candidate > _WEIGHT_FLOOR) | ~active, axis=1)
-            accepted = candidate[inside]
-            weights[cycling[inside]] = accepted / _sum_last(accepted)[:, None]
-            cycling, active, current, candidate = (
-                cycling[~inside], active[~inside], current[~inside], candidate[~inside]
-            )
+        cycling = np.arange(mask.shape[1])
+        # the first pass reads the whole block in place
+        active, current, centred = mask, weights, yc
+        while True:
+            candidate = self._affine_weights(active, centred)
+            inside = np.all((candidate > _WEIGHT_FLOOR) | ~active, axis=0)
+            accepted, rest = np.flatnonzero(inside), np.flatnonzero(~inside)
+            weights[:, cycling[accepted]] = _normalised(candidate.take(accepted, axis=1))
+            if not len(rest):
+                return
+            cycling = cycling[rest]
+            active, current, candidate = (x.take(rest, axis=1) for x in (active, current, candidate))
             shrinking = active & (candidate < current)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(shrinking, current / (current - candidate), np.inf)
-            step = np.minimum(1.0, ratios.min(axis=1))[:, None]
+            step = np.minimum(1.0, ratios.min(axis=0))
             current = (1.0 - step) * current + step * candidate
             keep = active & (current > _WEIGHT_FLOOR)
-            empty = np.flatnonzero(~keep.any(axis=1))
-            keep[empty, np.argmax(np.where(active[empty], current[empty], -np.inf), axis=1)] = True
-            current = np.where(keep, current, 0.0)
-            mask[cycling] = keep
-            weights[cycling] = current / _sum_last(current)[:, None]
-            cycling = cycling[keep.sum(axis=1) > 1]
+            empty = np.flatnonzero(~keep.any(axis=0))
+            keep[np.argmax(np.where(active[:, empty], current[:, empty], -np.inf), axis=0), empty] = True
+            current = _normalised(np.where(keep, current, 0.0))
+            mask[:, cycling] = keep
+            weights[:, cycling] = current
+            more = np.flatnonzero(keep.sum(axis=0) > 1)
+            if not len(more):
+                return
+            cycling = cycling[more]
+            active, current, centred = keep.take(more, axis=1), current.take(more, axis=1), yc.take(cycling, axis=1)
 
 
 @lru_cache(maxsize=16)

@@ -12,6 +12,7 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -189,6 +190,21 @@ class TestRiskCommand:
         record = json.loads(out)
         assert 0.0 < record["mc_mean"] < 2.0
         assert abs(record["mc_mean"] - record["exact"]) <= 4.0 * record["mc_stderr"]
+
+    @pytest.mark.parametrize(
+        "total, code", [(-1e-300, 3), (2.0 * (1.0 + 2e-9), 3), (math.inf, 3), (2.0 * (1.0 + 1e-10), 0)]
+    )
+    def test_exact_risk_outside_zero_to_squared_diameter_fails(self, capsys, monkeypatch, tmp_path, total, code):
+        # the triangle's squared diameter is 2
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps(TRIANGLE_FILE))
+        monkeypatch.setattr(cli, "risk_polygon_exact", lambda P, theta, sigma: types.SimpleNamespace(total=total))
+        got, _, err = run_cli(
+            capsys, ["risk", "--set", "polytope-file", "--file", str(path), "--theta", "0.2,0.2", "--sigma", "1"]
+        )
+        assert got == code
+        if code:
+            assert f"exact risk {total!r} lies outside [0, 2.0]" in err
 
     @pytest.mark.parametrize(
         "vertices, theta, argv",

@@ -8,8 +8,11 @@ characterize them: idempotency, nonexpansiveness, and the variational
 inequality.
 """
 
+import hashlib
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+from riskrev import geometry
 from riskrev.geometry import (
     MEMBERSHIP_TOL,
     _POLYTOPE_BLOCK,
@@ -802,10 +806,43 @@ def _certificate(poly, Y, Q):
     return np.max(np.einsum("nd,nkd->nk", Y - Q, poly.vertices[None] - Q[:, None]), axis=1)
 
 
+def _pinned_projection_cases():
+    """name -> (polytope, rows) of the min-norm-point outputs whose bits are pinned."""
+    rng = np.random.default_rng(5200)
+    cases = {"cube-general-dim": (CUBE, _chunk_normals(1, 0, 20000, 3))}
+    for d, k in ((3, 12), (5, 30), (8, 20)):
+        poly = ConvexPolytope(rng.normal(size=(k, d)))
+        cases[f"random-d{d}-K{k}"] = (poly, 2.0 * rng.normal(size=(_POLYTOPE_BLOCK + 904, d)))
+    base, direction = rng.normal(size=(2, 3))
+    line = ConvexPolytope([base + t * direction for t in (0.0, 0.5, 1.0, 2.0)])
+    cases["collinear-4-in-3d"] = (line, 2.0 * rng.normal(size=(2000, 3)))
+    cases["three-points-d1"] = (ConvexPolytope([[-1.0], [0.5], [2.0]]), 2.0 * rng.normal(size=(2000, 1)))
+    return cases
+
+
+# sha256 of project_polytope_batch's bytes on each pinned case
+PINNED_PROJECTION_DIGESTS = {
+    "cube-general-dim": "3d80dfccccc38adc5903db051b0e2dc167815a1d0e5f15938eb18e14bddd0fd8",
+    "random-d3-K12": "41db1e94b2e1d7d28d968d8bfaa0ee72aef0f82f5bec93023a843648b6c320b5",
+    "random-d5-K30": "ec1f6fcfef65a8059e595fe0c7ef3c6f4b2e70d53252ed18f711bc5d941e14fd",
+    "random-d8-K20": "3955e92aa516cc6d2292dac34bc9c8c42930ce3a1cfc109f7ad268c3b3cd97b1",
+    "collinear-4-in-3d": "4a7bbc8917b0c09a26f63b57589d755ed21a024d61ad047de78cf22c5248dca7",
+    "three-points-d1": "524436b84a3d61973130d65486227fa4f06a1e9645394320b40ddbc1356c2712",
+}
+
+
 class TestMinNormPointBatch:
     # agreement with an exact oracle, relative to the scale of the point:
     # far out, rounding of y alone moves the answer by ulps of ||y||
     RTOL = 1e-13
+
+    def test_bits_pinned(self):
+        cases = _pinned_projection_cases()
+        got = {
+            name: hashlib.sha256(project_polytope_batch(poly, Y).tobytes()).hexdigest()
+            for name, (poly, Y) in cases.items()
+        }
+        assert got == PINNED_PROJECTION_DIGESTS
 
     def _close(self, got, want, Y):
         err = np.max(np.abs(got - want), axis=1)
@@ -884,6 +921,62 @@ class TestMinNormPointBatch:
         Y = rng.normal(size=(700, 4)) * 10.0 ** rng.uniform(-4.0, 6.0, size=(700, 1))
         fresh = _MinNormPoint(poly).project(Y.T, 0).T
         assert project_polytope_batch(poly, Y).tobytes() == fresh.tobytes()
+
+    def test_seventy_vertex_active_sets(self):
+        # more vertices than a machine word has bits, so an active-set key
+        # spans several words
+        rng = np.random.default_rng(5191)
+        sphere = rng.normal(size=(70, 3))
+        poly = ConvexPolytope(sphere / np.linalg.norm(sphere, axis=1, keepdims=True))
+        Y = rng.normal(scale=1.5, size=(5000, 3))
+        Q = project_polytope_batch(poly, Y)
+        assert np.all(_certificate(poly, Y, Q) <= 1e-9 * (1.0 + np.linalg.norm(Y, axis=1)))
+        for i in range(0, len(Y), 97):
+            assert project_polytope(poly, Y[i]).tobytes() == Q[i].tobytes()
+        assert _project_rows(_MinNormPoint(poly), Y).tobytes() == Q.tobytes()
+
+    def test_concurrent_callers_share_one_projector(self):
+        # the shared projector fills its active-set maps from both threads at once
+        rng = np.random.default_rng(5192)
+        poly = ConvexPolytope(rng.normal(size=(12, 4)))
+        Ys = [rng.normal(scale=2.0, size=(3000, 4)) for _ in range(2)]
+        want = [_project_rows(_MinNormPoint(poly), Y) for Y in Ys]
+        got = [None, None]
+
+        def run(i):
+            got[i] = project_polytope_batch(poly, Ys[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
+
+    def test_stuck_row_is_named_by_its_point_index(self, monkeypatch):
+        # no residual certifies; the far point starts at a vertex whose gap
+        # is the largest, so it is the one row stuck on the first iteration
+        monkeypatch.setattr(geometry, "_CERTIFICATE_TOL", -1.0)
+        Y = np.full((300, 3), 0.5)
+        Y[123] = [-3.0, -4.0, -5.0]
+        with pytest.raises(ProjectionError, match=rf"^point {_POLYTOPE_BLOCK + 123}: .*stuck"):
+            _MinNormPoint(CUBE).project(Y.T, _POLYTOPE_BLOCK)
+
+    def test_uncertified_row_is_named_by_its_point_index(self):
+        # far points certify at their start vertex on the one iteration
+        # allowed and leave the block; the first interior point is reported
+        Y = np.full((_POLYTOPE_BLOCK + 300, 3), -1.0)
+        Y[_POLYTOPE_BLOCK + 123 :: 7] = 0.5
+        projector = _MinNormPoint(CUBE)
+        projector._max_iter = 1
+        with pytest.raises(ProjectionError, match=rf"^point {_POLYTOPE_BLOCK + 123}: .*within 1 iterations"):
+            _project_rows(projector, Y)
 
     @pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [1e160, 0.0, -1e160]])
     def test_rows_without_finite_norm_raise_across_blocks(self, bad):

@@ -291,6 +291,22 @@ class TestPinnedOutputs:
         digest = hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
         assert digest == PINNED_REVERSAL_DIGESTS[seed]
 
+    @pytest.mark.parametrize(
+        "seed, mean, stderr",
+        [
+            (2, 1.0984831424018562, 0.0077672872568199),
+            (6, 1.1239477653393697, 0.007858737101604563),
+            (7, 1.110443792138424, 0.007772912344695564),
+        ],
+    )
+    def test_cube_risk_keeps_its_bits(self, seed, mean, stderr):
+        # the losses sum the coordinate rows the min-norm-point projector
+        # returns, and their rounding depends on that array's memory layout
+        side = math.sqrt(2.0)
+        cube = ConvexPolytope([[a, b, c] for a in (0.0, side) for b in (0.0, side) for c in (0.0, side)])
+        estimate = mc_risk(cube, RiskQuery(theta_star=(0.0, 0.0, 0.0), sigma=1.0), MCConfig(n=20000, seed=seed))
+        assert (estimate.mean, estimate.stderr) == (mean, stderr)
+
 
 class TestSharedCandidates:
     @pytest.mark.parametrize("threads", ["1", "3"])

@@ -26,7 +26,6 @@ from .asymptotics import (
 )
 from .exact_risk import (
     PolygonRisk,
-    RegionRiskBreakdown,
     RiskQuery,
     large_noise_limit_diff,
     risk_difference,
@@ -82,7 +81,6 @@ __all__ = [
     "PolygonRisk",
     "ProjectionError",
     "RegionLabel",
-    "RegionRiskBreakdown",
     "ReversalScan",
     "RiskEstimate",
     "RiskQuery",

@@ -4,8 +4,8 @@ In the model Y = theta* + sigma * Z with Z standard normal in the plane, the
 estimator is the Euclidean projection of Y onto a constraint set.  For the
 segment conv{v1, v2} and the triangle conv{v1, v2, v3} the risk
 E||thetahat - theta*||^2 admits exact expressions in Phi and Owen's T; this
-module evaluates them in numerically stable form, exposes the triangle risk
-as a sum of per-region contributions, and provides the two noise-limit
+module evaluates them in numerically stable form, splits the triangle risk
+into the pieces of :class:`PolygonRisk`, and provides the two noise-limit
 coefficients of the segment/triangle risk difference.  Each of those risks
 takes a scalar sigma, giving floats, or an array of them, giving arrays
 entry by entry equal to the scalar calls: a whole sigma grid is one call.
@@ -15,12 +15,12 @@ one-geometry calls.
 
 :func:`risk_polygon_exact` covers every planar polytope (a point, a segment
 or a convex polygon) at any theta* in it, one sigma and many theta* per
-call, piece by piece in Phi, phi and Owen's T.
+call, piece by piece in Phi, phi and Owen's T; the triangle shares its
+interior code.  The risks refuse a total outside [0, squared diameter].
 """
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -34,16 +34,12 @@ from .gaussfn import (
 from .geometry import (
     ConvexPolytope,
     ExampleGeometry,
-    RegionLabel,
     _edge_chain,
     _member_points,
     _points,
     _real,
     _real_array,
 )
-
-# |total - sum of region contributions| must stay below this
-BREAKDOWN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,32 +60,22 @@ class RiskQuery:
 
 
 @dataclass(frozen=True)
-class RegionRiskBreakdown:
-    """Triangle risk split over the seven projector regions.
+class PolygonRisk:
+    """Risk of projecting onto a planar polytope, split over the projector's pieces.
 
-    ``total`` is the full risk; ``regions`` maps each :class:`RegionLabel`
-    to its contribution E[||thetahat - theta*||^2 ; Y in region], a float or
-    an array over sigma, validated as a whole: the contributions are
-    nonnegative (up to roundoff) and sum to the total within ``BREAKDOWN_TOL``.
+    The polytope's edges are the closed chain v_k -> v_(k+1) of its
+    counterclockwise vertices; a segment is the chain v_0 -> v_1 -> v_0, and
+    a point has no edge.  ``strips[..., k]`` is the contribution of the
+    half-strip outside edge k, ``vertices[..., j]`` that of vertex j's normal
+    cone, and ``interior`` that of the polytope itself.  Each is a float, or
+    an array over leading theta* (or slope and sigma) axes; ``total`` is
+    their sum.
     """
 
-    regions: Mapping[RegionLabel, float | np.ndarray]
+    interior: float | np.ndarray
+    strips: np.ndarray
+    vertices: np.ndarray
     total: float | np.ndarray
-
-    def __post_init__(self):
-        regions = dict(self.regions)
-        if set(regions) != set(RegionLabel):
-            raise ValueError("breakdown must cover all seven regions")
-        for label, value in regions.items():
-            bad = np.asarray(value)[~np.isfinite(value) | (value < -BREAKDOWN_TOL)]
-            if bad.size:
-                raise ValueError(f"region {label.value} contribution {float(bad[0])!r} is invalid")
-        if np.any(abs(sum(regions.values()) - self.total) > BREAKDOWN_TOL * np.maximum(1.0, abs(self.total))):
-            raise ValueError("total does not match the sum of region contributions")
-        object.__setattr__(self, "regions", regions)
-
-    def __getitem__(self, label: RegionLabel) -> float | np.ndarray:
-        return self.regions[label]
 
 
 def _sigmas(sigma) -> np.ndarray:
@@ -148,15 +134,37 @@ def _half_z2_phi(x):
 
 
 def _slopes(g, sigma: np.ndarray):
-    """c, alpha_c, sqrt(alpha_c) and arctan(1/c)/pi of ``g``, each computed with math.
+    """c, alpha_c and sqrt(alpha_c) of ``g``, each computed with math.
 
     One geometry gives floats.  A sequence of m geometries gives arrays of
     shape (m, 1, ..., 1) that broadcast against ``sigma``, one row per slope.
     """
     if isinstance(g, ExampleGeometry):
-        return g.c, g.alpha_c, math.sqrt(g.alpha_c), math.atan(1.0 / g.c) / math.pi
-    table = np.array([_slopes(e, sigma) for e in g], dtype=float).reshape(-1, 4)
-    return tuple(table.T.reshape((4, -1) + (1,) * sigma.ndim))
+        return g.c, g.alpha_c, math.sqrt(g.alpha_c)
+    table = np.array([_slopes(e, sigma) for e in g], dtype=float).reshape(-1, 3)
+    return tuple(table.T.reshape((3, -1) + (1,) * sigma.ndim))
+
+
+def _check_range(name, total, diameter_sq, at):
+    """Raise ``FloatingPointError`` unless each entry of ``total`` lies in [0, diameter_sq (1 + 1e-9)].
+
+    theta* lies in the set, so no loss exceeds its squared diameter.  NaN
+    and inf fail, and so does a piece that is not finite, as the total is
+    the sum of the pieces.  The error names the first entry that fails by
+    its values in ``at``, each broadcast against ``total`` (theta* keeps
+    its coordinate axis).
+    """
+    bad = ~((total >= 0.0) & (total <= diameter_sq * (1.0 + 1e-9)))
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        value, diameter_sq, *inputs = (
+            np.broadcast_to(x, bad.shape + np.shape(x)[bad.ndim:])[i].tolist()
+            for x in (total, diameter_sq, *at.values())
+        )
+        place = ", ".join(f"{key} {x!r}" for key, x in zip(at, inputs))
+        raise FloatingPointError(
+            f"{name} at {place} is {value!r}, not a finite value in [0, {diameter_sq!r}], the squared diameter"
+        )
 
 
 def risk_segment_exact(g, t_star: float, sigma):
@@ -170,77 +178,76 @@ def risk_segment_exact(g, t_star: float, sigma):
 
     ``g`` is an :class:`ExampleGeometry` or a sequence of them; a sequence
     gives one row per geometry, each equal to its own call bit for bit.
+    Raises ``FloatingPointError`` naming the first (c, sigma) whose risk is
+    not in [0, alpha_c].
     """
     given, t_star = t_star, _real(t_star)
     if not (math.isfinite(t_star) and 0.0 <= t_star <= 1.0):
         raise ValueError(f"t_star must lie in [0, 1], got {given!r}")
     sigma = _sigmas(sigma)
-    _, alpha, root, _ = _slopes(g, sigma)
+    c, alpha, root = _slopes(g, sigma)
     a = -root * t_star / sigma
     b = root * (1.0 - t_star) / sigma
-    return _result(alpha * (
+    total = alpha * (
         t_star * t_star * std_normal_cdf(a)
         + (sigma * sigma / alpha) * _int_z2_phi(a, b)
         + (1.0 - t_star) ** 2 * std_normal_cdf(-b)
-    ))
+    )
+    _check_range("segment risk", total, alpha, {"c": c, "sigma": sigma})
+    return _result(total)
 
 
-def risk_triangle_exact(g, sigma) -> RegionRiskBreakdown:
-    """Exact risk of projection onto the triangle conv{v1, v2, v3} at theta* = v1.
+def risk_triangle_exact(g, sigma) -> PolygonRisk:
+    """Exact risk of projection onto the triangle conv{v1, v2, v3} at theta* = v1, piece by piece.
 
-    Each of the seven projector regions contributes in closed form.  Writing
-    x = 1/(c sigma), s = sqrt(alpha_c)/sigma, and u = 1/sigma:
+    The pieces are those of :func:`risk_polygon_exact` on ``g.triangle()``:
+    strips outside edges v1v2, v2v3, v3v1 and the cones of v1, v2, v3, the
+    piece index last.  With x = 1/(c sigma), s = sqrt(alpha_c)/sigma and
+    u = 1/sigma:
 
-        Interior: sigma^2 [ u phi(u) (1/2 - Phi(x)) - 2 T(u, 1/c)
-                            + arctan(1/c)/pi ]
-        A1:       0
-        A2:       alpha_c [ Phi(-s) Phi(-x) + T(x, c sqrt(alpha_c))
-                            + T(s, 1/(c sqrt(alpha_c))) - T(x, c) ]
-        A3:       Phi(-u) / 2
-        A12:      (sigma^2/2) integral_0^s z^2 phi(z) dz
-        A13:      (sigma^2/2) integral_0^u z^2 phi(z) dz
-        A23:      Phi(-u) [ (Phi(x) - 1/2) + sigma^2 integral_0^x z^2 phi(z) dz ]
+        strips:    (sigma^2/2) integral_0^s z^2 phi(z) dz,
+                   Phi(-u) [ (Phi(x) - 1/2) + sigma^2 integral_0^x z^2 phi(z) dz ],
+                   (sigma^2/2) integral_0^u z^2 phi(z) dz
+        vertices:  0,  alpha_c [ Phi(-s) Phi(-x) + T(x, c sqrt(alpha_c))
+                                 + T(s, 1/(c sqrt(alpha_c))) - T(x, c) ],  Phi(-u)/2
+
+    The interior is the engine's one fan triangle (v1, v2, v3):
+    sigma^2 [ arctan(1/c)/pi - 2 T(u, 1/c) - u phi(u) (Phi(x) - 1/2) ],
+    or its series once sigma is large against the triangle.
 
     ``g`` is an :class:`ExampleGeometry` or a sequence of them; a sequence
-    gives every region one row per geometry, each equal to its own call bit
-    for bit, and the four Owen's T evaluations cover the whole grid.
+    adds a leading slope axis to every piece, each row equal to its own call
+    bit for bit, and the five Owen's T evaluations cover the whole grid.
+    Raises ``FloatingPointError`` naming the first (c, sigma) whose risk is
+    not in [0, alpha_c].
     """
     sigma = _sigmas(sigma)
-    c, alpha, root, arc = _slopes(g, sigma)
+    c, alpha, root = _slopes(g, sigma)
     u = 1.0 / sigma
     x = 1.0 / (c * sigma)
     s = root / sigma
     sig2 = sigma * sigma
-    centred_x = std_normal_cdf_minus_half(x)
+    two_sig2 = 2.0 * sig2
     tail_u = std_normal_cdf(-u)
 
-    interior = sig2 * (
-        u * std_normal_pdf(u) * (-centred_x)
-        - 2.0 * owens_t(u, 1.0 / c)
-        + arc
-    )
-    # the bracket above cancels to O(sigma^-4) as sigma grows, so the sigma^2
-    # prefactor amplifies machine roundoff; clamp negatives inside that
-    # roundoff envelope to zero instead of reporting them as contributions
-    roundoff = 32.0 * np.finfo(float).eps * np.maximum(1.0, sig2)
-    interior = np.where((-roundoff <= interior) & (interior < 0.0), 0.0, interior)
+    # the edge v2 -> v3 seen from v1: a = 1, tau = 1/c, tau_end = 0, length
+    # 1/c and (v1 - v2).(v1 - v3) = 1; v1's own two edges have no area
+    interior = two_sig2 * _fan_bracket(1.0, 1.0 / c, 0.0, 1.0 / c, 1.0, alpha / two_sig2, 1.0 / two_sig2, sigma)
     a2 = alpha * (
         std_normal_cdf(-s) * std_normal_cdf(-x)
         + owens_t(x, c * root)
         + owens_t(s, 1.0 / (c * root))
         - owens_t(x, c)
     )
-    a3 = 0.5 * tail_u
     a12 = 0.5 * sig2 * _half_z2_phi(s)
+    a23 = tail_u * (std_normal_cdf_minus_half(x) + sig2 * _half_z2_phi(x))
     a13 = 0.5 * sig2 * _half_z2_phi(u)
-    a23 = tail_u * (centred_x + sig2 * _half_z2_phi(x))
-
-    # in RegionLabel order: Interior, A1, A2, A3, A12, A13, A23; A3 and A13
-    # depend on sigma only and are spread over the slope axis
-    shape = np.shape(interior)
-    values = (interior, np.zeros(shape), a2, np.full(shape, a3), a12, np.full(shape, a13), a23)
-    regions = {label: _result(value) for label, value in zip(RegionLabel, values)}
-    return RegionRiskBreakdown(regions=regions, total=sum(regions.values()))
+    # pieces that depend on sigma only are spread over the slope axis
+    strips = np.stack(np.broadcast_arrays(a12, a23, a13), axis=-1)
+    vertices = np.stack(np.broadcast_arrays(0.0, a2, 0.5 * tail_u), axis=-1)
+    total = interior + strips.sum(axis=-1) + vertices.sum(axis=-1)
+    _check_range("triangle risk", total, alpha, {"c": c, "sigma": sigma})
+    return PolygonRisk(_result(interior), strips, vertices, _result(total))
 
 
 def _normal_mass(a, b):
@@ -292,8 +299,7 @@ def _orthant(h, k, a_h, a_k, arc):
 
 # a fan triangle whose far vertex is within sqrt(2 * _SERIES_S) sigma of
 # theta* takes the series of P(2, s); there the closed form cancels.  At
-# s <= 2 the series' 40th term is below 1e-34 of its first, and a fixed
-# count keeps each theta* row's bits independent of the others
+# s <= 2 the series' 40th term is below 1e-34 of its first
 _SERIES_S = 2.0
 _SERIES_TERMS = 40
 
@@ -307,11 +313,21 @@ def _fan_series(q, qx1, qx2, s1, s2):
     (x q s^(m-1) + 2 (m - 1) q J_(m-1)) / (2m - 1), J_1 = q x, is odd in x
     with the sign of x in every term, so J_m(x2) - J_m(x1) only cancels as
     much as the edge is short.  ``qx1``, ``qx2`` are q x at the two ends and
-    ``s1``, ``s2`` the s there, each at most ``_SERIES_S``.
+    ``s1``, ``s2`` the s there, each at most ``_SERIES_S``; all are 1-D.
+
+    A row stops once no later term can change its sum, so it keeps the bits
+    of the full ``_SERIES_TERMS`` terms.  |J_m(x)| <= s_max^m |atan x|, so
+    term m is at most (|atan x1| + |atan x2|) s_max^m / ((m - 2)! m), which
+    falls with m from m = 3 on at s_max <= 2; below a quarter of the spacing
+    of |sum| (half the spacing below a power of two) it rounds away.
     """
+    out = np.empty(np.shape(q))
+    rows = np.arange(out.size)
+    reach = np.abs(np.arctan2(qx1, q)) + np.abs(np.arctan2(qx2, q))
+    s_max = np.maximum(s1, s2)
     j1, j2 = qx1, qx2
     p1 = p2 = 1.0
-    total = np.zeros(np.shape(q))
+    total = np.zeros(out.shape)
     factorial = 1.0
     for m in range(2, _SERIES_TERMS + 2):
         p1, p2 = p1 * s1, p2 * s2
@@ -320,25 +336,46 @@ def _fan_series(q, qx1, qx2, s1, s2):
         factorial *= max(m - 2, 1)
         term = (j2 - j1) / (factorial * m)
         total = total + term if m % 2 == 0 else total - term
-    return total / (2.0 * math.pi)
+        if m % 4 == 3:
+            bound = reach * np.maximum(p1, p2) * s_max / (factorial * (m - 1) * (m + 1))  # on term m + 1
+            done = bound < 0.25 * np.spacing(np.abs(total))
+            if done.any():
+                out[rows[done]] = total[done]
+                rows, total, j1, j2, p1, p2, q, qx1, qx2, s1, s2, reach, s_max = (
+                    v[~done] for v in (rows, total, j1, j2, p1, p2, q, qx1, qx2, s1, s2, reach, s_max)
+                )
+                if not rows.size:
+                    break
+    out[rows] = total
+    return out / (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class PolygonRisk:
-    """Risk of projecting onto a planar polytope, split over the projector's pieces.
+def _fan_bracket(a, tau, tau_end, cross, dot, s1, s2, sigma):
+    """Each fan triangle's interior bracket in :func:`risk_polygon_exact`, over broadcast arguments.
 
-    The polytope's edges are the closed chain v_k -> v_(k+1) of its
-    counterclockwise vertices; a segment is the chain v_0 -> v_1 -> v_0, and
-    a point has no edge.  ``strips[..., k]`` is the contribution of the
-    half-strip outside edge k, ``vertices[..., j]`` that of vertex j's normal
-    cone, and ``interior`` that of the polytope itself.  Each is a float per
-    theta*, or an array over a leading theta* axis; ``total`` is their sum.
+    Besides its edge's a, tau and tau_end, a fan triangle (theta*, v_i, v_j) takes
+    cross = a L and dot = (theta* - v_i).(theta* - v_j), whose arctan2 is the
+    angle the edge subtends, and s1, s2 = ||theta* - v||^2 / (2 sigma^2) at v_i, v_j.
     """
-
-    interior: float | np.ndarray
-    strips: np.ndarray
-    vertices: np.ndarray
-    total: float | np.ndarray
+    a, tau, tau_end, cross, dot, s1, s2, sigma = np.broadcast_arrays(a, tau, tau_end, cross, dot, s1, s2, sigma)
+    series = np.maximum(s1, s2) <= _SERIES_S
+    closed = ~series & (a != 0.0)
+    bracket = np.zeros(a.shape)
+    if series.any():
+        a_s, sig_s = a[series], sigma[series]
+        two_sig2 = 2.0 * sig_s * sig_s
+        q, qx1, qx2 = (x / two_sig2 for x in (a_s * a_s, -a_s * tau[series], -a_s * tau_end[series]))
+        bracket[series] = _fan_series(q, qx1, qx2, s1[series], s2[series])
+    if closed.any():
+        a_c, tau_c, end_c, sig_c = a[closed], tau[closed], tau_end[closed], sigma[closed]
+        angle = np.arctan2(cross[closed], dot[closed])
+        h = a_c / sig_c
+        bracket[closed] = (
+            angle / (2.0 * math.pi)
+            - (owens_t(h, -end_c / a_c) - owens_t(h, -tau_c / a_c))
+            - 0.5 * h * std_normal_pdf(h) * _normal_mass(-tau_c / sig_c, -end_c / sig_c)
+        )
+    return bracket
 
 
 def risk_polygon_exact(P: ConvexPolytope, theta, sigma) -> PolygonRisk:
@@ -365,8 +402,8 @@ def risk_polygon_exact(P: ConvexPolytope, theta, sigma) -> PolygonRisk:
     sqrt(2 _SERIES_S) sigma of theta* takes the series of :func:`_fan_series`,
     so the interior does not cancel however large sigma is.
 
-    Raises ``FloatingPointError`` naming theta* if a piece is not finite or
-    the total lies outside [0, squared diameter].
+    Raises ``FloatingPointError`` naming the first theta* whose risk is not
+    a finite value in [0, squared diameter].
     """
     if P.dim != 2:
         raise ValueError("risk_polygon_exact requires a planar polytope")
@@ -398,7 +435,7 @@ def risk_polygon_exact(P: ConvexPolytope, theta, sigma) -> PolygonRisk:
         # vertex j ends edge j - 1 and starts edge j
         h = np.roll(tau_end, 1, axis=1) / sigma
         if k == 2:
-            mass = std_normal_cdf(h)
+            mass, interior = std_normal_cdf(h), np.zeros(m)
         else:
             # with p = j - 1 the edge into v_j: a_h = -a_p / tau_end_p and
             # a_k = a_j / tau_j, and the normal cone spans the turning angle at v_j
@@ -407,45 +444,17 @@ def risk_polygon_exact(P: ConvexPolytope, theta, sigma) -> PolygonRisk:
             turn = np.arctan2(before[:, 0] * t[:, 1] - before[:, 1] * t[:, 0], np.einsum("kd,kd->k", before, t))
             with np.errstate(divide="ignore", invalid="ignore"):
                 mass = _orthant(h, -tau / sigma, -a_in / end_in, a / tau, turn / (2.0 * math.pi))
+            two_sig2 = 2.0 * sigma * sigma
+            dot = np.einsum("mkd,mkd->mk", w, w[:, ends])
+            s1, s2 = dist_sq / two_sig2, dist_sq[:, ends] / two_sig2
+            # the angle's sine is taken as a L, so that a rounded a and the angle share one sign
+            interior = two_sig2 * _fan_bracket(a, tau, tau_end, a * length, dot, s1, s2, sigma).sum(axis=1)
         corners = dist_sq * mass
-        interior = np.zeros(m) if k == 2 else _interior(w, w[:, ends], dist_sq, length, a, tau, tau_end, sigma)
     total = interior + strips.sum(axis=1) + corners.sum(axis=1)
-    bad = ~(np.isfinite(strips).all(axis=1) & np.isfinite(corners).all(axis=1) & np.isfinite(interior)
-            & (total >= 0.0) & (total <= P.squared_diameter() * (1.0 + 1e-9)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise FloatingPointError(
-            f"polygon risk at theta* {thetas[i].tolist()!r}, sigma {sigma!r} is {float(total[i])!r}, "
-            "not a finite value in [0, squared diameter]"
-        )
+    _check_range("polygon risk", total, P.squared_diameter(), {"theta*": thetas, "sigma": sigma})
     if single:
         return PolygonRisk(float(interior[0]), strips[0], corners[0], float(total[0]))
     return PolygonRisk(interior, strips, corners, total)
-
-
-def _interior(w, w_end, dist_sq, length, a, tau, tau_end, sigma):
-    """The interior piece: 2 sigma^2 times the sum of the fan triangles' brackets (see :func:`risk_polygon_exact`)."""
-    two_sig2 = 2.0 * sigma * sigma
-    s1, s2 = dist_sq / two_sig2, np.roll(dist_sq, -1, axis=1) / two_sig2
-    series = np.maximum(s1, s2) <= _SERIES_S
-    closed = ~series & (a != 0.0)
-    bracket = np.zeros(a.shape)
-    if series.any():
-        q, qx1, qx2 = (x[series] / two_sig2 for x in (a * a, -a * tau, -a * tau_end))
-        bracket[series] = _fan_series(q, qx1, qx2, s1[series], s2[series])
-    if closed.any():
-        a_c, tau_c, end_c = a[closed], tau[closed], tau_end[closed]
-        # atan x2 - atan x1 is the angle the edge subtends at theta*; its sine
-        # is taken as a L, so that a rounded a and the angle share one sign
-        cross = a_c * np.broadcast_to(length, a.shape)[closed]
-        angle = np.arctan2(cross, np.einsum("nd,nd->n", w[closed], w_end[closed]))
-        h = a_c / sigma
-        bracket[closed] = (
-            angle / (2.0 * math.pi)
-            - (owens_t(h, -end_c / a_c) - owens_t(h, -tau_c / a_c))
-            - 0.5 * h * std_normal_pdf(h) * _normal_mass(-tau_c / sigma, -end_c / sigma)
-        )
-    return two_sig2 * bracket.sum(axis=1)
 
 
 def risk_difference(g, sigma):

@@ -12,14 +12,13 @@ import json
 import math
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
 
 from riskrev import _csvformat, cli, exact_risk
 from riskrev.cli import main, parse_sweep
-from riskrev.exact_risk import risk_segment_exact, risk_triangle_exact
+from riskrev.exact_risk import risk_polygon_exact, risk_segment_exact, risk_triangle_exact
 from riskrev.geometry import ExampleGeometry
 
 TRIANGLE_FILE = {"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
@@ -195,16 +194,21 @@ class TestRiskCommand:
         "total, code", [(-1e-300, 3), (2.0 * (1.0 + 2e-9), 3), (math.inf, 3), (2.0 * (1.0 + 1e-10), 0)]
     )
     def test_exact_risk_outside_zero_to_squared_diameter_fails(self, capsys, monkeypatch, tmp_path, total, code):
-        # the triangle's squared diameter is 2
+        # the triangle's squared diameter is 2.  At sigma = 2^-10 every strip
+        # and vertex piece at theta* = (0.2, 0.2) underflows to 0, so the
+        # total is the interior, 2 sigma^2 = 2^-19 times the fan brackets' sum
         path = tmp_path / "tri.json"
         path.write_text(json.dumps(TRIANGLE_FILE))
-        monkeypatch.setattr(cli, "risk_polygon_exact", lambda P, theta, sigma: types.SimpleNamespace(total=total))
-        got, _, err = run_cli(
-            capsys, ["risk", "--set", "polytope-file", "--file", str(path), "--theta", "0.2,0.2", "--sigma", "1"]
+        monkeypatch.setattr(exact_risk, "_fan_bracket", lambda *args: np.array([[0.0, total * 2.0**19, 0.0]]))
+        got, out, err = run_cli(
+            capsys,
+            ["risk", "--set", "polytope-file", "--file", str(path), "--theta", "0.2,0.2", "--sigma", str(2.0**-10)],
         )
         assert got == code
         if code:
-            assert f"exact risk {total!r} lies outside [0, 2.0]" in err
+            assert f"polygon risk at theta* [0.2, 0.2], sigma 0.0009765625 is {total!r}, not a finite value in [0, 2.0]" in err
+        else:
+            assert json.loads(out)["exact"] == total
 
     @pytest.mark.parametrize(
         "vertices, theta, argv",
@@ -229,12 +233,26 @@ class TestRiskCommand:
         want = json.loads(want)["exact"]
         assert abs(record["exact"] - want) <= 1e-12 * max(1.0, want)
 
-    def test_closed_form_that_disagrees_with_the_engine_exits_three(self, capsys):
-        # the triangle's interior closed form cancels at large sigma: it prints
-        # 2.386591802637349 here, against about 2.381041
-        code, out, err = run_cli(capsys, ["risk", "--set", "triangle", "--c", "0.5", "--sigma", "1e7"])
+    def test_closed_form_that_disagrees_with_the_engine_exits_three(self, capsys, monkeypatch):
+        closed_form = cli.risk_triangle_exact
+
+        def off(g, sigma):
+            b = closed_form(g, sigma)
+            return exact_risk.PolygonRisk(b.interior, b.strips, b.vertices, b.total * (1.0 + 2e-9))
+
+        monkeypatch.setattr(cli, "risk_triangle_exact", off)
+        code, out, err = run_cli(capsys, ["risk", "--set", "triangle", "--c", "0.5", "--sigma", "3"])
         assert (code, out) == (3, "")
-        assert "2.386591802637349" in err and "2.38104068751422" in err
+        engine = risk_polygon_exact(ExampleGeometry(c=0.5).triangle(), (0.0, 0.0), 3.0).total
+        want = f"the triangle closed form gives {closed_form(ExampleGeometry(c=0.5), 3.0).total * (1.0 + 2e-9)!r}"
+        assert want in err and f"the polygon engine gives {engine!r} at sigma 3.0" in err
+
+    def test_triangle_keeps_its_digits_at_diverging_noise(self, capsys):
+        # the closed form's interior once cancelled here and was 2.386591802637349
+        code, out, _ = run_cli(capsys, ["risk", "--set", "triangle", "--c", "0.5", "--sigma", "1e7"])
+        assert code == 0
+        engine = risk_polygon_exact(ExampleGeometry(c=0.5).triangle(), (0.0, 0.0), 1e7).total
+        assert abs(json.loads(out)["exact"] - engine) <= 1e-12 * engine
 
     def test_mismatched_dim_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -298,9 +316,26 @@ class TestCurveCommands:
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 2 + 200 * 200
-        # the whole (c, sigma) grid is one call per set, and the triangle's
-        # closed form calls Owen's T four times
-        assert calls == {"risk_segment_exact": 1, "risk_triangle_exact": 1, "owens_t": 4}
+        # the whole (c, sigma) grid is one call per set, and the triangle
+        # calls Owen's T three times for vertex v2 and twice for its interior
+        assert calls == {"risk_segment_exact": 1, "risk_triangle_exact": 1, "owens_t": 5}
+
+    def test_heatmap_cell_outside_the_range_exits_three(self, capsys, monkeypatch):
+        bracket = exact_risk._fan_bracket
+        monkeypatch.setattr(
+            exact_risk, "_fan_bracket",
+            lambda a, tau, *rest: np.where((tau == 1.0) & (rest[-1] == 2.5), -1.0, bracket(a, tau, *rest)),
+        )
+        code, out, err = run_cli(capsys, ["heatmap", "--c-sweep", "0.5:1:2", "--sigma-sweep", "1:4:3"])
+        assert (code, out) == (3, "")
+        assert "triangle risk at c 1.0, sigma 2.5 is " in err and "not a finite value in [0, 2.0]" in err
+
+    def test_diff_curve_keeps_its_digits_at_diverging_noise(self, capsys):
+        # the triangle's interior once cancelled here and printed 0.566772071019884 at sigma = 1e6
+        code, out, _ = run_cli(capsys, ["diff-curve", "--c-list", "0.2", "--sigma-sweep", "1e5,1e6"])
+        assert code == 0
+        diff = float(out.strip().split("\n")[-1].split(",")[4])
+        assert abs(diff - 0.5668275821692532) <= 1e-12
 
     def test_non_finite_cell_names_its_column(self, capsys, monkeypatch):
         # risk_S comes from one segment call over the (c, sigma) grid
@@ -843,22 +878,25 @@ def test_only_risk_averages_observations(capsys, argv):
 # of the benchmark's 200 x 200 heatmap.  The exact tables were recorded
 # while every CSV cell was CPython's '%.15g' of its double, one cell at a
 # time; the numpy renderer that formats each distinct double once keeps
-# every byte of them.  The reversal example, at 2*10^4 samples, was
-# recorded when its sup columns became the exact maximum over the
-# candidates, with Monte Carlo columns at the two winners.
+# every byte of them.  The heatmaps and the diff-curve were recorded again
+# when the triangle's interior became the polygon engine's, which moved
+# their diff column toward the engine by at most 9.3e-6 relative.  The
+# reversal example, at 2*10^4 samples, was recorded when its sup columns
+# became the exact maximum over the candidates, with Monte Carlo columns
+# at the two winners.
 BENCHMARK_HEATMAP = ("heatmap", "--c-sweep", "0.2:3:200", "--sigma-sweep", "0.01:1e4:200:log")
 PINNED_TABLE_DIGESTS = {
     BENCHMARK_HEATMAP: (
-        "3ceb621143f1b366b292eb8a8e506b2e7feb09332a74f7d296821d213fa71557",
-        "e3af190747986543ec0233bc0e79c90ab566c2154b235f5d0d05ad834d83575c",
+        "5be5894d9f28c0192b91cd72853c7e211b7a9e83cb9b4243b1b1c7e416874d54",
+        "dc8975205232f976e568457291c8ed9abbfdf56faabda6f22102bc2a7d837095",
     ),
     ("heatmap", "--c-sweep", "0.2:3:40", "--sigma-sweep", "0.05:50:40:log"): (
-        "24624e1c868b70fd75c1af02beed018f35e366b030e66673ddc45aaaed729a34",
-        "193eec15dc2673bf77a35d34a598c1af191fe61875345538887a7bc986bb9695",
+        "c02e87957fa14c5dfb53edfa37769e68d6c0f07f1dd519f02cceebaee92a5c53",
+        "0b52ce0f855710b35d4d45f7e4b985497a2d86d7a54168fd996b39c3b1e93739",
     ),
     ("diff-curve", "--c-list", "0.5,1,2", "--sigma-sweep", "0.01:100:200:log"): (
-        "de69ed2bd857f36da0dbd34196583daa913d2764cd9a8baf40da591265601ea7",
-        "f6bcaf3cb9ebc3a448c2598d586a38340888996d0395c12234f5e93b59f063b3",
+        "61d7686e657bb13d5d12ddcaa75e4438804246ebb4c6b2392c1a604bbe0e0d2b",
+        "6a7a750c2084f0ffd9d51af8b55d877379c1631c544f934062199b7641ec869a",
     ),
     ("envelope", "--c", "0.75", "--x-sweep", "0:1.3333:13334"): (
         "0a1318c7f8a17f9d77999015e46039a29156c722a96dd2b5ea3be9d08f0f670e",

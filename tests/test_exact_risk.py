@@ -1,16 +1,17 @@
 """Exact risk formulas: internal consistency, limits, and Monte Carlo checks.
 
-Two independent routes certify the closed forms.  First, the per-region
-decomposition implemented in the package must reproduce, to near machine
+Two independent routes certify the closed forms.  First, the piece-by-piece
+sums implemented in the package must reproduce, to near machine
 precision, the single-expression display forms written out below in this
 test file (a different algebraic grouping of the same quantities).
 Second, reduced-size Monte Carlo runs must agree statistically, both in
-total and region by region; the full-size agreement sweep lives in the
+total and piece by piece; the full-size agreement sweep lives in the
 acceptance tests.
 
-The polygon engine is held piece by piece to both closed forms, in total
-to a polar Gauss-Legendre quadrature written below, and to the two noise
-limits at the ends of the documented sigma range.
+The polygon engine is held piece by piece to both closed forms over the
+whole documented sigma range, in total to a polar Gauss-Legendre
+quadrature written below, and to the two noise limits at the ends of that
+range.
 """
 
 import math
@@ -20,8 +21,11 @@ import pytest
 from scipy import special
 
 from riskrev.asymptotics import limiting_risk, statistical_dimension_2d, vertex_probabilities_2d
+from riskrev import exact_risk
 from riskrev.exact_risk import (
-    RegionRiskBreakdown,
+    _SERIES_S,
+    _SERIES_TERMS,
+    _fan_series,
     _half_z2_phi,
     _int_z2_phi,
     RiskQuery,
@@ -91,6 +95,15 @@ def triangle_risk_display(c: float, sigma: float) -> float:
     )
 
 
+def _by_region(b):
+    """The triangle's pieces keyed by the :func:`project_triangle_example` region each covers."""
+    return {
+        RegionLabel.INTERIOR: b.interior,
+        RegionLabel.A12: b.strips[0], RegionLabel.A23: b.strips[1], RegionLabel.A13: b.strips[2],
+        RegionLabel.A1: b.vertices[0], RegionLabel.A2: b.vertices[1], RegionLabel.A3: b.vertices[2],
+    }
+
+
 def _mc_region_means(g, sigma, n, seed):
     """Per-region mean squared losses at theta* = v1 by direct simulation."""
     rng = np.random.default_rng(seed)
@@ -120,29 +133,6 @@ class TestRiskQuery:
             RiskQuery(theta_star=(0.0, 0.0), sigma=0.0)
         with pytest.raises(ValueError):
             RiskQuery(theta_star=(0.0, math.inf), sigma=1.0)
-
-
-class TestBreakdownContainer:
-    def test_requires_all_regions(self):
-        with pytest.raises(ValueError):
-            RegionRiskBreakdown(regions={RegionLabel.A1: 0.0}, total=0.0)
-
-    def test_rejects_negative_contribution(self):
-        regions = {label: 0.1 for label in RegionLabel}
-        regions[RegionLabel.A2] = -1e-3
-        with pytest.raises(ValueError):
-            RegionRiskBreakdown(regions=regions, total=sum(regions.values()))
-
-    def test_rejects_inconsistent_total(self):
-        regions = {label: 0.125 for label in RegionLabel}
-        with pytest.raises(ValueError):
-            RegionRiskBreakdown(regions=regions, total=1.0)
-
-    def test_total_and_lookup(self):
-        regions = {label: 0.125 for label in RegionLabel}
-        b = RegionRiskBreakdown(regions=regions, total=7 * 0.125)
-        assert b.total == pytest.approx(7 * 0.125, abs=1e-15)
-        assert b[RegionLabel.A23] == 0.125
 
 
 class TestDisplayFormAgreement:
@@ -243,8 +233,9 @@ class TestArrayValuedSigma:
         for i, sigma in enumerate(SIGMA_SWEEP):
             one = risk_triangle_exact(g, float(sigma))
             assert _bits(one.total) == _bits(arrays.total[i]), sigma
-            for label in RegionLabel:
-                assert _bits(one[label]) == _bits(arrays[label][i]), (sigma, label)
+            assert _bits(one.interior) == _bits(arrays.interior[i]), sigma
+            assert one.strips.tobytes() == arrays.strips[i].tobytes(), sigma
+            assert one.vertices.tobytes() == arrays.vertices[i].tobytes(), sigma
 
     @pytest.mark.parametrize("c", GRID_C)
     @pytest.mark.parametrize("t_star", [0.0, 0.3, 1.0])
@@ -264,8 +255,8 @@ class TestArrayValuedSigma:
     def test_scalar_sigma_gives_python_floats(self, sigma):
         g = ExampleGeometry(c=0.75)
         b = risk_triangle_exact(g, sigma)
-        assert type(b.total) is float
-        assert all(type(b[label]) is float for label in RegionLabel)
+        assert type(b.total) is float and type(b.interior) is float
+        assert b.strips.shape == b.vertices.shape == (3,)
         for t_star in (0.0, 0.3, 1.0):
             assert type(risk_segment_exact(g, t_star, sigma)) is float
         assert type(risk_difference(g, sigma)) is float
@@ -284,16 +275,27 @@ class TestArrayValuedSigma:
             with pytest.raises(ValueError, match=rf"^sigma must be a positive finite real, got {bad!r}$"):
                 call()
 
-    def test_breakdown_of_arrays_names_the_bad_region(self):
-        regions = {label: np.full(4, 0.125) for label in RegionLabel}
-        regions[RegionLabel.A13] = np.array([0.125, 0.125, -1e-3, 0.125])
-        with pytest.raises(ValueError, match=r"^region A13 contribution -0\.001 is invalid$"):
-            RegionRiskBreakdown(regions=regions, total=sum(regions.values()))
-        regions[RegionLabel.A13] = np.full(4, 0.125)
-        total = sum(regions.values())
-        total[3] += 1e-6
-        with pytest.raises(ValueError, match="total does not match"):
-            RegionRiskBreakdown(regions=regions, total=total)
+    def test_breakdown_of_arrays_names_the_bad_region(self, monkeypatch):
+        # a piece that is not finite fails the range check, which names its (c, sigma) cell
+        gs = [ExampleGeometry(c=1.0), ExampleGeometry(c=2.0)]
+        sigma = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        bracket, z2 = exact_risk._fan_bracket, exact_risk._int_z2_phi
+        monkeypatch.setattr(
+            exact_risk, "_fan_bracket",
+            lambda a, tau, *rest: np.where((tau == 0.5) & (rest[-1] == 4.0), np.nan, bracket(a, tau, *rest)),
+        )
+        monkeypatch.setattr(
+            exact_risk, "_int_z2_phi", lambda a, b: np.where(b == 1.0 / 2.0, -np.inf, z2(a, b))
+        )
+        with pytest.raises(FloatingPointError, match=(
+            r"^triangle risk at c 2\.0, sigma 4\.0 is nan, not a finite value in \[0, 1\.25\], the squared diameter$"
+        )):
+            risk_triangle_exact(gs, sigma)
+        # c = 1 has sqrt(alpha_c) = sqrt(2), and b = sqrt(2) (1 - t*) / sigma is 1/2 at t* = 0.5, sigma = sqrt(2)
+        with pytest.raises(FloatingPointError, match=(
+            r"^segment risk at c 1\.0, sigma 1\.414\d* is -inf, not a finite value in \[0, 2\.0\]"
+        )):
+            risk_segment_exact(gs, 0.5, np.array([1.0, math.sqrt(2.0), 3.0]))
 
     def test_int_z2_phi_is_elementwise(self):
         a = np.array([ref[0] for ref in INT_Z2_PHI_REFERENCE])
@@ -317,9 +319,10 @@ class TestSlopeGrid:
         for i, g in enumerate(self.GEOMETRIES):
             one = risk_triangle_exact(g, SIGMA_SWEEP)
             assert grid.total[i].tobytes() == one.total.tobytes(), g.c
-            for label in RegionLabel:
-                assert grid[label].shape == grid.total.shape, label
-                assert grid[label][i].tobytes() == one[label].tobytes(), (g.c, label)
+            assert grid.interior[i].tobytes() == one.interior.tobytes(), g.c
+            assert grid.strips.shape == grid.vertices.shape == grid.total.shape + (3,)
+            assert grid.strips[i].tobytes() == one.strips.tobytes(), g.c
+            assert grid.vertices[i].tobytes() == one.vertices.tobytes(), g.c
 
     @pytest.mark.parametrize("t_star", [0.0, 0.3, 1.0])
     def test_segment_rows_equal_per_c_calls(self, t_star):
@@ -407,12 +410,12 @@ class TestTriangleRisk:
         # points projecting to the base vertex incur zero loss there
         for c in GRID_C:
             b = risk_triangle_exact(ExampleGeometry(c=c), 1.3)
-            assert b[RegionLabel.A1] == 0.0
+            assert b.vertices[0] == 0.0
 
     def test_regions_against_monte_carlo(self):
         for c, sigma, seed in [(1.0, 1.0, 11), (0.5, 2.0, 12), (2.0, 0.7, 13)]:
             g = ExampleGeometry(c=c)
-            exact = risk_triangle_exact(g, sigma)
+            exact = _by_region(risk_triangle_exact(g, sigma))
             means, stderrs, counts = _mc_region_means(g, sigma, 60_000, seed)
             for label in RegionLabel:
                 if counts[label] == 0:
@@ -556,18 +559,14 @@ class TestPolygonRisk:
     def test_pieces_match_the_triangle_regions(self, c):
         g = ExampleGeometry(c=c)
         for sigma in np.geomspace(1e-2, 1e2, 25):
-            regions = risk_triangle_exact(g, sigma)
+            closed = risk_triangle_exact(g, sigma)
             got = risk_polygon_exact(g.triangle(), g.v1, sigma)
             # vertices v1, v2, v3 in that order; edges v1v2, v2v3, v3v1
             pairs = [
-                (got.interior, regions[RegionLabel.INTERIOR]),
-                (got.strips[0], regions[RegionLabel.A12]),
-                (got.strips[1], regions[RegionLabel.A23]),
-                (got.strips[2], regions[RegionLabel.A13]),
-                (got.vertices[0], regions[RegionLabel.A1]),
-                (got.vertices[1], regions[RegionLabel.A2]),
-                (got.vertices[2], regions[RegionLabel.A3]),
-                (got.total, regions.total),
+                (got.interior, closed.interior),
+                *zip(got.strips, closed.strips),
+                *zip(got.vertices, closed.vertices),
+                (got.total, closed.total),
             ]
             for value, want in pairs:
                 assert abs(value - want) <= ENGINE_TOL * max(1.0, abs(want)), (sigma, value, want)
@@ -590,6 +589,21 @@ class TestPolygonRisk:
             assert got.interior == 0.0
             for value, want in pairs:
                 assert abs(value - want) <= ENGINE_TOL * max(1.0, abs(want)), (sigma, value, want)
+
+    @pytest.mark.parametrize("c", [0.2, 0.5, 0.75, 1.0, 2.0, 3.0])
+    def test_closed_forms_match_the_engine_over_the_sigma_range(self, c):
+        # the triangle's interior is the engine's fan triangle; the strips,
+        # vertices and segment keep closed forms of their own
+        g = ExampleGeometry(c=c)
+        triangle = risk_triangle_exact(g, SIGMA_SWEEP)
+        segment = [risk_segment_exact(g, t_star, SIGMA_SWEEP) for t_star in (0.0, 1.0)]
+        for i, sigma in enumerate(SIGMA_SWEEP):
+            engine = risk_polygon_exact(g.triangle(), g.v1, sigma)
+            assert triangle.total[i] == pytest.approx(engine.total, rel=1e-13, abs=0.0), sigma
+            assert triangle.interior[i] == pytest.approx(engine.interior, rel=1e-14, abs=0.0), sigma
+            for t_star, row in zip((0.0, 1.0), segment):
+                want = risk_polygon_exact(g.segment(), t_star * g.v2, sigma).total
+                assert row[i] == pytest.approx(want, rel=1e-13, abs=0.0), (t_star, sigma)
 
     @pytest.mark.parametrize("c, sigma, want", INTERIOR_REFERENCE)
     def test_interior_matches_high_precision_reference(self, c, sigma, want):
@@ -658,3 +672,42 @@ class TestPolygonRisk:
             risk_polygon_exact(triangle, (0.0, 0.0), 0.0)
         with pytest.raises(ValueError, match="sigma must be a scalar"):
             risk_polygon_exact(triangle, (0.0, 0.0), [1.0, 2.0])
+
+
+def _fan_series_every_term(q, qx1, qx2, s1, s2):
+    """The fan series summed to all ``_SERIES_TERMS`` terms on every row, with no early exit."""
+    j1, j2 = qx1, qx2
+    p1 = p2 = 1.0
+    total = np.zeros(np.shape(q))
+    factorial = 1.0
+    for m in range(2, _SERIES_TERMS + 2):
+        p1, p2 = p1 * s1, p2 * s2
+        j1 = (qx1 * p1 + 2.0 * (m - 1) * q * j1) / (2 * m - 1)
+        j2 = (qx2 * p2 + 2.0 * (m - 1) * q * j2) / (2 * m - 1)
+        factorial *= max(m - 2, 1)
+        term = (j2 - j1) / (factorial * m)
+        total = total + term if m % 2 == 0 else total - term
+    return total / (2.0 * math.pi)
+
+
+class TestFanSeries:
+    def test_early_exit_keeps_the_bits_of_every_term(self):
+        # random fan triangles (theta* = 0, v_i, v_j) at sigma = 1, each vertex
+        # within sqrt(2 _SERIES_S) of theta*, at distances spread over ten decades
+        rng = np.random.default_rng(20261020)
+        n = 150_000
+        radius = math.sqrt(2.0 * _SERIES_S) * 10.0 ** rng.uniform(-10.0, 0.0, (2, n))
+        radius[:, :1000] = math.sqrt(2.0 * _SERIES_S)
+        angle = rng.uniform(0.0, 2.0 * math.pi, (2, n))
+        angle[1, 1000:2000] = angle[0, 1000:2000] + math.pi  # theta* on the edge line
+        v = radius[..., None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        t = (v[1] - v[0]) / np.hypot(*(v[1] - v[0]).T)[:, None]
+        a = np.einsum("nd,nd->n", v[0], np.stack([t[:, 1], -t[:, 0]], axis=1))
+        # order each edge so that theta* lies on its inner side
+        flip = a < 0.0
+        v[:, flip] = v[::-1, flip]
+        t[flip], a[flip] = -t[flip], -a[flip]
+        tau, tau_end = -np.einsum("nd,nd->n", v[0], t), -np.einsum("nd,nd->n", v[1], t)
+        s1, s2 = np.einsum("knd,knd->kn", v, v) / 2.0
+        args = (a * a / 2.0, -a * tau / 2.0, -a * tau_end / 2.0, s1, s2)
+        assert _fan_series(*args).tobytes() == _fan_series_every_term(*args).tobytes()

@@ -316,15 +316,16 @@ def detect_finite_sigma_reversal(
     sets = []
     for g in (g_small, g_large):
         P = g.theta_x_polytope()
-        sets.append((P, _member_points(P, _sup_candidates(P, edge_points))))
+        candidates = _sup_candidates(P, edge_points)
+        # one engine call per set: its column i holds the candidates' risks at sigmas[i]
+        sets.append((P, candidates, risk_polygon_exact(P, candidates, sigmas).total))
     # sigma-major, the smaller set first at each sigma
     winners, sups = [], []
-    for sigma in sigmas:
-        for P, candidates in sets:
-            risks = risk_polygon_exact(P, candidates, sigma).total
-            best = int(np.argmax(risks))
+    for i, sigma in enumerate(sigmas):
+        for P, candidates, risks in sets:
+            best = int(np.argmax(risks[:, i]))
             winners.append((P, candidates[best : best + 1], sigma))
-            sups.append(float(risks[best]))
+            sups.append(float(risks[best, i]))
 
     def chunk_losses(start, z):
         for P, theta, sigma in winners:

@@ -1,22 +1,16 @@
-"""Closed-form risks of the projection estimator for the running example.
+"""Exact risks of the projection estimator onto planar polytopes.
 
-In the model Y = theta* + sigma * Z with Z standard normal in the plane, the
-estimator is the Euclidean projection of Y onto a constraint set.  For the
-segment conv{v1, v2} and the triangle conv{v1, v2, v3} the risk
-E||thetahat - theta*||^2 admits exact expressions in Phi and Owen's T; this
-module evaluates them in numerically stable form, splits the triangle risk
-into the pieces of :class:`PolygonRisk`, and provides the two noise-limit
-coefficients of the segment/triangle risk difference.  Each of those risks
-takes a scalar sigma, giving floats, or an array of them, giving arrays
-entry by entry equal to the scalar calls: a whole sigma grid is one call.
-Passing a sequence of geometries instead of one adds a leading slope axis,
-so a whole (c, sigma) grid is one call too, row by row equal to the
-one-geometry calls.
-
-:func:`risk_polygon_exact` covers every planar polytope (a point, a segment
-or a convex polygon) at any theta* in it, one sigma and many theta* per
-call, piece by piece in Phi, phi and Owen's T; the triangle shares its
-interior code.  The risks refuse a total outside [0, squared diameter].
+In the model Y = theta* + sigma Z, Z standard normal in the plane, the risk
+E||Pi(Y) - theta*||^2 of projecting onto a convex polytope splits over the
+projector's pieces (:class:`PolygonRisk`).  One kernel, :func:`_pieces`,
+evaluates them in Phi, phi and Owen's T for a batch of polytopes with K
+vertices each, one theta* each, over a sigma grid.  :func:`risk_polygon_exact`
+is its call for any planar polytope at many theta*; the running example's
+:func:`risk_segment_exact` and :func:`risk_triangle_exact` are its K = 2 and
+K = 3 calls over a whole (c, sigma) grid, beside the two noise limits of
+their difference.  A scalar sigma gives floats, an array gives arrays entry
+by entry equal to the scalar calls, and a total outside [0, squared
+diameter] is refused.
 """
 
 import math
@@ -34,7 +28,6 @@ from .gaussfn import (
 from .geometry import (
     ConvexPolytope,
     ExampleGeometry,
-    _edge_chain,
     _member_points,
     _points,
     _real,
@@ -113,46 +106,31 @@ def _half_z2_phi(x):
     Below |x| = 1, where Phi(x) - 1/2 - x phi(x) cancels, it sums the positive
     series of P: phi(x) (|x|^3/3 + |x|^5/(3*5) + |x|^7/(3*5*7) + ...).
     """
+    def series(r):
+        r2 = r * r
+        term = r2 * r / 3.0
+        total = term.copy()
+        k = 5.0
+        # a converged sum ignores the smaller terms it adds while other entries go on
+        while (term > 1e-17 * total).any():
+            term *= r2 / k
+            total += term
+            k += 2.0
+        return total * std_normal_pdf(r)
+
     r = np.abs(np.asarray(x, dtype=float))
-    pdf = np.asarray(std_normal_pdf(r))
-    half = np.empty_like(r)
     small = r < 1.0
-    big = ~small
-    half[big] = std_normal_cdf_minus_half(r[big]) - r[big] * pdf[big]
-    rs = r[small]
-    r2 = rs * rs
-    term = r2 * rs / 3.0
-    total = term.copy()
-    k = 5.0
-    # a converged sum ignores the smaller terms it adds while other entries go on
-    while (term > 1e-17 * total).any():
-        term *= r2 / k
-        total += term
-        k += 2.0
-    half[small] = total * pdf[small]
-    return np.copysign(half, x)
-
-
-def _slopes(g, sigma: np.ndarray):
-    """c, alpha_c and sqrt(alpha_c) of ``g``, each computed with math.
-
-    One geometry gives floats.  A sequence of m geometries gives arrays of
-    shape (m, 1, ..., 1) that broadcast against ``sigma``, one row per slope.
-    """
-    if isinstance(g, ExampleGeometry):
-        return g.c, g.alpha_c, math.sqrt(g.alpha_c)
-    table = np.array([_slopes(e, sigma) for e in g], dtype=float).reshape(-1, 3)
-    return tuple(table.T.reshape((3, -1) + (1,) * sigma.ndim))
+    big = (~small, lambda r: std_normal_cdf_minus_half(r) - r * std_normal_pdf(r))
+    return np.copysign(_by_mask(np.empty(r.shape), (big, (small, series)), r), x)
 
 
 def _check_range(name, total, diameter_sq, at):
     """Raise ``FloatingPointError`` unless each entry of ``total`` lies in [0, diameter_sq (1 + 1e-9)].
 
-    theta* lies in the set, so no loss exceeds its squared diameter.  NaN
-    and inf fail, and so does a piece that is not finite, as the total is
-    the sum of the pieces.  The error names the first entry that fails by
-    its values in ``at``, each broadcast against ``total`` (theta* keeps
-    its coordinate axis).
+    theta* lies in the set, so no loss exceeds its squared diameter; NaN and
+    inf fail, and so does any piece that is not finite.  The error names the
+    first failing entry by its values in ``at``, each broadcast against
+    ``total`` (theta* keeps its coordinate axis).
     """
     bad = ~((total >= 0.0) & (total <= diameter_sq * (1.0 + 1e-9)))
     if bad.any():
@@ -167,95 +145,28 @@ def _check_range(name, total, diameter_sq, at):
         )
 
 
-def risk_segment_exact(g, t_star: float, sigma):
-    """Exact risk of projection onto the segment conv{v1, v2}.
+def _by_mask(out, cases, *args):
+    """``out`` with out[mask] = form(*(x[mask] for x in args)) for each (mask, form), each form run only there.
 
-    The true parameter is theta* = t_star * v2 with t_star in [0, 1].  With
-    a = -sqrt(alpha_c) t*/sigma and b = sqrt(alpha_c)(1 - t*)/sigma the risk is
-
-        alpha_c [ t*^2 Phi(a) + (sigma^2/alpha_c) integral_a^b z^2 phi(z) dz
-                  + (1 - t*)^2 Phi(-b) ].
-
-    ``g`` is an :class:`ExampleGeometry` or a sequence of them; a sequence
-    gives one row per geometry, each equal to its own call bit for bit.
-    Raises ``FloatingPointError`` naming the first (c, sigma) whose risk is
-    not in [0, alpha_c].
+    Arguments are broadcast against a mask's leading axes unless it holds everywhere.
     """
-    given, t_star = t_star, _real(t_star)
-    if not (math.isfinite(t_star) and 0.0 <= t_star <= 1.0):
-        raise ValueError(f"t_star must lie in [0, 1], got {given!r}")
-    sigma = _sigmas(sigma)
-    c, alpha, root = _slopes(g, sigma)
-    a = -root * t_star / sigma
-    b = root * (1.0 - t_star) / sigma
-    total = alpha * (
-        t_star * t_star * std_normal_cdf(a)
-        + (sigma * sigma / alpha) * _int_z2_phi(a, b)
-        + (1.0 - t_star) ** 2 * std_normal_cdf(-b)
-    )
-    _check_range("segment risk", total, alpha, {"c": c, "sigma": sigma})
-    return _result(total)
-
-
-def risk_triangle_exact(g, sigma) -> PolygonRisk:
-    """Exact risk of projection onto the triangle conv{v1, v2, v3} at theta* = v1, piece by piece.
-
-    The pieces are those of :func:`risk_polygon_exact` on ``g.triangle()``:
-    strips outside edges v1v2, v2v3, v3v1 and the cones of v1, v2, v3, the
-    piece index last.  With x = 1/(c sigma), s = sqrt(alpha_c)/sigma and
-    u = 1/sigma:
-
-        strips:    (sigma^2/2) integral_0^s z^2 phi(z) dz,
-                   Phi(-u) [ (Phi(x) - 1/2) + sigma^2 integral_0^x z^2 phi(z) dz ],
-                   (sigma^2/2) integral_0^u z^2 phi(z) dz
-        vertices:  0,  alpha_c [ Phi(-s) Phi(-x) + T(x, c sqrt(alpha_c))
-                                 + T(s, 1/(c sqrt(alpha_c))) - T(x, c) ],  Phi(-u)/2
-
-    The interior is the engine's one fan triangle (v1, v2, v3):
-    sigma^2 [ arctan(1/c)/pi - 2 T(u, 1/c) - u phi(u) (Phi(x) - 1/2) ],
-    or its series once sigma is large against the triangle.
-
-    ``g`` is an :class:`ExampleGeometry` or a sequence of them; a sequence
-    adds a leading slope axis to every piece, each row equal to its own call
-    bit for bit, and the five Owen's T evaluations cover the whole grid.
-    Raises ``FloatingPointError`` naming the first (c, sigma) whose risk is
-    not in [0, alpha_c].
-    """
-    sigma = _sigmas(sigma)
-    c, alpha, root = _slopes(g, sigma)
-    u = 1.0 / sigma
-    x = 1.0 / (c * sigma)
-    s = root / sigma
-    sig2 = sigma * sigma
-    two_sig2 = 2.0 * sig2
-    tail_u = std_normal_cdf(-u)
-
-    # the edge v2 -> v3 seen from v1: a = 1, tau = 1/c, tau_end = 0, length
-    # 1/c and (v1 - v2).(v1 - v3) = 1; v1's own two edges have no area
-    interior = two_sig2 * _fan_bracket(1.0, 1.0 / c, 0.0, 1.0 / c, 1.0, alpha / two_sig2, 1.0 / two_sig2, sigma)
-    a2 = alpha * (
-        std_normal_cdf(-s) * std_normal_cdf(-x)
-        + owens_t(x, c * root)
-        + owens_t(s, 1.0 / (c * root))
-        - owens_t(x, c)
-    )
-    a12 = 0.5 * sig2 * _half_z2_phi(s)
-    a23 = tail_u * (std_normal_cdf_minus_half(x) + sig2 * _half_z2_phi(x))
-    a13 = 0.5 * sig2 * _half_z2_phi(u)
-    # pieces that depend on sigma only are spread over the slope axis
-    strips = np.stack(np.broadcast_arrays(a12, a23, a13), axis=-1)
-    vertices = np.stack(np.broadcast_arrays(0.0, a2, 0.5 * tail_u), axis=-1)
-    total = interior + strips.sum(axis=-1) + vertices.sum(axis=-1)
-    _check_range("triangle risk", total, alpha, {"c": c, "sigma": sigma})
-    return PolygonRisk(_result(interior), strips, vertices, _result(total))
+    for rows, form in cases:
+        if rows.all():
+            out[...] = form(*args)
+        elif rows.any():
+            out[rows] = form(*(np.broadcast_to(x, rows.shape + np.shape(x)[rows.ndim:])[rows] for x in args))
+    return out
 
 
 def _normal_mass(a, b):
-    """P(a <= Z <= b) elementwise, for a <= b, from the tail that keeps its digits."""
-    upper = std_normal_cdf(-a) - std_normal_cdf(-b)
-    lower = std_normal_cdf(b) - std_normal_cdf(a)
-    middle = std_normal_cdf_minus_half(b) - std_normal_cdf_minus_half(a)
-    return np.where(a >= 1.0, upper, np.where(b <= -1.0, lower, middle))
+    """P(a <= Z <= b) elementwise, for a <= b: the upper tail where a >= 1, the lower where b <= -1, else centred."""
+    upper, lower = np.broadcast_arrays(a >= 1.0, b <= -1.0)
+    lower = lower & ~upper
+    return _by_mask(np.empty(upper.shape), (
+        (upper, lambda a, b: std_normal_cdf(-a) - std_normal_cdf(-b)),
+        (lower, lambda a, b: std_normal_cdf(b) - std_normal_cdf(a)),
+        (~(upper | lower), lambda a, b: std_normal_cdf_minus_half(b) - std_normal_cdf_minus_half(a)),
+    ), a, b)
 
 
 def _tail(x, b):
@@ -267,34 +178,39 @@ def _tail(x, b):
     within a few ulps of exp(-max(x, bx)^2 / 2), at most exp(-d^2 / 4) for
     the region's distance d = x sqrt(1 + b^2) from the origin.
     """
-    far = (b > 1.0) & np.isfinite(b)
-    b_far = np.where(far, b, 1.0)
-    bx = np.where(far, b_far * x, 0.0)
-    near = 0.5 * std_normal_cdf(-x) - owens_t(x, np.where(far, 0.0, b))
-    return np.where(far, owens_t(bx, 1.0 / b_far) - std_normal_cdf(-bx) * std_normal_cdf_minus_half(x), near)
+    far, _ = np.broadcast_arrays((b > 1.0) & np.isfinite(b), x)
+    return _by_mask(np.empty(far.shape), (
+        (~far, lambda x, b: 0.5 * std_normal_cdf(-x) - owens_t(x, b)),
+        (far, lambda x, b: owens_t(b * x, 1.0 / b) - std_normal_cdf(-b * x) * std_normal_cdf_minus_half(x)),
+    ), x, b)
 
 
-def _orthant(h, k, a_h, a_k, arc):
-    """P(U <= h, V <= k) for standard normals U, V of correlation rho, by Owen's (1956) T.
+def _orthant(h, k, a_h, a_k, arc, sigma):
+    """P(U <= h/sigma, V <= k/sigma) for standard normals U, V of correlation rho, by Owen's (1956) T.
 
-    Owen's form is 1/2 Phi(h) + 1/2 Phi(k) - T(h, a_h) - T(k, a_k) - beta,
-    with a_h = (k - rho h) / (h r), a_k = (h - rho k) / (k r),
-    r = sqrt(1 - rho^2), and beta = 1/2 if hk < 0, or if one of them is 0 and
-    the other negative.  The caller passes a_h and a_k, formed without the
-    differences k - rho h and h - rho k, which cancel at a sharp vertex.  A
-    zero argument takes the limit from above, a_h = +/-inf with the sign of
-    k, and h = k = 0 gives ``arc`` = 1/4 + arcsin(rho) / (2 pi).  Regrouped
-    by argument, each term is a :func:`_tail`: +_tail(-x, a_x) for x < 0 and
-    1/2 - _tail(x, -a_x) for x >= 0, so a mass far from the origin is a sum
-    of small terms, not a difference of halves.
+    With h' = h/sigma and k' = k/sigma, Owen's form is 1/2 Phi(h') + 1/2 Phi(k')
+    - T(h', a_h) - T(k', a_k) - beta, with a_h = (k - rho h) / (h r),
+    a_k = (h - rho k) / (k r), r = sqrt(1 - rho^2), and beta = 1/2 if hk < 0,
+    or if one of them is 0 and the other negative.  The caller passes a_h
+    and a_k, formed without the differences k - rho h and h - rho k, which
+    cancel at a sharp vertex.  A zero argument takes the limit from above,
+    a_h = +/-inf with the sign of k, and h = k = 0 gives ``arc`` =
+    1/4 + arcsin(rho) / (2 pi).  Regrouped by argument, each term is a
+    :func:`_tail`: +_tail(-x', a_x) for x < 0 and 1/2 - _tail(x', -a_x) for
+    x >= 0, so a far mass is a sum of small terms, not a difference of halves.
+    All but ``sigma``, (S,), are (G, 1) columns.
     """
-    both_zero = (h == 0.0) & (k == 0.0)
-    a_h = np.where(both_zero, 0.0, np.where(h == 0.0, np.copysign(np.inf, k), a_h))
-    a_k = np.where(both_zero, 0.0, np.where(k == 0.0, np.copysign(np.inf, h), a_k))
-    x, a = np.stack(np.broadcast_arrays(h, k)), np.stack(np.broadcast_arrays(a_h, a_k))
-    sign = np.where(x < 0.0, 1.0, -1.0)
-    mass = ((h >= 0.0) & (k >= 0.0)) + (sign * _tail(np.abs(x), sign * a)).sum(axis=0)
-    return np.where(both_zero, arc, mass)
+    terms = []
+    for x, a_x, other in ((h, a_h, k), (k, a_k, h)):
+        sign = np.where(x < 0.0, 1.0, -1.0)
+        a_x = np.where(x == 0.0, np.copysign(np.inf, other), a_x)
+        terms.append(sign * _tail(_over(np.abs(x), sigma), sign * a_x))
+    return np.where((h == 0.0) & (k == 0.0), arc, ((h >= 0.0) & (k >= 0.0)) + (terms[0] + terms[1]))
+
+
+def _over(x, sigma):
+    """x / sigma as (G, S) from a (G, 1) column, or x itself where every entry is +/-0, as every ratio is."""
+    return x / sigma if x.any() else x
 
 
 # a fan triangle whose far vertex is within sqrt(2 * _SERIES_S) sigma of
@@ -313,7 +229,7 @@ def _fan_series(q, qx1, qx2, s1, s2):
     (x q s^(m-1) + 2 (m - 1) q J_(m-1)) / (2m - 1), J_1 = q x, is odd in x
     with the sign of x in every term, so J_m(x2) - J_m(x1) only cancels as
     much as the edge is short.  ``qx1``, ``qx2`` are q x at the two ends and
-    ``s1``, ``s2`` the s there, each at most ``_SERIES_S``; all are 1-D.
+    ``s1``, ``s2`` the s there, each at most ``_SERIES_S``; all have one shape.
 
     A row stops once no later term can change its sum, so it keeps the bits
     of the full ``_SERIES_TERMS`` terms.  |J_m(x)| <= s_max^m |atan x|, so
@@ -321,7 +237,9 @@ def _fan_series(q, qx1, qx2, s1, s2):
     falls with m from m = 3 on at s_max <= 2; below a quarter of the spacing
     of |sum| (half the spacing below a power of two) it rounds away.
     """
-    out = np.empty(np.shape(q))
+    shape = np.shape(q)
+    q, qx1, qx2, s1, s2 = (np.ravel(x) for x in (q, qx1, qx2, s1, s2))
+    out = np.empty(q.size)
     rows = np.arange(out.size)
     reach = np.abs(np.arctan2(qx1, q)) + np.abs(np.arctan2(qx2, q))
     s_max = np.maximum(s1, s2)
@@ -347,45 +265,130 @@ def _fan_series(q, qx1, qx2, s1, s2):
                 if not rows.size:
                     break
     out[rows] = total
-    return out / (2.0 * math.pi)
+    return (out / (2.0 * math.pi)).reshape(shape)
 
 
 def _fan_bracket(a, tau, tau_end, cross, dot, s1, s2, sigma):
     """Each fan triangle's interior bracket in :func:`risk_polygon_exact`, over broadcast arguments.
 
-    Besides its edge's a, tau and tau_end, a fan triangle (theta*, v_i, v_j) takes
-    cross = a L and dot = (theta* - v_i).(theta* - v_j), whose arctan2 is the
-    angle the edge subtends, and s1, s2 = ||theta* - v||^2 / (2 sigma^2) at v_i, v_j.
+    Besides its edge's a != 0 (a triangle with a = 0 has no area), tau and
+    tau_end, a fan triangle (theta*, v_i, v_j) takes cross = a L and dot =
+    (theta* - v_i).(theta* - v_j), whose arctan2 is the angle the edge
+    subtends, and s1, s2 = ||theta* - v||^2 / (2 sigma^2) at v_i, v_j, which
+    carry the full shape.
     """
-    a, tau, tau_end, cross, dot, s1, s2, sigma = np.broadcast_arrays(a, tau, tau_end, cross, dot, s1, s2, sigma)
-    series = np.maximum(s1, s2) <= _SERIES_S
-    closed = ~series & (a != 0.0)
-    bracket = np.zeros(a.shape)
-    if series.any():
-        a_s, sig_s = a[series], sigma[series]
-        two_sig2 = 2.0 * sig_s * sig_s
-        q, qx1, qx2 = (x / two_sig2 for x in (a_s * a_s, -a_s * tau[series], -a_s * tau_end[series]))
-        bracket[series] = _fan_series(q, qx1, qx2, s1[series], s2[series])
-    if closed.any():
-        a_c, tau_c, end_c, sig_c = a[closed], tau[closed], tau_end[closed], sigma[closed]
-        angle = np.arctan2(cross[closed], dot[closed])
-        h = a_c / sig_c
-        bracket[closed] = (
-            angle / (2.0 * math.pi)
-            - (owens_t(h, -end_c / a_c) - owens_t(h, -tau_c / a_c))
-            - 0.5 * h * std_normal_pdf(h) * _normal_mass(-tau_c / sig_c, -end_c / sig_c)
+    def series(a, tau, tau_end, cross, dot, s1, s2, sigma):
+        two_sig2 = 2.0 * sigma * sigma
+        q, qx1, qx2 = (x / two_sig2 for x in (a * a, -a * tau, -a * tau_end))
+        return _fan_series(*np.broadcast_arrays(q, qx1, qx2, s1, s2))
+
+    def closed(a, tau, tau_end, cross, dot, s1, s2, sigma):
+        h = a / sigma
+        return (
+            np.arctan2(cross, dot) / (2.0 * math.pi)
+            - (owens_t(h, -tau_end / a) - owens_t(h, -tau / a))
+            - 0.5 * h * std_normal_pdf(h) * _normal_mass(-tau / sigma, -tau_end / sigma)
         )
-    return bracket
+
+    near = np.maximum(s1, s2) <= _SERIES_S
+    return _by_mask(np.empty(near.shape), ((near, series), (~near, closed)), a, tau, tau_end, cross, dot, s1, s2, sigma)
+
+
+def _pieces(v, theta, sigma):
+    """The risk's pieces for G polytopes with K vertices each, one theta* each, at S noise levels.
+
+    ``v`` is (G, K, 2), vertices as :class:`ConvexPolytope` stores them,
+    ``theta`` (G, 2) and ``sigma`` (S,).  Returns the interior and the total
+    as (G, S) and the strips and vertices as (G, S, K), by the formulas of
+    :func:`risk_polygon_exact`.  A piece that is exactly zero is not
+    evaluated: an edge's a^2 term and fan triangle where a = 0, a vertex's
+    cone where theta* is that vertex: each edge and vertex runs on (G, S)
+    arrays and gathers rows only where its (G,) mask is mixed.
+    """
+    g, k = v.shape[:2]
+    shape = (g, len(sigma))
+    # w[:, i] = theta* - v_i
+    w = theta[:, None, :] - v
+    dist_sq = np.einsum("gkd,gkd->gk", w, w)
+    interior, bracket = np.zeros(shape), np.zeros(shape + (k,))
+    strips, corners = np.zeros(shape + (k - (k == 1),)), np.zeros(shape + (k,))
+    if k == 1:
+        corners[..., 0] = dist_sq
+    else:
+        ends = [(i + 1) % k for i in range(k)]
+        edge = v[:, ends] - v
+        length = np.hypot(edge[..., 0], edge[..., 1])
+        t = edge / length[..., None]
+        tau = np.einsum("gkd,gkd->gk", w, t)
+        # (theta* - v_j).t_k for the end v_j of edge k, taken directly, not as tau - L
+        tau_end = np.einsum("gkd,gkd->gk", w[:, ends], t)
+        a = -np.einsum("gkd,gkd->gk", w, np.stack([t[..., 1], -t[..., 0]], axis=-1))
+        if k == 2:
+            # one offset from the segment's line, on opposite sides of its two edges
+            a[:, 1] = -a[:, 0]
+        # vertex j ends edge p = j - 1 and starts edge j: a_h = -a_p / tau_end_p and
+        # a_k = a_j / tau_j, and its normal cone spans the turning angle at v_j
+        before = np.roll(t, 1, axis=1)
+        turn = np.arctan2(before[..., 0] * t[..., 1] - before[..., 1] * t[..., 0], np.einsum("gkd,gkd->gk", before, t))
+        end_in = np.roll(tau_end, 1, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a_h, a_k = -np.roll(a, 1, axis=1) / end_in, a / tau
+        # a fan triangle subtends arctan2(a L, dot): a rounded a and the angle share one sign
+        cross, dot = a * length, np.einsum("gkd,gkd->gk", w, w[:, ends])
+        # geometry rows become (G, 1) columns against sigma's (S,)
+        a, tau, tau_end, cross, dot, dist_sq, end_in, a_h, a_k, arc = (
+            x[..., None] for x in (a, tau, tau_end, cross, dot, dist_sq, end_in, a_h, a_k, turn / (2.0 * math.pi))
+        )
+        sig2 = sigma * sigma
+
+        def cone(dist_sq, end_in, tau, a_h, a_k, arc):
+            # a segment's end has the mass of one half-plane
+            mass = std_normal_cdf(end_in / sigma) if k == 2 else _orthant(end_in, -tau, a_h, a_k, arc, sigma)
+            return dist_sq * mass
+
+        for e in range(k):
+            moved = a[:, e, 0] != 0.0
+            # a segment's second edge is its first reversed: the interval [-beta, -alpha] has the same band
+            if e == 0 or k > 2:
+                lo, hi = _over(-tau[:, e], sigma), _over(-tau_end[:, e], sigma)
+                band = sig2 * _int_z2_phi(lo, hi)
+                _by_mask(band, [(moved, lambda band, a, lo, hi: band + a * a * _normal_mass(lo, hi))],
+                         band, a[:, e], lo, hi)
+            # the strip's weight Phi(-a/sigma) is 1/2 at a = 0
+            strips[..., e] = _by_mask(0.5 * band, [(moved, lambda band, a: std_normal_cdf(-a / sigma) * band)],
+                                      band, a[:, e])
+            if k > 2:
+                _by_mask(bracket[..., e], [(moved, lambda *args: _fan_bracket(*args, sigma))],
+                         a[:, e], tau[:, e], tau_end[:, e], cross[:, e], dot[:, e],
+                         dist_sq[:, e] / (2.0 * sig2), dist_sq[:, ends[e]] / (2.0 * sig2))
+            _by_mask(corners[..., e], [(dist_sq[:, e, 0] != 0.0, cone)],
+                     *(x[:, e] for x in (dist_sq, end_in, tau, a_h, a_k, arc)))
+        if k > 2:
+            interior = 2.0 * sig2 * bracket.sum(axis=-1)
+    total = interior + strips.sum(axis=-1) + corners.sum(axis=-1)
+    return interior, strips, corners, total
+
+
+def _risk(name, v, theta, sigma, diameter_sq, at, lead):
+    """One range-checked :func:`_pieces` call over any shape of ``sigma``, as a PolygonRisk over ``lead`` + it.
+
+    ``at`` holds the (G, 1) row values that a range error names besides sigma.
+    """
+    pieces = _pieces(v, theta, sigma.reshape(-1))
+    _check_range(name, pieces[3], diameter_sq, {**at, "sigma": sigma.reshape(-1)})
+    interior, strips, corners, total = (x.reshape(lead + sigma.shape + x.shape[2:]) for x in pieces)
+    return PolygonRisk(_result(interior), strips, corners, _result(total))
 
 
 def risk_polygon_exact(P: ConvexPolytope, theta, sigma) -> PolygonRisk:
     """Exact risk E||Pi_P(theta* + sigma Z) - theta*||^2 for a planar polytope, piece by piece.
 
-    ``theta`` is one theta* or an (m, 2) array of them, each a point of P;
-    ``sigma`` is one noise level.  Edge k = (v_i -> v_j) has unit tangent
-    t_k, outward normal n_k and length L_k; tau_k = (theta* - v_i).t_k and
-    a_k = (v_i - theta*).n_k >= 0.  With alpha = -tau_k/sigma and
-    beta = (L_k - tau_k)/sigma:
+    ``theta`` is one theta* or an (m, 2) array of them, each a point of P.
+    ``sigma`` is one noise level or an array of them, whose axes come before
+    the piece index, each entry the bits of its scalar call.  Edge
+    k = (v_i -> v_j) has unit tangent t_k, outward normal n_k and length
+    L_k; tau_k = (theta* - v_i).t_k and a_k = (v_i - theta*).n_k >= 0.  With
+    alpha = -tau_k/sigma and beta = (L_k - tau_k)/sigma:
 
         strip k:   Phi(-a_k/sigma) [sigma^2 integral_alpha^beta z^2 phi(z) dz
                                     + a_k^2 (Phi(beta) - Phi(alpha))]
@@ -396,65 +399,65 @@ def risk_polygon_exact(P: ConvexPolytope, theta, sigma) -> PolygonRisk:
 
     over the fan triangles (theta*, v_i, v_j), with h = a_k/sigma,
     x1 = -tau_k/a_k and x2 = (L_k - tau_k)/a_k; a triangle with a_k = 0 has no
-    area.  Phi_2 is the bivariate normal orthant mass (:func:`_orthant`); a
-    segment's end has t_(k+1) = -t_k and mass Phi((tau_k - L_k)/sigma), and a
-    point's one vertex has mass 1.  A fan triangle within
-    sqrt(2 _SERIES_S) sigma of theta* takes the series of :func:`_fan_series`,
-    so the interior does not cancel however large sigma is.
-
-    Raises ``FloatingPointError`` naming the first theta* whose risk is not
-    a finite value in [0, squared diameter].
+    area.  Phi_2 is the bivariate normal orthant mass (:func:`_orthant`).  A
+    segment is the chain v_0 -> v_1 -> v_0 with a_1 = -a_0, and its end has
+    t_(k+1) = -t_k and mass Phi((tau_k - L_k)/sigma); a point's one vertex
+    has mass 1.  A fan triangle within sqrt(2 _SERIES_S) sigma of theta*
+    takes the series of :func:`_fan_series`, so the interior does not cancel
+    however large sigma is.  Raises ``FloatingPointError`` naming the first
+    (theta*, sigma) whose risk is not a finite value in [0, squared diameter].
     """
     if P.dim != 2:
         raise ValueError("risk_polygon_exact requires a planar polytope")
     thetas = _member_points(P, theta)
-    single = np.ndim(theta) == 1
-    sigma = _sigma(sigma)
-    v = P.vertices
-    k = len(v)
-    m = len(thetas)
-    # w[:, i] = theta* - v_i
-    w = thetas[:, None, :] - v[None, :, :]
-    dist_sq = np.einsum("mkd,mkd->mk", w, w)
-    if k == 1:
-        strips, corners, interior = np.zeros((m, 0)), dist_sq, np.zeros(m)
-    else:
-        ends = [j for _, j in _edge_chain(k)] if k >= 3 else [1, 0]
-        edge = v[ends] - v
-        length = np.hypot(edge[:, 0], edge[:, 1])
-        t = edge / length[:, None]
-        normal = np.stack([t[:, 1], -t[:, 0]], axis=1)
-        tau = np.einsum("mkd,kd->mk", w, t)
-        # (theta* - v_j).t_k for the end v_j of edge k, taken directly, not as tau - L
-        tau_end = np.einsum("mkd,kd->mk", w[:, ends], t)
-        a = -np.einsum("mkd,kd->mk", w, normal)
-        lo, hi = -tau / sigma, -tau_end / sigma
-        strips = std_normal_cdf(-a / sigma) * (
-            sigma * sigma * _int_z2_phi(lo, hi) + a * a * _normal_mass(lo, hi)
-        )
-        # vertex j ends edge j - 1 and starts edge j
-        h = np.roll(tau_end, 1, axis=1) / sigma
-        if k == 2:
-            mass, interior = std_normal_cdf(h), np.zeros(m)
-        else:
-            # with p = j - 1 the edge into v_j: a_h = -a_p / tau_end_p and
-            # a_k = a_j / tau_j, and the normal cone spans the turning angle at v_j
-            a_in, end_in = np.roll(a, 1, axis=1), np.roll(tau_end, 1, axis=1)
-            before = np.roll(t, 1, axis=0)
-            turn = np.arctan2(before[:, 0] * t[:, 1] - before[:, 1] * t[:, 0], np.einsum("kd,kd->k", before, t))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mass = _orthant(h, -tau / sigma, -a_in / end_in, a / tau, turn / (2.0 * math.pi))
-            two_sig2 = 2.0 * sigma * sigma
-            dot = np.einsum("mkd,mkd->mk", w, w[:, ends])
-            s1, s2 = dist_sq / two_sig2, dist_sq[:, ends] / two_sig2
-            # the angle's sine is taken as a L, so that a rounded a and the angle share one sign
-            interior = two_sig2 * _fan_bracket(a, tau, tau_end, a * length, dot, s1, s2, sigma).sum(axis=1)
-        corners = dist_sq * mass
-    total = interior + strips.sum(axis=1) + corners.sum(axis=1)
-    _check_range("polygon risk", total, P.squared_diameter(), {"theta*": thetas, "sigma": sigma})
-    if single:
-        return PolygonRisk(float(interior[0]), strips[0], corners[0], float(total[0]))
-    return PolygonRisk(interior, strips, corners, total)
+    v = np.broadcast_to(P.vertices, (len(thetas),) + P.vertices.shape)
+    lead = () if np.ndim(theta) == 1 else thetas.shape[:1]
+    return _risk("polygon risk", v, thetas, _sigmas(sigma), P.squared_diameter(), {"theta*": thetas[:, None]}, lead)
+
+
+def _example_risk(name, g, sigma, t_star=None):
+    """The segment at theta* = t_star v2 (K = 2) or, without ``t_star``, the triangle at v1 (K = 3), in one
+    :func:`_pieces` call over every geometry of ``g`` and every sigma, vertices in ``g.triangle()`` order."""
+    sigmas = _sigmas(sigma)
+    one = isinstance(g, ExampleGeometry)
+    c = np.array([e.c for e in ([g] if one else g)], dtype=float)[:, None]
+    # v1 = (0, 0), v2 = (1/c, 1), v3 = (0, 1)
+    v = np.zeros((len(c), 3 if t_star is None else 2, 2))
+    v[:, 1:, 1] = 1.0
+    v[:, 1, 0] = 1.0 / c[:, 0]
+    theta = v[:, 0] if t_star is None else t_star * v[:, 1]
+    return _risk(name, v, theta, sigmas, 1.0 + 1.0 / (c * c), {"c": c}, () if one else c.shape[:1])
+
+
+def risk_segment_exact(g, t_star: float, sigma):
+    """Exact risk of projection onto the segment conv{v1, v2}: :func:`risk_polygon_exact` at theta* = t_star v2.
+
+    With t* in [0, 1], a = -sqrt(alpha_c) t*/sigma and b = sqrt(alpha_c)(1 - t*)/sigma it is
+
+        alpha_c [ t*^2 Phi(a) + (sigma^2/alpha_c) integral_a^b z^2 phi(z) dz
+                  + (1 - t*)^2 Phi(-b) ].
+
+    ``g`` is an :class:`ExampleGeometry` or a sequence; a sequence gives one
+    row per geometry, each the bits of its own call.  Raises
+    ``FloatingPointError`` naming the first (c, sigma) whose risk is not in [0, alpha_c].
+    """
+    given, t_star = t_star, _real(t_star)
+    if not (math.isfinite(t_star) and 0.0 <= t_star <= 1.0):
+        raise ValueError(f"t_star must lie in [0, 1], got {given!r}")
+    return _example_risk("segment risk", g, sigma, t_star).total
+
+
+def risk_triangle_exact(g, sigma) -> PolygonRisk:
+    """Exact risk of projection onto the triangle conv{v1, v2, v3} at theta* = v1, piece by piece.
+
+    It is :func:`risk_polygon_exact` on ``g.triangle()`` at v1, bit for bit:
+    strips outside edges v1v2, v2v3, v3v1 and the cones of v1, v2, v3, the
+    piece index last.  ``g`` is an :class:`ExampleGeometry` or a sequence;
+    a sequence adds a leading slope axis, each row the bits of its own call.
+    Raises ``FloatingPointError`` naming the first (c, sigma) whose risk is
+    not in [0, alpha_c].
+    """
+    return _example_risk("triangle risk", g, sigma)
 
 
 def risk_difference(g, sigma):

@@ -72,8 +72,15 @@ def owens_t(h, a):
     a = _real_array(a, "a")
     if np.isnan(a).any():
         raise ValueError("a must not be NaN")
-    limit = np.copysign(0.5 * special.ndtr(-np.abs(h)), a)
-    return _result(np.where(np.isinf(a), limit, special.owens_t(h, a)))
+    if a.all() and not np.isinf(a).any():
+        return _result(special.owens_t(h, a))
+    # T(h, 0) = +0, and the limit is taken only where a is infinite
+    h, a = np.broadcast_arrays(h, a)
+    t, infinite = np.zeros(a.shape), np.isinf(a)
+    t[infinite] = np.copysign(0.5 * special.ndtr(-np.abs(h[infinite])), a[infinite])
+    finite = ~infinite & (a != 0.0)
+    t[finite] = special.owens_t(h[finite], a[finite])
+    return _result(t)
 
 
 def int_phi_cdf(m: float, a: float, b: float) -> float:

@@ -470,7 +470,8 @@ class TestReversalScan:
         from riskrev.exact_risk import PolygonRisk
 
         def flat(P, thetas, sigma):
-            return PolygonRisk(np.zeros(len(thetas)), None, None, np.full(len(thetas), 0.25))
+            shape = (len(thetas), len(sigma))
+            return PolygonRisk(np.zeros(shape), None, None, np.full(shape, 0.25))
 
         monkeypatch.setattr(asymptotics, "risk_polygon_exact", flat)
         winners = []

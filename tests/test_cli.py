@@ -196,10 +196,12 @@ class TestRiskCommand:
     def test_exact_risk_outside_zero_to_squared_diameter_fails(self, capsys, monkeypatch, tmp_path, total, code):
         # the triangle's squared diameter is 2.  At sigma = 2^-10 every strip
         # and vertex piece at theta* = (0.2, 0.2) underflows to 0, so the
-        # total is the interior, 2 sigma^2 = 2^-19 times the fan brackets' sum
+        # total is the interior, 2 sigma^2 = 2^-19 times the fan brackets' sum.
+        # The engine asks for one edge's brackets per call, here one cell each
         path = tmp_path / "tri.json"
         path.write_text(json.dumps(TRIANGLE_FILE))
-        monkeypatch.setattr(exact_risk, "_fan_bracket", lambda *args: np.array([[0.0, total * 2.0**19, 0.0]]))
+        brackets = iter([total * 2.0**19, 0.0, 0.0])
+        monkeypatch.setattr(exact_risk, "_fan_bracket", lambda a, *rest: np.full(np.shape(a), next(brackets)))
         got, out, err = run_cli(
             capsys,
             ["risk", "--set", "polytope-file", "--file", str(path), "--theta", "0.2,0.2", "--sigma", str(2.0**-10)],
@@ -232,20 +234,6 @@ class TestRiskCommand:
         _, want, _ = run_cli(capsys, ["risk", *argv, "--sigma", sigma])
         want = json.loads(want)["exact"]
         assert abs(record["exact"] - want) <= 1e-12 * max(1.0, want)
-
-    def test_closed_form_that_disagrees_with_the_engine_exits_three(self, capsys, monkeypatch):
-        closed_form = cli.risk_triangle_exact
-
-        def off(g, sigma):
-            b = closed_form(g, sigma)
-            return exact_risk.PolygonRisk(b.interior, b.strips, b.vertices, b.total * (1.0 + 2e-9))
-
-        monkeypatch.setattr(cli, "risk_triangle_exact", off)
-        code, out, err = run_cli(capsys, ["risk", "--set", "triangle", "--c", "0.5", "--sigma", "3"])
-        assert (code, out) == (3, "")
-        engine = risk_polygon_exact(ExampleGeometry(c=0.5).triangle(), (0.0, 0.0), 3.0).total
-        want = f"the triangle closed form gives {closed_form(ExampleGeometry(c=0.5), 3.0).total * (1.0 + 2e-9)!r}"
-        assert want in err and f"the polygon engine gives {engine!r} at sigma 3.0" in err
 
     def test_triangle_keeps_its_digits_at_diverging_noise(self, capsys):
         # the closed form's interior once cancelled here and was 2.386591802637349
@@ -316,9 +304,12 @@ class TestCurveCommands:
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 2 + 200 * 200
-        # the whole (c, sigma) grid is one call per set, and the triangle
-        # calls Owen's T three times for vertex v2 and twice for its interior
-        assert calls == {"risk_segment_exact": 1, "risk_triangle_exact": 1, "owens_t": 5}
+        # the whole (c, sigma) grid is one call per set.  Owen's T is called
+        # per piece, not per cell: the triangle's one fan triangle calls it
+        # twice, and each of the two vertex cones it computes once for each of
+        # its two arguments, where v2's second argument, whose slope c crosses
+        # 1 on this grid, takes both the near and the far form
+        assert calls == {"risk_segment_exact": 1, "risk_triangle_exact": 1, "owens_t": 7}
 
     def test_heatmap_cell_outside_the_range_exits_three(self, capsys, monkeypatch):
         bracket = exact_risk._fan_bracket
@@ -880,23 +871,25 @@ def test_only_risk_averages_observations(capsys, argv):
 # time; the numpy renderer that formats each distinct double once keeps
 # every byte of them.  The heatmaps and the diff-curve were recorded again
 # when the triangle's interior became the polygon engine's, which moved
-# their diff column toward the engine by at most 9.3e-6 relative.  The
-# reversal example, at 2*10^4 samples, was recorded when its sup columns
+# their diff column toward the engine by at most 9.3e-6 relative, and again
+# when the segment and the triangle became calls of the engine's kernel,
+# which moved the heatmap's diff by at most 7.0e-15 and the diff-curve's
+# risk_L by at most 9.7e-15 relative.  The reversal example, at 2*10^4 samples, was recorded when its sup columns
 # became the exact maximum over the candidates, with Monte Carlo columns
 # at the two winners.
 BENCHMARK_HEATMAP = ("heatmap", "--c-sweep", "0.2:3:200", "--sigma-sweep", "0.01:1e4:200:log")
 PINNED_TABLE_DIGESTS = {
     BENCHMARK_HEATMAP: (
-        "5be5894d9f28c0192b91cd72853c7e211b7a9e83cb9b4243b1b1c7e416874d54",
-        "dc8975205232f976e568457291c8ed9abbfdf56faabda6f22102bc2a7d837095",
+        "eb14346ed4b0bb1317aeccbd06ffc882254fc6a6f46d619481556c190bf1bcbb",
+        "72d0ef2ebdb342457c8dbc3bd2d0d4e7c0d1114ee78e4bdd1780f8b72157d5cc",
     ),
     ("heatmap", "--c-sweep", "0.2:3:40", "--sigma-sweep", "0.05:50:40:log"): (
-        "c02e87957fa14c5dfb53edfa37769e68d6c0f07f1dd519f02cceebaee92a5c53",
-        "0b52ce0f855710b35d4d45f7e4b985497a2d86d7a54168fd996b39c3b1e93739",
+        "b09df268ccc0f6ea33def53e57fb56ed8e48e223dbc4c0cb4a93f3c86f6e71a8",
+        "6b481c8739ec31d3415ba9097779a31969801fab720e46d71b86476e551c6617",
     ),
     ("diff-curve", "--c-list", "0.5,1,2", "--sigma-sweep", "0.01:100:200:log"): (
-        "61d7686e657bb13d5d12ddcaa75e4438804246ebb4c6b2392c1a604bbe0e0d2b",
-        "6a7a750c2084f0ffd9d51af8b55d877379c1631c544f934062199b7641ec869a",
+        "7f8bc27693aaacc6b9b90358a9b4dae1ddcdf155435c7dee38bb15911424ae5b",
+        "905114f5567a1f6e1e71a0861b720d3253bf3cb5a2a7cd8f4e7a9bea2364be89",
     ),
     ("envelope", "--c", "0.75", "--x-sweep", "0:1.3333:13334"): (
         "0a1318c7f8a17f9d77999015e46039a29156c722a96dd2b5ea3be9d08f0f670e",

@@ -8,12 +8,14 @@ Second, reduced-size Monte Carlo runs must agree statistically, both in
 total and piece by piece; the full-size agreement sweep lives in the
 acceptance tests.
 
-The polygon engine is held piece by piece to both closed forms over the
-whole documented sigma range, in total to a polar Gauss-Legendre
-quadrature written below, and to the two noise limits at the ends of that
-range.
+The segment and triangle risks are calls of the polygon engine's kernel.
+The engine is held piece by piece to the triangle's and the segment's
+closed forms written below, in total to a polar Gauss-Legendre quadrature
+written below, and to the two noise limits at the ends of the documented
+sigma range; its bits are pinned on a seeded corpus.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -28,6 +30,8 @@ from riskrev.exact_risk import (
     _fan_series,
     _half_z2_phi,
     _int_z2_phi,
+    _normal_mass,
+    _tail,
     RiskQuery,
     large_noise_limit_diff,
     risk_difference,
@@ -50,13 +54,22 @@ GRID_C = [0.2, 0.5, 1.0, 2.0, 5.0]
 DISPLAY_TOL = 1e-12
 
 
-def segment_risk_display(c: float, sigma: float) -> float:
-    """Single-expression form of the segment risk at the bottom vertex."""
+def segment_risk_display(c: float, sigma: float, t_star: float = 0.0) -> float:
+    """Single-expression form of the segment risk at theta* = t_star v2.
+
+    With a = -sqrt(alpha) t*/sigma, b = sqrt(alpha)(1 - t*)/sigma and
+    u(z) = Phi(z) - 1/2 - z phi(z), integral_a^b z^2 phi(z) dz = u(b) - u(a).
+    """
     alpha = 1.0 + 1.0 / (c * c)
-    u = math.sqrt(alpha) / sigma
-    return sigma * sigma * (
-        std_normal_cdf(u) - 0.5 - u * std_normal_pdf(u)
-    ) + alpha * std_normal_cdf(-u)
+    a = -math.sqrt(alpha) * t_star / sigma
+    b = math.sqrt(alpha) * (1.0 - t_star) / sigma
+
+    def u(z):
+        return std_normal_cdf(z) - 0.5 - z * std_normal_pdf(z)
+
+    return sigma * sigma * (u(b) - u(a)) + alpha * (
+        t_star * t_star * std_normal_cdf(a) + (1.0 - t_star) ** 2 * std_normal_cdf(-b)
+    )
 
 
 def triangle_risk_display(c: float, sigma: float) -> float:
@@ -93,6 +106,35 @@ def triangle_risk_display(c: float, sigma: float) -> float:
             - owens_t(uc, c)
         )
     )
+
+
+def triangle_pieces_display(c: float, sigma: float):
+    """The triangle's pieces at theta* = v1 in closed form: the interior, the strips, the vertices.
+
+    With x = 1/(c sigma), s = sqrt(alpha_c)/sigma and u = 1/sigma the strips
+    outside v1v2, v2v3, v3v1 are (sigma^2/2) integral_0^s z^2 phi,
+    Phi(-u) [(Phi(x) - 1/2) + sigma^2 integral_0^x z^2 phi] and
+    (sigma^2/2) integral_0^u z^2 phi; the cones of v1, v2, v3 are 0,
+    alpha_c [Phi(-s) Phi(-x) + T(x, c sqrt(alpha_c)) + T(s, 1/(c sqrt(alpha_c)))
+    - T(x, c)] and Phi(-u)/2.  The interior, sigma^2 [arctan(1/c)/pi
+    - 2 T(u, 1/c) - u phi(u) (Phi(x) - 1/2)], cancels at large sigma.
+    """
+    alpha = 1.0 + 1.0 / (c * c)
+    root = math.sqrt(alpha)
+    u, x, s = 1.0 / sigma, 1.0 / (c * sigma), root / sigma
+    s2 = sigma * sigma
+    interior = s2 * (
+        math.atan(1.0 / c) / math.pi - 2.0 * owens_t(u, 1.0 / c) - u * std_normal_pdf(u) * std_normal_cdf_minus_half(x)
+    )
+    strips = [
+        0.5 * s2 * _half_z2_phi(s),
+        std_normal_cdf(-u) * (std_normal_cdf_minus_half(x) + s2 * _half_z2_phi(x)),
+        0.5 * s2 * _half_z2_phi(u),
+    ]
+    a2 = alpha * (
+        std_normal_cdf(-s) * std_normal_cdf(-x) + owens_t(x, c * root) + owens_t(s, 1.0 / (c * root)) - owens_t(x, c)
+    )
+    return interior, strips, [0.0, a2, 0.5 * std_normal_cdf(-u)]
 
 
 def _by_region(b):
@@ -155,6 +197,17 @@ class TestDisplayFormAgreement:
             got = risk_triangle_exact(ExampleGeometry(c=c), sigma).total
             want = triangle_risk_display(c, sigma)
             assert abs(got - want) <= DISPLAY_TOL * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("c", [0.2, 0.75, 2.0])
+    @pytest.mark.parametrize("t_star", [0.3, 0.7])
+    @pytest.mark.parametrize("sigma", [1e-8, 1e-6, 1e-3])
+    def test_segment_interior_point_at_small_noise(self, c, t_star, sigma):
+        # theta* = t* v2 rounds about 5e-17 off the segment's line; both
+        # edges take that one offset, so their strip weights still sum to 1
+        g = ExampleGeometry(c=c)
+        want = segment_risk_display(c, sigma, t_star)
+        for got in (risk_segment_exact(g, t_star, sigma), risk_polygon_exact(g.segment(), t_star * g.v2, sigma).total):
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("c", GRID_C)
     @pytest.mark.parametrize("sigma", [0.01, 0.1, 1.0, 10.0, 100.0])
@@ -285,13 +338,14 @@ class TestArrayValuedSigma:
             lambda a, tau, *rest: np.where((tau == 0.5) & (rest[-1] == 4.0), np.nan, bracket(a, tau, *rest)),
         )
         monkeypatch.setattr(
-            exact_risk, "_int_z2_phi", lambda a, b: np.where(b == 1.0 / 2.0, -np.inf, z2(a, b))
+            exact_risk, "_int_z2_phi", lambda a, b: np.where(abs(b - 0.5) < 1e-15, -np.inf, z2(a, b))
         )
         with pytest.raises(FloatingPointError, match=(
             r"^triangle risk at c 2\.0, sigma 4\.0 is nan, not a finite value in \[0, 1\.25\], the squared diameter$"
         )):
             risk_triangle_exact(gs, sigma)
-        # c = 1 has sqrt(alpha_c) = sqrt(2), and b = sqrt(2) (1 - t*) / sigma is 1/2 at t* = 0.5, sigma = sqrt(2)
+        # c = 1 has a segment of length sqrt(2), so the band of edge v1 -> v2
+        # ends at (1 - t*) sqrt(2) / sigma, 1/2 to rounding at t* = 0.5, sigma = sqrt(2)
         with pytest.raises(FloatingPointError, match=(
             r"^segment risk at c 1\.0, sigma 1\.414\d* is -inf, not a finite value in \[0, 2\.0\]"
         )):
@@ -553,20 +607,51 @@ INTERIOR_REFERENCE = [
 
 ENGINE_TOL = 1e-12
 
+# the engine's pin corpus: a point, and three polygons of each K = 3..8 with
+# theta* at every vertex, edge midpoint and edge point 0.8 along, and three
+# interior points; segments are left out
+PIN_SIGMAS = np.geomspace(1e-8, 1e12, 20)
+PINNED_ENGINE_DIGESTS = {
+    1: "4b48f21a4b7a02bfbec19ef880a967a02334a3cdcef8ae83de2ef327ba8bc5dd",
+    3: "a13c7a13d42f339b33f5887c30c1869af30b3661c65ea1c30e399740a4016043",
+    4: "b321d327a31f168408c98d088157861ca6003c87db8970cbe598983e313b2702",
+    5: "490acff05c05038dcea14242b559833a82bd32a9fccac68b73433fecaa8c7767",
+    6: "b989134e7d1ad330165bbd76cd486b74e965e9ea381f377a29fa0b1e827e4c28",
+    7: "51291facd18197806c738c2f6d1023438a0b29a63781ec3f1333d4e5ee49af9a",
+    8: "c3aaea95db83760a83ecd8591c6f2905ed5b5a73af6e02bd3bef387fa8c44bb3",
+}
+
+
+def _pin_corpus():
+    """{K: [(P, thetas), ...]} for the engine's pinned digests."""
+    rng = np.random.default_rng(20261020)
+    corpus = {1: [(ConvexPolytope([[0.5, -1.0]]), np.array([[0.5, -1.0]]))]}
+    for k in range(3, 9):
+        corpus[k] = []
+        while len(corpus[k]) < 3:
+            P = ConvexPolytope(rng.normal(size=(k, 2)))
+            v = P.vertices
+            if len(v) != k:
+                continue
+            ends = np.roll(v, -1, axis=0)
+            thetas = np.vstack([v, 0.5 * (v + ends), 0.2 * v + 0.8 * ends, rng.dirichlet(np.ones(k), 3) @ v])
+            corpus[k].append((P, thetas))
+    return corpus
+
 
 class TestPolygonRisk:
     @pytest.mark.parametrize("c", [0.2, 0.5, 0.75, 1.0, 2.0, 5.0])
     def test_pieces_match_the_triangle_regions(self, c):
         g = ExampleGeometry(c=c)
         for sigma in np.geomspace(1e-2, 1e2, 25):
-            closed = risk_triangle_exact(g, sigma)
+            interior, strips, vertices = triangle_pieces_display(c, sigma)
             got = risk_polygon_exact(g.triangle(), g.v1, sigma)
             # vertices v1, v2, v3 in that order; edges v1v2, v2v3, v3v1
             pairs = [
-                (got.interior, closed.interior),
-                *zip(got.strips, closed.strips),
-                *zip(got.vertices, closed.vertices),
-                (got.total, closed.total),
+                (got.interior, interior),
+                *zip(got.strips, strips),
+                *zip(got.vertices, vertices),
+                (got.total, interior + sum(strips) + sum(vertices)),
             ]
             for value, want in pairs:
                 assert abs(value - want) <= ENGINE_TOL * max(1.0, abs(want)), (sigma, value, want)
@@ -592,18 +677,19 @@ class TestPolygonRisk:
 
     @pytest.mark.parametrize("c", [0.2, 0.5, 0.75, 1.0, 2.0, 3.0])
     def test_closed_forms_match_the_engine_over_the_sigma_range(self, c):
-        # the triangle's interior is the engine's fan triangle; the strips,
-        # vertices and segment keep closed forms of their own
+        # the triangle and the segment are the engine's K = 3 and K = 2 calls, piece by piece
         g = ExampleGeometry(c=c)
         triangle = risk_triangle_exact(g, SIGMA_SWEEP)
-        segment = [risk_segment_exact(g, t_star, SIGMA_SWEEP) for t_star in (0.0, 1.0)]
+        segment = [risk_segment_exact(g, t_star, SIGMA_SWEEP) for t_star in (0.0, 0.3, 1.0)]
         for i, sigma in enumerate(SIGMA_SWEEP):
             engine = risk_polygon_exact(g.triangle(), g.v1, sigma)
-            assert triangle.total[i] == pytest.approx(engine.total, rel=1e-13, abs=0.0), sigma
-            assert triangle.interior[i] == pytest.approx(engine.interior, rel=1e-14, abs=0.0), sigma
-            for t_star, row in zip((0.0, 1.0), segment):
+            assert _bits(triangle.total[i]) == _bits(engine.total), sigma
+            assert _bits(triangle.interior[i]) == _bits(engine.interior), sigma
+            assert triangle.strips[i].tobytes() == engine.strips.tobytes(), sigma
+            assert triangle.vertices[i].tobytes() == engine.vertices.tobytes(), sigma
+            for t_star, row in zip((0.0, 0.3, 1.0), segment):
                 want = risk_polygon_exact(g.segment(), t_star * g.v2, sigma).total
-                assert row[i] == pytest.approx(want, rel=1e-13, abs=0.0), (t_star, sigma)
+                assert _bits(row[i]) == _bits(want), (t_star, sigma)
 
     @pytest.mark.parametrize("c, sigma, want", INTERIOR_REFERENCE)
     def test_interior_matches_high_precision_reference(self, c, sigma, want):
@@ -658,6 +744,39 @@ class TestPolygonRisk:
                     assert np.array_equal(one.strips, rows.strips[i])
                     assert np.array_equal(one.vertices, rows.vertices[i])
 
+    def test_bits_pinned(self):
+        # sha256 of the interior, strips, vertices and totals over the corpus,
+        # recorded before the segment and triangle risks became engine calls
+        for k, cases in _pin_corpus().items():
+            digest = hashlib.sha256()
+            for P, thetas in cases:
+                for sigma in PIN_SIGMAS:
+                    got = risk_polygon_exact(P, thetas, float(sigma))
+                    for part in (got.interior, got.strips, got.vertices, got.total):
+                        digest.update(np.ascontiguousarray(part).tobytes())
+            assert digest.hexdigest() == PINNED_ENGINE_DIGESTS[k], k
+
+    def test_sigma_array_columns_are_the_scalar_calls(self):
+        corpus = [case for cases in _pin_corpus().values() for case in cases[:1]]
+        g = ExampleGeometry(c=0.75)
+        corpus.append((g.segment(), np.array([g.v1, 0.3 * g.v2, g.v2])))
+        for P, thetas in corpus:
+            grid = risk_polygon_exact(P, thetas, PIN_SIGMAS)
+            k = P.n_vertices
+            assert grid.total.shape == grid.interior.shape == (len(thetas), len(PIN_SIGMAS))
+            assert grid.strips.shape == (len(thetas), len(PIN_SIGMAS), k if k > 1 else 0)
+            assert grid.vertices.shape == (len(thetas), len(PIN_SIGMAS), k)
+            for i, sigma in enumerate(PIN_SIGMAS):
+                one = risk_polygon_exact(P, thetas, float(sigma))
+                for column, scalar in zip(
+                    (grid.interior, grid.strips, grid.vertices, grid.total),
+                    (one.interior, one.strips, one.vertices, one.total),
+                ):
+                    assert column[:, i].tobytes() == scalar.tobytes(), (k, sigma)
+            single = risk_polygon_exact(P, thetas[0], PIN_SIGMAS)
+            assert single.total.tobytes() == grid.total[0].tobytes()
+            assert single.strips.tobytes() == grid.strips[0].tobytes()
+
     def test_point_polytope(self):
         got = risk_polygon_exact(ConvexPolytope([[0.5, -1.0]]), (0.5, -1.0), 2.0)
         assert (got.total, got.interior, got.strips.shape, got.vertices.tolist()) == (0.0, 0.0, (0,), [0.0])
@@ -670,8 +789,8 @@ class TestPolygonRisk:
             risk_polygon_exact(triangle, (2.0, 0.0), 1.0)
         with pytest.raises(ValueError, match="sigma must be a positive finite real"):
             risk_polygon_exact(triangle, (0.0, 0.0), 0.0)
-        with pytest.raises(ValueError, match="sigma must be a scalar"):
-            risk_polygon_exact(triangle, (0.0, 0.0), [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^sigma must be a positive finite real, got -2\.0$"):
+            risk_polygon_exact(triangle, (0.0, 0.0), [1.0, -2.0])
 
 
 def _fan_series_every_term(q, qx1, qx2, s1, s2):
@@ -711,3 +830,58 @@ class TestFanSeries:
         s1, s2 = np.einsum("knd,knd->kn", v, v) / 2.0
         args = (a * a / 2.0, -a * tau / 2.0, -a * tau_end / 2.0, s1, s2)
         assert _fan_series(*args).tobytes() == _fan_series_every_term(*args).tobytes()
+
+
+def _normal_mass_every_form(a, b):
+    """:func:`_normal_mass` as it was: all three forms on every entry, then a pick."""
+    upper = std_normal_cdf(-a) - std_normal_cdf(-b)
+    lower = std_normal_cdf(b) - std_normal_cdf(a)
+    middle = std_normal_cdf_minus_half(b) - std_normal_cdf_minus_half(a)
+    return np.where(a >= 1.0, upper, np.where(b <= -1.0, lower, middle))
+
+
+def _owens_t_every_entry(h, a):
+    """:func:`owens_t` as it was: scipy on every entry, the limit at a = +/-inf picked afterwards."""
+    limit = np.copysign(0.5 * special.ndtr(-np.abs(h)), a)
+    return np.where(np.isinf(a), limit, special.owens_t(h, a))
+
+
+def _tail_every_form(x, b):
+    """:func:`_tail` as it was: the near and the far form on every entry, then a pick."""
+    far = (b > 1.0) & np.isfinite(b)
+    b_far = np.where(far, b, 1.0)
+    bx = np.where(far, b_far * x, 0.0)
+    near = 0.5 * std_normal_cdf(-x) - _owens_t_every_entry(x, np.where(far, 0.0, b))
+    return np.where(
+        far, _owens_t_every_entry(bx, 1.0 / b_far) - std_normal_cdf(-bx) * std_normal_cdf_minus_half(x), near
+    )
+
+
+class TestOneFormPerEntry:
+    """Each entry evaluates only the form it takes, and keeps the bits of evaluating every form."""
+
+    @staticmethod
+    def _values(rng, n):
+        specials = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 1e-300, 38.0, -40.0]
+        return np.concatenate([specials, rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 1.5, n)])
+
+    def test_normal_mass(self):
+        rng = np.random.default_rng(11)
+        a, b = np.sort(np.stack([self._values(rng, 20_000), self._values(rng, 20_000)]), axis=0)
+        b[:9] = a[:9]  # empty intervals at the special values
+        assert _normal_mass(a, b).tobytes() == _normal_mass_every_form(a, b).tobytes()
+        # a (G, 1) column against (G, S) rows
+        assert _normal_mass(a[:40, None], b[None, :50] + 1.0).tobytes() == _normal_mass_every_form(
+            a[:40, None], b[None, :50] + 1.0
+        ).tobytes()
+
+    def test_tail(self):
+        rng = np.random.default_rng(12)
+        x = np.abs(self._values(rng, 20_000))
+        b = self._values(rng, 20_000) * rng.choice([1.0, 50.0], x.size)
+        b[::7] = 0.0
+        b[1::7] = np.inf
+        b[2::7] = -np.inf
+        x[3::11] = 0.0
+        assert _tail(x, b).tobytes() == _tail_every_form(x, b).tobytes()
+        assert _tail(x[:30, None], b[None, :70]).tobytes() == _tail_every_form(x[:30, None], b[None, :70]).tobytes()

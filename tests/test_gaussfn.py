@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from riskrev.gaussfn import (
@@ -92,6 +93,24 @@ class TestOwensT:
             owens_t(math.nan, 1.0)
         with pytest.raises(ValueError):
             owens_t(1.0, math.nan)
+
+    def test_each_entry_keeps_the_bits_of_scipy_and_the_limit_everywhere(self):
+        # the limit is taken only where a is infinite and T(h, 0) = +0 without
+        # scipy; scipy on every entry, with the limit picked after, gives the same bits
+        rng = np.random.default_rng(RNG_SEED + 3)
+        n = 30_000
+        h = np.concatenate([[0.0, -0.0, 0.0, 3.0, -3.0], rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1.5, n)])
+        a = np.concatenate([[0.0, math.inf, -math.inf, -0.0, 0.0], rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 2, n)])
+        a[5::9], a[6::9], a[7::9], a[8::9] = 0.0, -0.0, math.inf, -math.inf
+        h[9::13] = 0.0
+        every_entry = np.where(np.isinf(a), np.copysign(0.5 * special.ndtr(-np.abs(h)), a), special.owens_t(h, a))
+        assert owens_t(h, a).tobytes() == every_entry.tobytes()
+        finite = np.isfinite(a) & (a != 0.0)
+        assert owens_t(h[finite], a[finite]).tobytes() == special.owens_t(h[finite], a[finite]).tobytes()
+        assert owens_t(h[:50, None], a[None, :80]).tobytes() == np.where(
+            np.isinf(a[:80]), np.copysign(0.5 * special.ndtr(-np.abs(h[:50, None])), a[:80]),
+            special.owens_t(h[:50, None], a[:80]),
+        ).tobytes()
 
 
 class TestArrayArguments:

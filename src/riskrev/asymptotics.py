@@ -26,6 +26,8 @@ from .geometry import (
     ConeKind,
     ConvexPolytope,
     ExampleGeometry,
+    _ConeBlocks,
+    _block_projector,
     _edge_chain,
     _generators,
     _integer,
@@ -34,7 +36,6 @@ from .geometry import (
     _real,
     _real_array,
     normal_cone_angle_2d,
-    project_cone_nonneg_batch,
     tangent_cone_2d,
 )
 from .montecarlo import (
@@ -43,7 +44,6 @@ from .montecarlo import (
     MCConfig,
     RiskEstimate,
     _chunked_estimate,
-    _losses,
     sample_unit_sphere,
 )
 
@@ -98,16 +98,13 @@ def statistical_dimension_mc(generators, n: int, seed: int = DEFAULT_SEED) -> Ri
     """Monte Carlo statistical dimension of cone{g_1, ..., g_m}.
 
     Averages ||Pi_C(Z)||^2 over standard normal draws using the exact
-    nonnegative least-squares cone projection; deterministic in ``seed``.
+    nonnegative least-squares cone projection, as the one Monte Carlo
+    job at theta* = 0, sigma = 1; deterministic in ``seed``.
     """
     G = _generators(generators)
     cfg = MCConfig(n=n, seed=seed)
-
-    def chunk_losses(start, z):
-        projected = project_cone_nonneg_batch(G, z)
-        yield np.einsum("ij,ij->i", projected, projected)
-
-    return _chunked_estimate(G.shape[1], cfg, chunk_losses)[0]
+    job = (_ConeBlocks(G, min(cfg.n, cfg.chunk)), np.zeros(G.shape[1]), 1.0, math.inf)
+    return _chunked_estimate(G.shape[1], cfg, [job])[0]
 
 
 def small_noise_risk(
@@ -121,14 +118,17 @@ def small_noise_risk(
     """Leading-order risk sigma^2 * delta(T_P(theta)) for small sigma.
 
     Planar polytopes are handled analytically through the tangent-cone
-    classification; otherwise pass the tangent cone's ``generators`` to use
-    the Monte Carlo statistical dimension.  Either way ``theta`` must be a
-    point of ``P``.
+    classification; otherwise pass the tangent cone's ``generators``, of
+    ``P``'s dimension, to use the Monte Carlo statistical dimension.  Either
+    way ``theta`` must be a point of ``P``.
     """
     sigma = _sigma(sigma)
     if generators is not None:
         _member_points(P, [theta], "theta")
-        return sigma * sigma * statistical_dimension_mc(generators, n, seed).mean
+        G = _generators(generators)
+        if G.shape[1] != P.dim:
+            raise ValueError(f"generators have dimension {G.shape[1]}, but the polytope has dimension {P.dim}")
+        return sigma * sigma * statistical_dimension_mc(G, n, seed).mean
     if P.dim != 2:
         raise ValueError("analytic path requires a planar polytope; pass generators instead")
     return sigma * sigma * statistical_dimension_2d(tangent_cone_2d(P, theta))
@@ -317,21 +317,17 @@ def detect_finite_sigma_reversal(
     for g in (g_small, g_large):
         P = g.theta_x_polytope()
         candidates = _sup_candidates(P, edge_points)
+        projector = _block_projector(P, min(cfg.n, cfg.chunk))
         # one engine call per set: its column i holds the candidates' risks at sigmas[i]
-        sets.append((P, candidates, risk_polygon_exact(P, candidates, sigmas).total))
+        sets.append((projector, P.squared_diameter(), candidates, risk_polygon_exact(P, candidates, sigmas).total))
     # sigma-major, the smaller set first at each sigma
-    winners, sups = [], []
+    jobs, sups = [], []
     for i, sigma in enumerate(sigmas):
-        for P, candidates, risks in sets:
+        for projector, diam_sq, candidates, risks in sets:
             best = int(np.argmax(risks[:, i]))
-            winners.append((P, candidates[best : best + 1], sigma))
+            jobs.append((projector, candidates[best], sigma, diam_sq))
             sups.append(float(risks[best, i]))
-
-    def chunk_losses(start, z):
-        for P, theta, sigma in winners:
-            yield from _losses(P, theta, sigma, start, z)
-
-    checks = _chunked_estimate(2, cfg, chunk_losses)
+    checks = _chunked_estimate(2, cfg, jobs)
     rows = []
     reversal_sigma = None
     for sigma, small, large, mc_small, mc_large in zip(sigmas, sups[::2], sups[1::2], checks[::2], checks[1::2]):

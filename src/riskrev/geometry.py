@@ -9,7 +9,10 @@ projection by subset enumeration (``_ConeBlocks``).  All three are block
 projectors: ``project(y, first)`` maps a (d, b) block of coordinate rows,
 b <= ``size``, to a (d, b) array and names a bad point by its index from
 ``first``; ``_project_rows`` drives any of them over the rows of an (n, d)
-array.  A point projected alone gives the same bits as inside any batch.
+array, and ``montecarlo``'s one loss loop over a chunk's draws, summing the
+squared rows of each result left to right with ``_left_sum``, so the
+result's memory layout is free.  A point projected alone gives the same
+bits as inside any batch.
 The running triangle family also has a region-table projector.  Tangent and
 normal cones are classified for planar polytopes.
 
@@ -598,9 +601,7 @@ class _MinNormPoint:
             for j in range(1, len(y)):
                 dist += np.square(v[:, j : j + 1] - y[j])
             nearest = np.argmin(dist, axis=0)
-        # the transpose of a C-ordered (b, d) array: the losses in montecarlo
-        # sum the result's rows, and their rounding depends on its layout
-        out = np.empty(y.shape[::-1]).T
+        out = np.empty_like(y)
         rows = np.arange(y.shape[1])
         yc = y - self._center[:, None]
         mask = np.zeros((len(v), len(rows)), dtype=bool)

@@ -12,21 +12,26 @@ however the slabs fall on the threads.  The ``RISKREV_THREADS``
 environment variable sets the thread count; unset, it is the number of
 CPUs the process may use.
 
-Within a chunk, one loss loop serves every polytope, one block of samples
-at a time, with the projector that ``geometry`` picks for it.
+Every Monte Carlo mean of a projection loss ||Pi(theta* + sigma Z) - theta*||^2
+is a job of one kernel, :func:`_chunked_estimate`: polytope risks, the
+reversal scan's winner checks and the statistical dimension of a cone.
+Within a chunk, one loss loop runs each job one block of samples at a
+time, and the loss adds the squared coordinate rows left to right, so no
+projector's memory layout reaches a seeded output.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import special
 
 from .exact_risk import RiskQuery, _sigma
-from .geometry import ConvexPolytope, ProjectionError, _block_projector, _integer, _member_points, _real, _real_array
+from .geometry import (
+    ConvexPolytope, ProjectionError, _block_projector, _integer, _left_sum, _member_points, _real, _real_array
+)
 
 DEFAULT_SEED = 20240613
 DEFAULT_CHUNK = 1 << 18
@@ -139,29 +144,20 @@ def _merge_moments(parts):
     return n_acc, mean_acc, m2_acc
 
 
-def _chunked_estimate(d: int, cfg: MCConfig, chunk_losses) -> list[RiskEstimate]:
-    """Deterministic chunked Monte Carlo means of one or more losses.
+def _chunked_estimate(d: int, cfg: MCConfig, jobs) -> list[RiskEstimate]:
+    """Deterministic chunked Monte Carlo means of ||Pi(theta + sigma z) - theta||^2, one per job.
 
-    ``chunk_losses(chunk_start, Z)`` yields one loss vector per estimate for
-    the chunk of normals ``Z``.  Each vector is reduced to its moments, which
-    overwrites it, before the next is requested, so all of them may share one
-    buffer.  Every estimate sees the same draws (common random numbers), and
-    each is bitwise identical to a run of its loss alone.
+    Each job is ``(projector, theta, sigma, diam_sq)``: a block projector
+    from ``geometry``, a d-vector theta, a noise level and the squared
+    diameter the loss may not exceed (``math.inf`` for a cone).  Every job
+    sees the same draws (common random numbers), and each estimate is
+    bitwise identical to a run of its job alone.
     """
     n, seed, chunk = cfg.n, cfg.seed, cfg.chunk
     parts = []
     for start in range(0, n, chunk):
-        m = min(chunk, n - start)
-        moments = []
-        # only the loss generator holds the normals, so they go before the next chunk's are drawn
-        for loss in chunk_losses(start, _chunk_normals(seed, start // chunk, m, d)):
-            mean = float(loss.mean())
-            loss -= mean
-            np.square(loss, out=loss)
-            moments.append((m, mean, float(np.sum(loss))))
-            # release it before the next is requested, which may start a new loss loop
-            del loss
-        parts.append(moments)
+        # only _chunk_moments holds the normals, so they go before the next chunk's are drawn
+        parts.append(_chunk_moments(_chunk_normals(seed, start // chunk, min(chunk, n - start), d), start, jobs))
     estimates = []
     for per_chunk in zip(*parts):
         count, mean, m2 = _merge_moments(per_chunk)
@@ -170,38 +166,40 @@ def _chunked_estimate(d: int, cfg: MCConfig, chunk_losses) -> list[RiskEstimate]
     return estimates
 
 
-def _losses(P: ConvexPolytope, thetas: np.ndarray, sigma: float, start: int, z: np.ndarray):
-    """Losses ||Pi(theta + sigma z) - theta||^2 of one chunk, one reused vector per theta.
+def _chunk_moments(z: np.ndarray, start: int, jobs) -> list[tuple[int, float, float]]:
+    """(count, mean, M2) of each job's losses over the (m, d) chunk of normals ``z``.
 
-    Rounds as theta + sigma * z, the batch projection and einsum over (m, d)
-    rows do on the whole chunk.  A loss above the squared diameter raises.
+    One block of samples at a time, in the projectors' coordinate rows:
+    y = sigma z + theta, x = Pi(y) - theta, and the loss sums x_j^2 over the
+    coordinates left to right, so its bits do not depend on the layout of
+    the projector's result.  A loss above the squared diameter raises.
     """
-    diam_sq = P.squared_diameter()
-    loss_cap = diam_sq * (1.0 + 1e-9) + 1e-12
     m, d = z.shape
-    projector = _block_projector(P, m)
-    block = projector.size
-    y = np.empty((d, min(m, block)))
     loss = np.empty(m)
-    for theta in thetas:
+    moments = []
+    for projector, theta, sigma, diam_sq in jobs:
+        block = min(m, projector.size)
+        y, tmp = np.empty((d, block)), np.empty(block)
         shift = theta[:, None]
         for first in range(0, m, block):
             rows = slice(first, min(m, first + block))
             u = y[:, : rows.stop - first]
-            # coordinate rows, as the projectors take them, one block at a
-            # time: whole-chunk rows of sigma * z measured 2 MB more peak memory
             for j in range(d):
                 np.multiply(z[rows, j], sigma, out=u[j])
                 u[j] += theta[j]
             x = projector.project(u, start + first)
             x -= shift
-            np.einsum("ji,ji->i", x, x, out=loss[rows])
+            _left_sum(zip(x, x), loss[rows], tmp[: rows.stop - first])
         worst = int(np.argmax(loss))
-        if loss[worst] > loss_cap:
+        if loss[worst] > diam_sq * (1.0 + 1e-9) + 1e-12:
             raise ProjectionError(
                 f"sample {start + worst}: loss {loss[worst]!r} exceeds squared diameter {diam_sq!r}"
             )
-        yield loss
+        mean = float(loss.mean())
+        loss -= mean
+        np.square(loss, out=loss)
+        moments.append((m, mean, float(np.sum(loss))))
+    return moments
 
 
 def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[RiskEstimate]:
@@ -211,12 +209,15 @@ def mc_risks(P: ConvexPolytope, thetas, sigma: float, cfg: MCConfig) -> list[Ris
     :func:`mc_risk` at that theta* with the same configuration, while the
     normals of each chunk are drawn only once (common random numbers).
     Samples are projected one block at a time by the projector that
-    ``geometry`` picks for ``P``.  A projection failure aborts with the
-    failing sample index, and so does a loss above the squared diameter.
+    ``geometry`` picks for ``P``, shared by every theta*.  A projection
+    failure aborts with the failing sample index, and so does a loss above
+    the squared diameter.
     """
     thetas = _member_points(P, thetas)
     sigma = _sigma(sigma)
-    return _chunked_estimate(P.dim, cfg, partial(_losses, P, thetas, sigma))
+    projector = _block_projector(P, min(cfg.n, cfg.chunk))
+    diam_sq = P.squared_diameter()
+    return _chunked_estimate(P.dim, cfg, [(projector, theta, sigma, diam_sq) for theta in thetas])
 
 
 def mc_risk(P: ConvexPolytope, q: RiskQuery, cfg: MCConfig) -> RiskEstimate:

@@ -475,18 +475,18 @@ class TestReversalScan:
 
         monkeypatch.setattr(asymptotics, "risk_polygon_exact", flat)
         winners = []
-        losses = asymptotics._losses
+        estimate = asymptotics._chunked_estimate
 
-        def seen(P, thetas, sigma, start, z):
-            winners.append(thetas.tolist())
-            return losses(P, thetas, sigma, start, z)
+        def seen(d, cfg, jobs):
+            winners.extend(theta.tolist() for _, theta, _, _ in jobs)
+            return estimate(d, cfg, jobs)
 
-        monkeypatch.setattr(asymptotics, "_losses", seen)
+        monkeypatch.setattr(asymptotics, "_chunked_estimate", seen)
         scan = detect_finite_sigma_reversal(
             ExampleGeometry(c=0.75, x=1.3), ExampleGeometry(c=0.75, x=0.5), [1.0], n=100, chunk=100
         )
         assert scan.sup_small == scan.sup_large == (0.25,)
-        assert winners == [[[0.0, 0.0]], [[0.0, 0.0]]]
+        assert winners == [[0.0, 0.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_reversal_sigma_is_exact_and_independent_of_the_draw(self, seed):

@@ -1013,10 +1013,6 @@ def _every_other_row(Y):
 class TestBlockProjectorProtocol:
     """``project`` maps a (d, b) block to (d, b), and ``_project_rows`` returns a
     new C-ordered (n, d) array whose bytes do not depend on the input's layout.
-
-    The losses sum the rows of that array, and an F-ordered one rounds some
-    row sums differently, so a projector that broke the contract would move
-    seeded outputs.
     """
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["n=0", "size-1", "size", "size+1"])

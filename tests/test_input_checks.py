@@ -61,6 +61,7 @@ from riskrev.montecarlo import MCConfig, _effective_sigma, _worker_count, cauchy
 G1 = ExampleGeometry(c=1.0)
 TRI = G1.triangle()
 CUBE = ConvexPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+SEGMENT_3D = ConvexPolytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 EYE = [[1.0, 0.0], [0.0, 1.0]]
 CFG = MCConfig(n=100)
 
@@ -98,6 +99,9 @@ REFUSALS = {
     "small_noise_risk-generators-theta-outside": (
         lambda: small_noise_risk(TRI, (5.0, 5.0), 0.1, generators=[[1.0, 0.0]], n=10),
         r"^theta .* must belong to the polytope$"),
+    "small_noise_risk-generators-dimension": (
+        lambda: small_noise_risk(SEGMENT_3D, (0.0, 0.0, 0.0), 0.1, generators=[[1.0, 0.0]], n=10),
+        r"^generators have dimension 2, but the polytope has dimension 3$"),
     "limiting_risk-theta-nan": (
         lambda: limiting_risk(TRI, (0.0, math.nan), vertex_probabilities_2d(TRI)), r"^theta must be finite$"),
     "_effective_sigma-sigma": (

@@ -8,6 +8,7 @@ and against scipy's Kolmogorov-Smirnov machinery.
 """
 
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -28,6 +29,10 @@ from riskrev.geometry import (
     ConvexPolytope,
     ExampleGeometry,
     ProjectionError,
+    _ConeBlocks,
+    _MinNormPoint,
+    _block_projector,
+    project_cone_nonneg_batch,
     project_polytope_batch,
 )
 from riskrev.montecarlo import (
@@ -35,9 +40,10 @@ from riskrev.montecarlo import (
     KS_CRITICAL_0P1,
     MCConfig,
     RiskEstimate,
+    _chunk_moments,
     _chunk_normals,
+    _chunked_estimate,
     _effective_sigma,
-    _losses,
     cauchy_cdf,
     cauchy_ratio_check,
     mc_risk,
@@ -252,6 +258,24 @@ class TestThreadsOverSlabs:
         assert results[0] == results[1]
 
 
+SQRT2_CUBE = ConvexPolytope(list(itertools.product((0.0, math.sqrt(2.0)), repeat=3)))
+
+CONE_CASES = {
+    "orthant": np.eye(3),
+    "skewed_cone": np.array([[1.0, 0.3, -0.2], [-0.4, 1.0, 0.5], [0.2, -0.7, 1.0], [0.9, 0.8, 0.1]]),
+}
+
+
+class Copying:
+    """A block projector that returns a copy, in memory order ``order``, of ``inner``'s block result."""
+
+    def __init__(self, inner, order):
+        self.inner, self.order, self.size = inner, order, inner.size
+
+    def project(self, y, first):
+        return np.array(self.inner.project(y, first), order=self.order)
+
+
 SHARED_CASES = {
     # chunks of three blocks, the last one partial, and a partial last chunk
     "triangle": (
@@ -294,18 +318,25 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "seed, mean, stderr",
         [
-            (2, 1.0984831424018562, 0.0077672872568199),
-            (6, 1.1239477653393697, 0.007858737101604563),
-            (7, 1.110443792138424, 0.007772912344695564),
+            (2, 1.0984831424018562, 0.007767287256819901),
+            (6, 1.12394776533937, 0.007858737101604563),
+            (7, 1.110443792138424, 0.0077729123446955645),
         ],
     )
     def test_cube_risk_keeps_its_bits(self, seed, mean, stderr):
-        # the losses sum the coordinate rows the min-norm-point projector
-        # returns, and their rounding depends on that array's memory layout
-        side = math.sqrt(2.0)
-        cube = ConvexPolytope([[a, b, c] for a in (0.0, side) for b in (0.0, side) for c in (0.0, side)])
-        estimate = mc_risk(cube, RiskQuery(theta_star=(0.0, 0.0, 0.0), sigma=1.0), MCConfig(n=20000, seed=seed))
+        estimate = mc_risk(SQRT2_CUBE, RiskQuery(theta_star=(0.0, 0.0, 0.0), sigma=1.0), MCConfig(n=20000, seed=seed))
         assert (estimate.mean, estimate.stderr) == (mean, stderr)
+
+    @pytest.mark.parametrize("seed", [2, 6, 7])
+    def test_cube_risk_does_not_depend_on_the_projection_layout(self, seed):
+        # the loss sums the coordinate rows left to right, so a C- and an
+        # F-ordered copy of the same projections give the same bits
+        cfg = MCConfig(n=20000, seed=seed)
+        jobs = [[(Copying(_MinNormPoint(SQRT2_CUBE), order), np.zeros(3), 1.0, SQRT2_CUBE.squared_diameter())]
+                for order in "CF"]
+        estimates = [_chunked_estimate(3, cfg, job) for job in jobs]
+        assert estimates[0] == estimates[1]
+        assert estimates[0] == [mc_risk(SQRT2_CUBE, RiskQuery(theta_star=(0.0, 0.0, 0.0), sigma=1.0), cfg)]
 
 
 class TestSharedCandidates:
@@ -324,25 +355,40 @@ class TestSharedCandidates:
             single = mc_risk(poly, RiskQuery(theta_star=tuple(theta), sigma=1.7), cfg)
             assert est == single
 
-    @pytest.mark.parametrize("case", sorted(SHARED_CASES) + ["point"])
+    @pytest.mark.parametrize("case", sorted(SHARED_CASES) + ["point", "orthant", "skewed_cone"])
     def test_blocked_losses_match_whole_chunk_expressions(self, case):
         # the per-block loss loop against theta + sigma z, the public batch
-        # projection and einsum over the whole chunk
-        if case == "point":
-            poly, cfg = ConvexPolytope([[0.3, -0.2]]), SHARED_CASES["segment"][1]
+        # projection and a left-to-right sum of squares over the whole chunk
+        if case in CONE_CASES:
+            G = CONE_CASES[case]
+            cfg, sigma, thetas = SHARED_CASES["triangle"][1], 1.0, np.zeros((1, 3))
+            projector, diam_sq = _ConeBlocks(G, cfg.chunk), math.inf
+            project = lambda y: project_cone_nonneg_batch(G, y)
         else:
-            poly, cfg = SHARED_CASES[case]
-        if poly.dim == 2 and poly.n_vertices > 1:
-            thetas = _sup_candidates(poly, 1)
-        else:
-            thetas = np.vstack([poly.vertices, poly.vertices.mean(axis=0)])
-        z = _chunk_normals(cfg.seed, 1, cfg.chunk - 1, poly.dim)
-        blocked = [loss.copy() for loss in _losses(poly, thetas, 1.7, cfg.chunk, z)]
-        assert len(blocked) == len(thetas)
-        for theta, got in zip(thetas, blocked):
-            projected = project_polytope_batch(poly, theta + 1.7 * z)
-            want = np.einsum("ij,ij->i", projected - theta, projected - theta)
-            assert got.tobytes() == want.tobytes()
+            if case == "point":
+                poly, cfg = ConvexPolytope([[0.3, -0.2]]), SHARED_CASES["segment"][1]
+            else:
+                poly, cfg = SHARED_CASES[case]
+            if poly.dim == 2 and poly.n_vertices > 1:
+                thetas = _sup_candidates(poly, 1)
+            else:
+                thetas = np.vstack([poly.vertices, poly.vertices.mean(axis=0)])
+            sigma, projector, diam_sq = 1.7, _block_projector(poly, cfg.chunk), poly.squared_diameter()
+            project = lambda y: project_polytope_batch(poly, y)
+        d = thetas.shape[1]
+        z = _chunk_normals(cfg.seed, 1, cfg.chunk - 1, d)
+        moments = _chunk_moments(z, cfg.chunk, [(projector, theta, sigma, diam_sq) for theta in thetas])
+        assert len(moments) == len(thetas)
+        for theta, got in zip(thetas, moments):
+            x = project(theta + sigma * z) - theta
+            loss = x[:, 0] * x[:, 0]
+            for j in range(1, d):
+                loss += x[:, j] * x[:, j]
+            if d <= 2:
+                # two squares add the same in either order, as einsum did
+                assert loss.tobytes() == np.einsum("ij,ij->i", x, x).tobytes()
+            mean = float(loss.mean())
+            assert got == (len(z), mean, float(np.sum((loss - mean) ** 2)))
 
     def test_segment_at_huge_noise(self):
         # |y| ~ 1e200 overflows a squared distance but not the segment's

@@ -5,11 +5,12 @@ counter-based stream keyed by ``(seed, j)``, normals come from the inverse
 CDF of those uniforms (one uniform per variate, so stream consumption never
 depends on the values drawn), and per-chunk moments are merged in chunk
 order with a pairwise-stable update.  Chunks run one after another.
-Within a chunk, worker threads draw the normals in cache-sized slabs, each
-slab from its own offset of the chunk's stream, so a result is bitwise
-identical for a given ``(seed, n, chunk)`` whatever the thread count and
-however the slabs fall on the threads.  The ``RISKREV_THREADS``
-environment variable sets the thread count; unset, it is the number of
+Within a chunk the normals are drawn in cache-sized slabs, each slab from
+its own offset of the chunk's stream, by worker threads and by the calling
+thread together, so a result is bitwise identical for a given
+``(seed, n, chunk)`` whatever the thread count and however the slabs fall
+on the threads.  The ``RISKREV_THREADS`` environment variable sets the
+number of drawing threads, the caller included; unset, it is the number of
 CPUs the process may use.
 
 Every Monte Carlo mean of a projection loss ||Pi(theta* + sigma Z) - theta*||^2
@@ -17,12 +18,16 @@ is a job of one kernel, :func:`_chunked_estimate`: polytope risks, the
 reversal scan's winner checks and the statistical dimension of a cone.
 Within a chunk, one loss loop runs each job one block of samples at a
 time, and the loss adds the squared coordinate rows left to right, so no
-projector's memory layout reaches a seeded output.
+projector's memory layout reaches a seeded output.  The first job projects
+each block as soon as the slabs under its rows are drawn, so projection
+overlaps the draw; the caller draws the next undrawn slab itself whenever
+it would otherwise wait.
 """
 
+import contextlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +94,13 @@ class MCConfig:
 
 
 def _worker_count() -> int:
-    """Threads per draw: ``RISKREV_THREADS``, or the CPUs this process may use if it is unset.
+    """Threads that draw a chunk, the caller included: ``RISKREV_THREADS``, or the usable CPUs if it is unset.
 
-    Any value but a positive decimal integer raises ``ValueError`` naming the variable.
+    A chunk of k slabs starts ``min(_worker_count(), k) - 1`` worker threads
+    beside the calling thread, which also draws while its projection waits,
+    so a one-slab chunk starts none.  The thread count does not change a
+    bit of any result.  Any value but a positive decimal integer raises
+    ``ValueError`` naming the variable.
     """
     raw = os.environ.get("RISKREV_THREADS")
     if raw is None:
@@ -104,32 +113,119 @@ def _worker_count() -> int:
     return int(raw)
 
 
-def _chunk_normals(seed: int, chunk_index: int, m: int, d: int) -> np.ndarray:
-    """(m, d) standard normals from the substream keyed by (seed, chunk_index).
+class _SlabDraw:
+    """The (m, d) normals ``z`` of one chunk, drawn in slabs by whichever thread takes each slab.
 
     The m * d values are drawn in slabs of ``_DRAW_SLAB``, each by its own
-    Philox started at the slab's counter offset and spread over
-    :func:`_worker_count` threads, so every slab is the slice of the
-    chunk's one stream that a single whole-chunk draw would give.
+    Philox started at the slab's counter offset, so every slab is the slice
+    of the chunk's one stream that a single whole-chunk draw would give.
+    Slabs are handed out in order from a shared counter; :meth:`wait`
+    returns once the leading rows are drawn.  Worker threads run
+    :meth:`work`; see :func:`_chunk_draw`.
     """
-    key = np.array([seed & _UINT64_MASK, chunk_index], dtype=np.uint64)
-    out = np.empty(m * d)
 
-    def fill(first: int):
-        slab = out[first : first + _DRAW_SLAB]
-        np.random.Generator(np.random.Philox(key=key, counter=[first // 4, 0, 0, 0])).random(out=slab)
+    def __init__(self, seed: int, chunk_index: int, m: int, d: int):
+        self._key = np.array([seed & _UINT64_MASK, chunk_index], dtype=np.uint64)
+        self._flat = np.empty(m * d)
+        self.z = self._flat.reshape(m, d)
+        self._slab = _DRAW_SLAB
+        self.slabs = -(-m * d // self._slab)
+        self._cond = threading.Condition()
+        self._next = 0  # the first slab not yet handed out
+        self._done = [False] * self.slabs
+        self._ready = 0  # the leading slabs that are drawn
+        self._error = None
+
+    def _fill(self, i: int):
+        first = i * self._slab
+        slab = self._flat[first : first + self._slab]
+        np.random.Generator(np.random.Philox(key=self._key, counter=[first // 4, 0, 0, 0])).random(out=slab)
         np.maximum(slab, _U_FLOOR, out=slab)
         special.ndtri(slab, out=slab)
 
-    firsts = range(0, m * d, _DRAW_SLAB)
-    workers = min(_worker_count(), len(firsts))
-    if workers <= 1:
-        for first in firsts:
-            fill(first)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, firsts))
-    return out.reshape(m, d)
+    def _take(self):
+        """The next slab to draw, or None when none is left; call it holding the lock."""
+        if self._next == self.slabs:
+            return None
+        self._next += 1
+        return self._next - 1
+
+    def _draw(self, i: int):
+        self._fill(i)
+        with self._cond:
+            self._done[i] = True
+            while self._ready < self.slabs and self._done[self._ready]:
+                self._ready += 1
+            self._cond.notify()
+
+    def work(self):
+        """Draw slabs until none is left; an error goes to the caller's :meth:`wait`."""
+        try:
+            while True:
+                with self._cond:
+                    i = self._take()
+                if i is None:
+                    return
+                self._draw(i)
+        except Exception as err:
+            with self._cond:
+                self._error = err
+                self._next = self.slabs
+                self._cond.notify()
+
+    def stop(self):
+        """Hand out no more slabs."""
+        with self._cond:
+            self._next = self.slabs
+
+    def wait(self, rows: int):
+        """Return once rows [0, rows) of ``z`` are drawn, drawing the next undrawn slab while they are not.
+
+        Re-raises a worker's error.
+        """
+        needed = -(-rows * self.z.shape[1] // self._slab)
+        while True:
+            with self._cond:
+                while True:
+                    if self._error is not None:
+                        raise self._error
+                    if self._ready >= needed:
+                        return
+                    i = self._take()
+                    if i is not None:
+                        break
+                    self._cond.wait()
+            self._draw(i)
+
+
+@contextlib.contextmanager
+def _chunk_draw(seed: int, chunk_index: int, m: int, d: int):
+    """Start drawing the (m, d) normals of the substream keyed by (seed, chunk_index).
+
+    Yields a :class:`_SlabDraw` that ``min(_worker_count(), slabs) - 1``
+    worker threads fill while the caller reads it through ``wait``.
+    Leaving the block, on an error too, stops handing out slabs and joins
+    the workers, so no thread outlives it.
+    """
+    draw = _SlabDraw(seed, chunk_index, m, d)
+    workers = []
+    try:
+        for _ in range(min(_worker_count(), draw.slabs) - 1):
+            worker = threading.Thread(target=draw.work, name="riskrev-draw")
+            worker.start()
+            workers.append(worker)
+        yield draw
+    finally:
+        draw.stop()
+        for worker in workers:
+            worker.join()
+
+
+def _chunk_normals(seed: int, chunk_index: int, m: int, d: int) -> np.ndarray:
+    """(m, d) standard normals from the substream keyed by (seed, chunk_index): the whole of one :func:`_chunk_draw`."""
+    with _chunk_draw(seed, chunk_index, m, d) as draw:
+        draw.wait(m)
+    return draw.z
 
 
 def _merge_moments(parts):
@@ -156,8 +252,9 @@ def _chunked_estimate(d: int, cfg: MCConfig, jobs) -> list[RiskEstimate]:
     n, seed, chunk = cfg.n, cfg.seed, cfg.chunk
     parts = []
     for start in range(0, n, chunk):
-        # only _chunk_moments holds the normals, so they go before the next chunk's are drawn
-        parts.append(_chunk_moments(_chunk_normals(seed, start // chunk, min(chunk, n - start), d), start, jobs))
+        # only the draw holds the normals, so they go before the next chunk's are drawn
+        with _chunk_draw(seed, start // chunk, min(chunk, n - start), d) as draw:
+            parts.append(_chunk_moments(draw, start, jobs))
     estimates = []
     for per_chunk in zip(*parts):
         count, mean, m2 = _merge_moments(per_chunk)
@@ -166,14 +263,17 @@ def _chunked_estimate(d: int, cfg: MCConfig, jobs) -> list[RiskEstimate]:
     return estimates
 
 
-def _chunk_moments(z: np.ndarray, start: int, jobs) -> list[tuple[int, float, float]]:
-    """(count, mean, M2) of each job's losses over the (m, d) chunk of normals ``z``.
+def _chunk_moments(draw: _SlabDraw, start: int, jobs) -> list[tuple[int, float, float]]:
+    """(count, mean, M2) of each job's losses over the (m, d) chunk of normals ``draw.z``.
 
     One block of samples at a time, in the projectors' coordinate rows:
     y = sigma z + theta, x = Pi(y) - theta, and the loss sums x_j^2 over the
     coordinates left to right, so its bits do not depend on the layout of
-    the projector's result.  A loss above the squared diameter raises.
+    the projector's result.  Each block waits for its rows of the draw, so
+    the first job projects while later slabs are drawn.  A loss above the
+    squared diameter raises.
     """
+    z = draw.z
     m, d = z.shape
     loss = np.empty(m)
     moments = []
@@ -183,6 +283,7 @@ def _chunk_moments(z: np.ndarray, start: int, jobs) -> list[tuple[int, float, fl
         shift = theta[:, None]
         for first in range(0, m, block):
             rows = slice(first, min(m, first + block))
+            draw.wait(rows.stop)
             u = y[:, : rows.stop - first]
             for j in range(d):
                 np.multiply(z[rows, j], sigma, out=u[j])

@@ -505,13 +505,13 @@ class TestReversalScan:
         from riskrev import montecarlo
 
         draws = []
-        draw = montecarlo._chunk_normals
+        draw = montecarlo._chunk_draw
 
         def counted(seed, chunk_index, m, d):
             draws.append(chunk_index)
             return draw(seed, chunk_index, m, d)
 
-        monkeypatch.setattr(montecarlo, "_chunk_normals", counted)
+        monkeypatch.setattr(montecarlo, "_chunk_draw", counted)
         for edge_points in (0, 1, 5, 32):
             draws.clear()
             detect_finite_sigma_reversal(

@@ -7,13 +7,17 @@ chunks.  Statistical correctness is checked against the exact formulas
 and against scipy's Kolmogorov-Smirnov machinery.
 """
 
+import contextlib
 import hashlib
 import itertools
 import math
 import os
 import re
+import signal
 import struct
+import sys
 import threading
+import time
 import tracemalloc
 import types
 
@@ -158,6 +162,22 @@ class TestDeterminism:
         assert est.n == 10_001
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the main thread if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def whole_chunk_normals(seed, chunk_index, m, d):
     """The draw as one whole-chunk expression: uniforms, floor, inverse CDF."""
     key = np.array([seed & montecarlo._UINT64_MASK, chunk_index], dtype=np.uint64)
@@ -196,6 +216,23 @@ class TestSlabbedDraw:
         mc_risk(ExampleGeometry(c=0.5).triangle(), RiskQuery(theta_star=(0.0, 0.0), sigma=2.0), MULTI_SLAB_CFG)
         assert threading.active_count() == before
 
+    def test_one_slab_starts_no_worker(self, monkeypatch):
+        # the thread count is capped by the slabs: a one-slab chunk is drawn by the caller alone
+        counts = []
+
+        def ndtri(u, out):
+            counts.append(threading.active_count())
+            return special.ndtri(u, out=out)
+
+        monkeypatch.setattr(montecarlo, "special", types.SimpleNamespace(ndtri=ndtri))
+        monkeypatch.setenv("RISKREV_THREADS", "1000000")
+        before = threading.active_count()
+        cfg = MCConfig(n=1000, seed=3)
+        assert 2 * cfg.n <= montecarlo._DRAW_SLAB
+        mc_risk(ExampleGeometry(c=0.5).triangle(), RiskQuery(theta_star=(0.0, 0.0), sigma=2.0), cfg)
+        assert counts == [before]
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_draw_peaks_at_its_output(self, monkeypatch, threads):
         monkeypatch.setenv("RISKREV_THREADS", threads)
@@ -222,13 +259,15 @@ class TestThreadsOverSlabs:
 
         def ndtri(u, out):
             drawn_by.add(threading.get_ident())
+            time.sleep(0.002)  # so that no one thread takes every slab before the others start
             return special.ndtri(u, out=out)
 
         monkeypatch.setattr(montecarlo, "special", types.SimpleNamespace(ndtri=ndtri))
         monkeypatch.setenv("RISKREV_THREADS", "3")
-        _chunk_normals(1, 0, 1 << 18, 2)  # 16 slabs
-        assert len(drawn_by) >= 2
-        assert threading.get_ident() not in drawn_by
+        z = _chunk_normals(1, 0, 1 << 18, 2)  # 16 slabs
+        assert threading.get_ident() in drawn_by
+        assert len(drawn_by - {threading.get_ident()}) >= 1
+        assert z.tobytes() == whole_chunk_normals(1, 0, 1 << 18, 2).tobytes()
 
     def test_mc_risk(self, monkeypatch):
         tri = ExampleGeometry(c=0.5).triangle()
@@ -247,6 +286,93 @@ class TestThreadsOverSlabs:
             monkeypatch.setenv("RISKREV_THREADS", threads)
             results.append(mc_risks(poly, candidates, 5.0, MULTI_SLAB_CFG))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_projection_error_mid_chunk(self, monkeypatch, threads):
+        # one chunk of six slabs whose first overflowing sample lies in the
+        # sixth of sixteen projection blocks: the error leaves while slabs
+        # may still be drawing, and every worker is joined before it does
+        simplex, _ = SHARED_CASES["simplex_3d"]
+        sigma, cfg = 2.7e153, MCConfig(n=1 << 16, seed=5, chunk=1 << 16)
+        z = whole_chunk_normals(cfg.seed, 0, cfg.n, 3)
+        with np.errstate(over="ignore"):
+            overflow = ~np.isfinite(np.sum((sigma * z) ** 2, axis=1))
+        first = int(np.argmax(overflow))
+        assert overflow[first] and first >= 4 * _MinNormPoint.size
+        monkeypatch.setenv("RISKREV_THREADS", threads)
+        before = threading.active_count()
+        with pytest.raises(ProjectionError, match=rf"^point {first} .*no finite norm"):
+            mc_risk(simplex, RiskQuery(theta_star=(0.0, 0.0, 0.0), sigma=sigma), cfg)
+        assert threading.active_count() == before
+
+    def test_worker_draw_error_reaches_the_caller(self, monkeypatch):
+        # the first slab a worker draws fails; the caller raises that error
+        # instead of waiting for the slab, and joins the other workers
+        caller = threading.get_ident()
+        worker_calls = itertools.count()
+
+        def ndtri(u, out):
+            if threading.get_ident() != caller and next(worker_calls) == 0:
+                raise FloatingPointError("slab refused")
+            return special.ndtri(u, out=out)
+
+        monkeypatch.setattr(montecarlo, "special", types.SimpleNamespace(ndtri=ndtri))
+        monkeypatch.setenv("RISKREV_THREADS", "3")
+        before = threading.active_count()
+        with deadline(30.0), pytest.raises(FloatingPointError, match="^slab refused$"):
+            mc_risk(ExampleGeometry(c=0.5).triangle(), RiskQuery(theta_star=(0.0, 0.0), sigma=2.0), MULTI_SLAB_CFG)
+        assert threading.active_count() == before
+
+    def test_error_stops_and_joins_busy_workers(self, monkeypatch):
+        # the caller's own slab fails while both workers are still drawing:
+        # no slab is handed out after that, and both are joined before the error leaves
+        caller = threading.get_ident()
+        worker_slabs = []
+
+        def ndtri(u, out):
+            if threading.get_ident() == caller:
+                raise FloatingPointError("caller's slab refused")
+            worker_slabs.append(threading.get_ident())
+            time.sleep(0.2)
+            return special.ndtri(u, out=out)
+
+        monkeypatch.setattr(montecarlo, "special", types.SimpleNamespace(ndtri=ndtri))
+        monkeypatch.setenv("RISKREV_THREADS", "3")
+        before = threading.active_count()
+        with deadline(30.0), pytest.raises(FloatingPointError, match="^caller's slab refused$"):
+            _chunk_normals(1, 0, 1 << 18, 2)  # 16 slabs
+        assert threading.active_count() == before
+        assert len(worker_slabs) == len(set(worker_slabs)) == 2
+
+    def test_stress_more_threads_than_cpus(self, monkeypatch):
+        # 4-value slabs on more drawing threads than CPUs, switching threads
+        # every microsecond: each slab is drawn exactly once, the rows are
+        # the whole-chunk draw, and the estimates are the one-thread ones
+        monkeypatch.setattr(montecarlo, "_DRAW_SLAB", 4)
+        drawn = itertools.count()
+
+        def ndtri(u, out):
+            next(drawn)
+            return special.ndtri(u, out=out)
+
+        monkeypatch.setattr(montecarlo, "special", types.SimpleNamespace(ndtri=ndtri))
+        poly = ExampleGeometry(c=0.75, x=1.3).theta_x_polytope()
+        candidates, cfg = _sup_candidates(poly, 1), MCConfig(n=3001, seed=2, chunk=1000)
+        monkeypatch.setenv("RISKREV_THREADS", "1")
+        want = mc_risks(poly, candidates, 1.7, cfg)
+        monkeypatch.setenv("RISKREV_THREADS", str(2 * (os.cpu_count() or 1) + 1))
+        m, d = 3001, 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with deadline(60.0):
+                first = next(drawn)
+                for seed in range(3):
+                    assert _chunk_normals(seed, 0, m, d).tobytes() == whole_chunk_normals(seed, 0, m, d).tobytes()
+                assert next(drawn) - first - 1 == 3 * -(-m * d // 4)
+                assert mc_risks(poly, candidates, 1.7, cfg) == want
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_statistical_dimension_mc(self, monkeypatch):
         # one chunk of 40,000 rows in R^3: 120,000 normals, 4 slabs
@@ -339,6 +465,72 @@ class TestPinnedOutputs:
         assert estimates[0] == [mc_risk(SQRT2_CUBE, RiskQuery(theta_star=(0.0, 0.0, 0.0), sigma=1.0), cfg)]
 
 
+def reference_estimates(project, thetas, sigma, cfg):
+    """Per theta, the estimate from whole-chunk expressions: the one-Philox draw,
+    theta + sigma z, the batch projection, a left-to-right sum of squares, and
+    each chunk's (count, mean, M2) merged in chunk order."""
+    d = thetas.shape[1]
+    parts = [[] for _ in thetas]
+    for start in range(0, cfg.n, cfg.chunk):
+        z = whole_chunk_normals(cfg.seed, start // cfg.chunk, min(cfg.chunk, cfg.n - start), d)
+        for per_chunk, theta in zip(parts, thetas):
+            x = project(theta + sigma * z) - theta
+            loss = x[:, 0] * x[:, 0]
+            for j in range(1, d):
+                loss += x[:, j] * x[:, j]
+            mean = float(loss.mean())
+            per_chunk.append((len(z), mean, float(np.sum((loss - mean) ** 2))))
+    estimates = []
+    for per_chunk in parts:
+        count, mean, m2 = montecarlo._merge_moments(per_chunk)
+        estimates.append(RiskEstimate(mean=mean, stderr=math.sqrt(m2 / (count - 1) / count), n=cfg.n, seed=cfg.seed))
+    return estimates
+
+
+class TestBlocksStraddlingSlabs:
+    """Projection blocks that start and end inside a slab of the draw they wait for.
+
+    With 12-value slabs a planar slab is 6 rows, and a block of 2^14 rows
+    ends inside one.  In R^3 a 12-value slab is 4 rows, which every R^3
+    block size is a multiple of, so 20-value slabs (6 2/3 rows) are also
+    run: they split rows as well as blocks across slab edges.
+    """
+
+    @pytest.mark.parametrize("slab", [12, 20])
+    def test_cube_mc_risk(self, monkeypatch, slab):
+        # _MinNormPoint blocks of 4096 rows; two chunks, the second partial
+        monkeypatch.setattr(montecarlo, "_DRAW_SLAB", slab)
+        cfg = MCConfig(n=10_000, seed=6, chunk=6000)
+        q = RiskQuery(theta_star=(0.0, 0.0, 0.0), sigma=1.0)
+        want = reference_estimates(lambda y: project_polytope_batch(SQRT2_CUBE, y), np.zeros((1, 3)), 1.0, cfg)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RISKREV_THREADS", threads)
+            assert [mc_risk(SQRT2_CUBE, q, cfg)] == want
+
+    @pytest.mark.parametrize("slab", [12, 20])
+    def test_orthant_statistical_dimension(self, monkeypatch, slab):
+        # _ConeBlocks blocks of 2^14 rows in one chunk of 20,000
+        monkeypatch.setattr(montecarlo, "_DRAW_SLAB", slab)
+        orthant = np.eye(3)
+        cfg = MCConfig(n=20_000, seed=9)
+        want = reference_estimates(lambda y: project_cone_nonneg_batch(orthant, y), np.zeros((1, 3)), 1.0, cfg)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RISKREV_THREADS", threads)
+            assert [statistical_dimension_mc(orthant, n=cfg.n, seed=cfg.seed)] == want
+
+    @pytest.mark.parametrize("slab", [12, 20])
+    def test_planar_mc_risks(self, monkeypatch, slab):
+        # _PolygonBlocks blocks of 2^14 rows: two chunks of a full block and a 100-row one, then 2800 rows
+        monkeypatch.setattr(montecarlo, "_DRAW_SLAB", slab)
+        poly = ExampleGeometry(c=0.75, x=1.3).theta_x_polytope()
+        candidates = _sup_candidates(poly, 1)
+        cfg = MCConfig(n=2 * _PROJECT_BLOCK + 3000, seed=4, chunk=_PROJECT_BLOCK + 100)
+        want = reference_estimates(lambda y: project_polytope_batch(poly, y), candidates, 1.7, cfg)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RISKREV_THREADS", threads)
+            assert mc_risks(poly, candidates, 1.7, cfg) == want
+
+
 class TestSharedCandidates:
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("case", sorted(SHARED_CASES))
@@ -376,8 +568,10 @@ class TestSharedCandidates:
             sigma, projector, diam_sq = 1.7, _block_projector(poly, cfg.chunk), poly.squared_diameter()
             project = lambda y: project_polytope_batch(poly, y)
         d = thetas.shape[1]
-        z = _chunk_normals(cfg.seed, 1, cfg.chunk - 1, d)
-        moments = _chunk_moments(z, cfg.chunk, [(projector, theta, sigma, diam_sq) for theta in thetas])
+        with montecarlo._chunk_draw(cfg.seed, 1, cfg.chunk - 1, d) as draw:
+            moments = _chunk_moments(draw, cfg.chunk, [(projector, theta, sigma, diam_sq) for theta in thetas])
+        z = draw.z
+        assert z.tobytes() == _chunk_normals(cfg.seed, 1, cfg.chunk - 1, d).tobytes()
         assert len(moments) == len(thetas)
         for theta, got in zip(thetas, moments):
             x = project(theta + sigma * z) - theta

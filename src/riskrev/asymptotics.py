@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_risk import _sigma, _sigmas, risk_polygon_exact
+from .exact_risk import _polygon_totals, _sigma, _sigmas
 from .geometry import (
     Cone2D,
     ConeKind,
@@ -313,13 +313,14 @@ def detect_finite_sigma_reversal(
     if edge_points < 0:
         raise ValueError(f"edge_points must be at least 0, got {edge_points}")
     cfg = MCConfig(n=n, seed=seed, chunk=chunk)
-    sets = []
-    for g in (g_small, g_large):
-        P = g.theta_x_polytope()
-        candidates = _sup_candidates(P, edge_points)
-        projector = _block_projector(P, min(cfg.n, cfg.chunk))
-        # one engine call per set: its column i holds the candidates' risks at sigmas[i]
-        sets.append((projector, P.squared_diameter(), candidates, risk_polygon_exact(P, candidates, sigmas).total))
+    polytopes = [g.theta_x_polytope() for g in (g_small, g_large)]
+    candidates = [_sup_candidates(P, edge_points) for P in polytopes]
+    # one engine call for both sets, or one per vertex count once x_small = 1/c makes the
+    # smaller set a segment: column i of a set's risks holds its candidates' risks at sigmas[i]
+    sets = [
+        (_block_projector(P, min(cfg.n, cfg.chunk)), P.squared_diameter(), points, risks)
+        for P, points, risks in zip(polytopes, candidates, _polygon_totals(zip(polytopes, candidates), sigmas))
+    ]
     # sigma-major, the smaller set first at each sigma
     jobs, sups = [], []
     for i, sigma in enumerate(sigmas):

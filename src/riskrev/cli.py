@@ -88,7 +88,10 @@ def parse_sweep(text: str) -> np.ndarray:
         raise ValueError("sweep requires at least 2 points")
     if scale == "log" and start <= 0.0:
         raise ValueError("log sweep requires start > 0")
-    return (np.geomspace if scale == "log" else np.linspace)(start, stop, points)
+    try:
+        return (np.geomspace if scale == "log" else np.linspace)(start, stop, points)
+    except MemoryError:
+        raise ValueError(f"sweep {text!r} has {points} points, more than memory holds") from None
 
 
 def parse_float_list(text: str) -> list[float]:

@@ -4,16 +4,21 @@ In the model Y = theta* + sigma Z, Z standard normal in the plane, the risk
 E||Pi(Y) - theta*||^2 of projecting onto a convex polytope splits over the
 projector's pieces (:class:`PolygonRisk`).  One kernel, :func:`_pieces`,
 evaluates them in Phi, phi and Owen's T for a batch of polytopes with K
-vertices each, one theta* each, over a sigma grid.  :func:`risk_polygon_exact`
-is its call for any planar polytope at many theta*; the running example's
+vertices each, one theta* each, over a sigma grid.  It takes every edge and
+vertex of every polytope in one pass, each piece an array over (polytope,
+edge, sigma), in blocks of noise levels that keep its temporaries in cache;
+each entry rounds as it would alone.  :func:`risk_polygon_exact` is its
+call for any planar polytope at many theta*, and the reversal scan stacks
+both of its sets into one call; the running example's
 :func:`risk_segment_exact` and :func:`risk_triangle_exact` are its K = 2 and
 K = 3 calls over a whole (c, sigma) grid, beside the two noise limits of
 their difference.  A scalar sigma gives floats, an array gives arrays entry
-by entry equal to the scalar calls, and a total outside [0, squared
-diameter] is refused.
+by entry equal to the scalar calls, a sigma outside ``SIGMA_RANGE`` is
+refused, and so is a total outside [0, squared diameter].
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,11 @@ from .geometry import (
     _real,
     _real_array,
 )
+
+
+# the exact engine's noise levels: sigma^2 is a normal float, so the pieces'
+# sigma^2 factors keep full precision, and 2 sigma^2 is finite
+SIGMA_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 2.0))
 
 
 @dataclass(frozen=True)
@@ -93,11 +103,6 @@ def _sigma(sigma) -> float:
     if sigma.ndim:
         raise ValueError(f"sigma must be a scalar, got shape {sigma.shape}")
     return float(sigma)
-
-
-def _int_z2_phi(a, b):
-    """integral_a^b z^2 phi(z) dz elementwise; for a <= 0 <= b the two halves from 0 add."""
-    return _half_z2_phi(b) - _half_z2_phi(a)
 
 
 def _half_z2_phi(x):
@@ -198,19 +203,24 @@ def _orthant(h, k, a_h, a_k, arc, sigma):
     1/4 + arcsin(rho) / (2 pi).  Regrouped by argument, each term is a
     :func:`_tail`: +_tail(-x', a_x) for x < 0 and 1/2 - _tail(x', -a_x) for
     x >= 0, so a far mass is a sum of small terms, not a difference of halves.
-    All but ``sigma``, (S,), are (G, 1) columns.
+    All but ``sigma``, (S,), are (..., 1) columns.
     """
     terms = []
     for x, a_x, other in ((h, a_h, k), (k, a_k, h)):
         sign = np.where(x < 0.0, 1.0, -1.0)
         a_x = np.where(x == 0.0, np.copysign(np.inf, other), a_x)
-        terms.append(sign * _tail(_over(np.abs(x), sigma), sign * a_x))
+        terms.append(sign * _over(_tail, np.abs(x), sigma, sign * a_x))
     return np.where((h == 0.0) & (k == 0.0), arc, ((h >= 0.0) & (k >= 0.0)) + (terms[0] + terms[1]))
 
 
-def _over(x, sigma):
-    """x / sigma as (G, S) from a (G, 1) column, or x itself where every entry is +/-0, as every ratio is."""
-    return x / sigma if x.any() else x
+def _over(form, x, sigma, *args):
+    """form(x / sigma, *args) as (..., S) from (..., 1) columns; a row whose x is +/-0, as all its ratios are,
+    is evaluated once, on x itself."""
+    zero = x[..., 0] == 0.0
+    return _by_mask(np.empty(x.shape[:-1] + sigma.shape), [
+        (zero, form),
+        (~zero, lambda x, *args: form(x / sigma, *args)),
+    ], x, *args)
 
 
 # a fan triangle whose far vertex is within sqrt(2 * _SERIES_S) sigma of
@@ -294,28 +304,36 @@ def _fan_bracket(a, tau, tau_end, cross, dot, s1, s2, sigma):
     return _by_mask(np.empty(near.shape), ((near, series), (~near, closed)), a, tau, tau_end, cross, dot, s1, s2, sigma)
 
 
+# entries per (G, K, B) piece of a block of B noise levels in _pieces
+_BLOCK = 1 << 16
+
+
 def _pieces(v, theta, sigma):
     """The risk's pieces for G polytopes with K vertices each, one theta* each, at S noise levels.
 
     ``v`` is (G, K, 2), vertices as :class:`ConvexPolytope` stores them,
     ``theta`` (G, 2) and ``sigma`` (S,).  Returns the interior and the total
     as (G, S) and the strips and vertices as (G, S, K), by the formulas of
-    :func:`risk_polygon_exact`.  A piece that is exactly zero is not
-    evaluated: an edge's a^2 term and fan triangle where a = 0, a vertex's
-    cone where theta* is that vertex: each edge and vertex runs on (G, S)
-    arrays and gathers rows only where its (G,) mask is mixed.
+    :func:`risk_polygon_exact`.  Every edge and vertex of every polytope is
+    evaluated in one pass: geometry is a (G, K, 1) column against a block
+    of B noise levels, about ``_BLOCK`` entries per (G, K, B) piece, and
+    each piece is moved to (G, S, K) before the sums over K.  A piece that
+    is exactly zero is not evaluated: an edge's a^2 term and fan triangle
+    where a = 0, a vertex's cone where theta* is that vertex; each gathers
+    the (G, K) rows of its mask where the mask is mixed.  An interval end
+    or orthant argument that is 0 in a row is evaluated once for that row.
     """
     g, k = v.shape[:2]
     shape = (g, len(sigma))
     # w[:, i] = theta* - v_i
     w = theta[:, None, :] - v
     dist_sq = np.einsum("gkd,gkd->gk", w, w)
-    interior, bracket = np.zeros(shape), np.zeros(shape + (k,))
-    strips, corners = np.zeros(shape + (k - (k == 1),)), np.zeros(shape + (k,))
+    interior = np.zeros(shape)
     if k == 1:
-        corners[..., 0] = dist_sq
+        strips, corners = np.zeros(shape + (0,)), np.broadcast_to(dist_sq[:, None], shape + (1,)).copy()
     else:
-        ends = [(i + 1) % k for i in range(k)]
+        # edge k runs from v_k to v_ends[k], and edge starts[j] = j - 1 ends at v_j
+        ends, starts = [(i + 1) % k for i in range(k)], [(i - 1) % k for i in range(k)]
         edge = v[:, ends] - v
         length = np.hypot(edge[..., 0], edge[..., 1])
         t = edge / length[..., None]
@@ -328,43 +346,64 @@ def _pieces(v, theta, sigma):
             a[:, 1] = -a[:, 0]
         # vertex j ends edge p = j - 1 and starts edge j: a_h = -a_p / tau_end_p and
         # a_k = a_j / tau_j, and its normal cone spans the turning angle at v_j
-        before = np.roll(t, 1, axis=1)
+        before = t[:, starts]
         turn = np.arctan2(before[..., 0] * t[..., 1] - before[..., 1] * t[..., 0], np.einsum("gkd,gkd->gk", before, t))
-        end_in = np.roll(tau_end, 1, axis=1)
+        end_in = tau_end[:, starts]
         with np.errstate(divide="ignore", invalid="ignore"):
-            a_h, a_k = -np.roll(a, 1, axis=1) / end_in, a / tau
+            a_h, a_k = -a[:, starts] / end_in, a / tau
         # a fan triangle subtends arctan2(a L, dot): a rounded a and the angle share one sign
         cross, dot = a * length, np.einsum("gkd,gkd->gk", w, w[:, ends])
-        # geometry rows become (G, 1) columns against sigma's (S,)
+        # geometry rows become (G, K, 1) columns against sigma's (S,)
         a, tau, tau_end, cross, dot, dist_sq, end_in, a_h, a_k, arc = (
             x[..., None] for x in (a, tau, tau_end, cross, dot, dist_sq, end_in, a_h, a_k, turn / (2.0 * math.pi))
         )
-        sig2 = sigma * sigma
+        moved = a[..., 0] != 0.0
+        # a segment's second edge is its first reversed: the interval [-beta, -alpha] has the same band
+        banded = slice(None) if k > 2 else slice(0, 1)
 
-        def cone(dist_sq, end_in, tau, a_h, a_k, arc):
+        def cone(dist_sq, end_in, tau, a_h, a_k, arc, sigma):
             # a segment's end has the mass of one half-plane
             mass = std_normal_cdf(end_in / sigma) if k == 2 else _orthant(end_in, -tau, a_h, a_k, arc, sigma)
             return dist_sq * mass
 
-        for e in range(k):
-            moved = a[:, e, 0] != 0.0
-            # a segment's second edge is its first reversed: the interval [-beta, -alpha] has the same band
-            if e == 0 or k > 2:
-                lo, hi = _over(-tau[:, e], sigma), _over(-tau_end[:, e], sigma)
-                band = sig2 * _int_z2_phi(lo, hi)
-                _by_mask(band, [(moved, lambda band, a, lo, hi: band + a * a * _normal_mass(lo, hi))],
-                         band, a[:, e], lo, hi)
+        def block(sigma):
+            """The interior, strips and vertices at the (B,) noise levels ``sigma``, from (G, K, B) pieces."""
+            sig2 = sigma * sigma
+            # sigma^2 integral_lo^hi z^2 phi(z) dz over the edge's interval [lo, hi] sigma, as two halves from 0
+            lo, hi = -tau[:, banded], -tau_end[:, banded]
+            band = sig2 * (_over(_half_z2_phi, hi, sigma) - _over(_half_z2_phi, lo, sigma))
+
+            def mass(band, a, lo, hi):
+                return band + a * a * _normal_mass(lo / sigma, hi / sigma)
+
+            _by_mask(band, [(moved[:, banded], mass)], band, a[:, banded], lo, hi)
+            if k == 2:
+                band = band[:, [0, 0]]
             # the strip's weight Phi(-a/sigma) is 1/2 at a = 0
-            strips[..., e] = _by_mask(0.5 * band, [(moved, lambda band, a: std_normal_cdf(-a / sigma) * band)],
-                                      band, a[:, e])
+            strips = _by_mask(0.5 * band, [(moved, lambda band, a: std_normal_cdf(-a / sigma) * band)], band, a)
+            corners = _by_mask(np.zeros(band.shape), [(dist_sq[..., 0] != 0.0, lambda *args: cone(*args, sigma))],
+                               dist_sq, end_in, tau, a_h, a_k, arc)
+            interior = 0.0
             if k > 2:
-                _by_mask(bracket[..., e], [(moved, lambda *args: _fan_bracket(*args, sigma))],
-                         a[:, e], tau[:, e], tau_end[:, e], cross[:, e], dot[:, e],
-                         dist_sq[:, e] / (2.0 * sig2), dist_sq[:, ends[e]] / (2.0 * sig2))
-            _by_mask(corners[..., e], [(dist_sq[:, e, 0] != 0.0, cone)],
-                     *(x[:, e] for x in (dist_sq, end_in, tau, a_h, a_k, arc)))
-        if k > 2:
-            interior = 2.0 * sig2 * bracket.sum(axis=-1)
+                def fan(a, tau, tau_end, cross, dot, dist_sq, dist_sq_end):
+                    # at small sigma s overflows to inf, a fan triangle as far as any
+                    with np.errstate(over="ignore"):
+                        s1, s2 = dist_sq / (2.0 * sig2), dist_sq_end / (2.0 * sig2)
+                    return _fan_bracket(a, tau, tau_end, cross, dot, s1, s2, sigma)
+
+                bracket = _by_mask(np.zeros(band.shape), [(moved, fan)],
+                                   a, tau, tau_end, cross, dot, dist_sq, dist_sq[:, ends])
+                # numpy sums a contiguous last axis pairwise from K = 8 on, so the
+                # sum over K runs on a C-ordered (G, B, K) copy, as the strips' and vertices' do
+                interior = 2.0 * sig2 * np.ascontiguousarray(np.moveaxis(bracket, 1, -1)).sum(axis=-1)
+            return interior, np.moveaxis(strips, 1, -1), np.moveaxis(corners, 1, -1)
+
+        strips, corners = np.empty(shape + (k,)), np.empty(shape + (k,))
+        # about _BLOCK entries per (G, K, B) piece keep a block's temporaries in cache
+        step = max(1, _BLOCK // (g * k))
+        for i in range(0, len(sigma), step):
+            cols = slice(i, i + step)
+            interior[:, cols], strips[:, cols], corners[:, cols] = block(sigma[cols])
     total = interior + strips.sum(axis=-1) + corners.sum(axis=-1)
     return interior, strips, corners, total
 
@@ -372,8 +411,16 @@ def _pieces(v, theta, sigma):
 def _risk(name, v, theta, sigma, diameter_sq, at, lead):
     """One range-checked :func:`_pieces` call over any shape of ``sigma``, as a PolygonRisk over ``lead`` + it.
 
-    ``at`` holds the (G, 1) row values that a range error names besides sigma.
+    ``at`` holds the (G, 1) row values that a range error names besides
+    sigma.  A sigma outside ``SIGMA_RANGE`` raises ValueError naming it.
     """
+    low, high = SIGMA_RANGE
+    outside = sigma[(sigma < low) | (sigma > high)]
+    if outside.size:
+        raise ValueError(
+            f"sigma {float(outside[0])!r} is outside the exact engine's range [{low!r}, {high!r}], "
+            "where sigma^2 is a normal float and 2 sigma^2 is finite"
+        )
     pieces = _pieces(v, theta, sigma.reshape(-1))
     _check_range(name, pieces[3], diameter_sq, {**at, "sigma": sigma.reshape(-1)})
     interior, strips, corners, total = (x.reshape(lead + sigma.shape + x.shape[2:]) for x in pieces)
@@ -404,15 +451,43 @@ def risk_polygon_exact(P: ConvexPolytope, theta, sigma) -> PolygonRisk:
     t_(k+1) = -t_k and mass Phi((tau_k - L_k)/sigma); a point's one vertex
     has mass 1.  A fan triangle within sqrt(2 _SERIES_S) sigma of theta*
     takes the series of :func:`_fan_series`, so the interior does not cancel
-    however large sigma is.  Raises ``FloatingPointError`` naming the first
-    (theta*, sigma) whose risk is not a finite value in [0, squared diameter].
+    however large sigma is.  Raises ``ValueError`` naming the first sigma
+    outside ``SIGMA_RANGE``, about [1.5e-154, 9.5e153], and
+    ``FloatingPointError`` naming the first (theta*, sigma) whose risk is
+    not a finite value in [0, squared diameter].
     """
+    v, thetas = _polygon_rows(P, theta)
+    lead = () if np.ndim(theta) == 1 else thetas.shape[:1]
+    return _risk("polygon risk", v, thetas, _sigmas(sigma), P.squared_diameter(), {"theta*": thetas[:, None]}, lead)
+
+
+def _polygon_rows(P: ConvexPolytope, theta):
+    """``P``'s vertices as one (K, 2) row per theta* of ``theta``, and the theta* as (m, 2), each a point of P."""
     if P.dim != 2:
         raise ValueError("risk_polygon_exact requires a planar polytope")
     thetas = _member_points(P, theta)
-    v = np.broadcast_to(P.vertices, (len(thetas),) + P.vertices.shape)
-    lead = () if np.ndim(theta) == 1 else thetas.shape[:1]
-    return _risk("polygon risk", v, thetas, _sigmas(sigma), P.squared_diameter(), {"theta*": thetas[:, None]}, lead)
+    return np.broadcast_to(P.vertices, (len(thetas),) + P.vertices.shape), thetas
+
+
+def _polygon_totals(sets, sigma) -> list[np.ndarray]:
+    """``risk_polygon_exact(P, thetas, sigma).total`` for each (P, thetas) of ``sets``, bit for bit.
+
+    ``thetas`` is (m, 2) and ``sigma`` 1-D.  The rows of every set with K
+    vertices are stacked into one :func:`_pieces` call per K, each row
+    range-checked against its own set's squared diameter.
+    """
+    sigma = _sigmas(sigma)
+    rows = [(P, *_polygon_rows(P, thetas)) for P, thetas in sets]
+    totals = [None] * len(rows)
+    for k in sorted({v.shape[1] for _, v, _ in rows}):
+        group = [i for i, (_, v, _) in enumerate(rows) if v.shape[1] == k]
+        v, theta = (np.concatenate([rows[i][j] for i in group]) for j in (1, 2))
+        diameter_sq = np.concatenate([np.full(len(rows[i][2]), rows[i][0].squared_diameter()) for i in group])
+        at = {"theta*": theta[:, None]}
+        total = _risk("polygon risk", v, theta, sigma, diameter_sq[:, None], at, theta.shape[:1]).total
+        for i, part in zip(group, np.split(total, np.cumsum([len(rows[i][2]) for i in group])[:-1])):
+            totals[i] = part
+    return totals
 
 
 def _example_risk(name, g, sigma, t_star=None):

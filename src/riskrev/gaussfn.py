@@ -38,9 +38,10 @@ def _require_finite(name, value):
 
 
 def std_normal_pdf(x):
-    """Standard normal density phi(x)."""
+    """Standard normal density phi(x); 0 where x * x overflows."""
     x = _require_finite("x", x)
-    return _result(_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+    with np.errstate(over="ignore"):
+        return _result(_INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
 def std_normal_cdf(x):

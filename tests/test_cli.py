@@ -45,6 +45,16 @@ class TestSweepParsing:
             with pytest.raises(ValueError):
                 parse_sweep(text)
 
+    @pytest.mark.parametrize("scale", ["", ":log"])
+    def test_more_points_than_memory_exits_two(self, capsys, scale):
+        # 10^15 points are 8 PB, past a 47-bit address space: the allocation
+        # fails under any overcommit setting, and no smaller size is tried
+        sweep = "0.01:1:1000000000000000" + scale
+        with pytest.raises(ValueError, match=rf"^sweep '{sweep}' has 1000000000000000 points, more than memory holds$"):
+            parse_sweep(sweep)
+        code, out, err = run_cli(capsys, ["diff-curve", "--c-list", "0.5", "--sigma-sweep", sweep])
+        assert (code, out) == (2, "") and "has 1000000000000000 points" in err
+
 
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):
@@ -197,11 +207,17 @@ class TestRiskCommand:
         # the triangle's squared diameter is 2.  At sigma = 2^-10 every strip
         # and vertex piece at theta* = (0.2, 0.2) underflows to 0, so the
         # total is the interior, 2 sigma^2 = 2^-19 times the fan brackets' sum.
-        # The engine asks for one edge's brackets per call, here one cell each
+        # The engine asks for every edge's brackets in one call, as (1, 3, 1)
+        # here; the first edge's is the only one not zero
         path = tmp_path / "tri.json"
         path.write_text(json.dumps(TRIANGLE_FILE))
-        brackets = iter([total * 2.0**19, 0.0, 0.0])
-        monkeypatch.setattr(exact_risk, "_fan_bracket", lambda a, *rest: np.full(np.shape(a), next(brackets)))
+
+        def brackets(a, *rest):
+            out = np.zeros(np.shape(a))
+            out[:, 0] = total * 2.0**19
+            return out
+
+        monkeypatch.setattr(exact_risk, "_fan_bracket", brackets)
         got, out, err = run_cli(
             capsys,
             ["risk", "--set", "polytope-file", "--file", str(path), "--theta", "0.2,0.2", "--sigma", str(2.0**-10)],
@@ -305,11 +321,16 @@ class TestCurveCommands:
         assert code == 0
         assert len(out.strip().split("\n")) == 2 + 200 * 200
         # the whole (c, sigma) grid is one call per set.  Owen's T is called
-        # per piece, not per cell: the triangle's one fan triangle calls it
-        # twice, and each of the two vertex cones it computes once for each of
-        # its two arguments, where v2's second argument, whose slope c crosses
-        # 1 on this grid, takes both the near and the far form
-        assert calls == {"risk_segment_exact": 1, "risk_triangle_exact": 1, "owens_t": 7}
+        # per kind of piece and block of noise levels, not per edge or per
+        # cell: the engine takes every edge and vertex at once, the triangle's
+        # 200 x 3 rows in 2 blocks of at most 109 sigmas (_BLOCK entries).  In
+        # each block the vertex cones' first orthant argument calls it once on
+        # v3's rows, where that argument is 0, as a column, and once on v2's;
+        # the second argument twice, near and far form, as v2's slope c
+        # crosses 1 on this grid.  The fan triangles' closed form calls it
+        # twice in the block of small sigma only.  The segment has no fan
+        # triangle and no orthant: 2 x 4 + 2 = 10 calls
+        assert calls == {"risk_segment_exact": 1, "risk_triangle_exact": 1, "owens_t": 10}
 
     def test_heatmap_cell_outside_the_range_exits_three(self, capsys, monkeypatch):
         bracket = exact_risk._fan_bracket

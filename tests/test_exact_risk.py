@@ -17,6 +17,8 @@ sigma range; its bits are pinned on a seeded corpus.
 
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,9 +31,9 @@ from riskrev.exact_risk import (
     _SERIES_TERMS,
     _fan_series,
     _half_z2_phi,
-    _int_z2_phi,
     _normal_mass,
     _tail,
+    SIGMA_RANGE,
     RiskQuery,
     large_noise_limit_diff,
     risk_difference,
@@ -52,6 +54,11 @@ from riskrev.geometry import (
 
 GRID_C = [0.2, 0.5, 1.0, 2.0, 5.0]
 DISPLAY_TOL = 1e-12
+
+
+def _int_z2_phi(a, b):
+    """integral_a^b z^2 phi(z) dz elementwise, as the engine's band takes it: two halves from 0."""
+    return _half_z2_phi(b) - _half_z2_phi(a)
 
 
 def segment_risk_display(c: float, sigma: float, t_star: float = 0.0) -> float:
@@ -332,14 +339,13 @@ class TestArrayValuedSigma:
         # a piece that is not finite fails the range check, which names its (c, sigma) cell
         gs = [ExampleGeometry(c=1.0), ExampleGeometry(c=2.0)]
         sigma = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-        bracket, z2 = exact_risk._fan_bracket, exact_risk._int_z2_phi
+        bracket, half = exact_risk._fan_bracket, exact_risk._half_z2_phi
         monkeypatch.setattr(
             exact_risk, "_fan_bracket",
             lambda a, tau, *rest: np.where((tau == 0.5) & (rest[-1] == 4.0), np.nan, bracket(a, tau, *rest)),
         )
-        monkeypatch.setattr(
-            exact_risk, "_int_z2_phi", lambda a, b: np.where(abs(b - 0.5) < 1e-15, -np.inf, z2(a, b))
-        )
+        # the band is sigma^2 (_half_z2_phi(hi) - _half_z2_phi(lo)); only the segment's hi reaches 1/2
+        monkeypatch.setattr(exact_risk, "_half_z2_phi", lambda x: np.where(abs(x - 0.5) < 1e-15, -np.inf, half(x)))
         with pytest.raises(FloatingPointError, match=(
             r"^triangle risk at c 2\.0, sigma 4\.0 is nan, not a finite value in \[0, 1\.25\], the squared diameter$"
         )):
@@ -791,6 +797,77 @@ class TestPolygonRisk:
             risk_polygon_exact(triangle, (0.0, 0.0), 0.0)
         with pytest.raises(ValueError, match=r"^sigma must be a positive finite real, got -2\.0$"):
             risk_polygon_exact(triangle, (0.0, 0.0), [1.0, -2.0])
+
+
+def _batch_corpus():
+    """{K: [(P, thetas), ...]} for K = 1 to 8: the pin corpus, more points, and segments with theta* at
+    both ends, the midpoint and a point 0.3 along."""
+    corpus = _pin_corpus()
+    corpus[1] += [(ConvexPolytope([point]), np.array([point])) for point in ([0.0, 0.0], [-3.0, 2.5])]
+    rng = np.random.default_rng(20261021)
+    corpus[2] = []
+    for _ in range(3):
+        P = ConvexPolytope(rng.normal(size=(2, 2)))
+        v0, v1 = P.vertices
+        corpus[2].append((P, np.array([v0, v1, 0.5 * (v0 + v1), 0.7 * v0 + 0.3 * v1])))
+    return dict(sorted(corpus.items()))
+
+
+class TestBatchedPolytopes:
+    """Polytopes of one K stacked into one kernel call keep the bits of their own calls."""
+
+    @pytest.mark.parametrize("sigmas", [PIN_SIGMAS, SIGMA_SWEEP], ids=["pin", "sweep"])
+    def test_rows_are_each_polytopes_own_call(self, sigmas):
+        # SIGMA_SWEEP splits K = 8's 81 stacked rows into three blocks of
+        # noise levels, and each polytope's own call into one; the sums over
+        # K = 8 are numpy's pairwise ones, which a layout change would reorder
+        for k, cases in _batch_corpus().items():
+            v = np.concatenate([np.broadcast_to(P.vertices, (len(thetas), k, 2)) for P, thetas in cases])
+            theta = np.concatenate([thetas for _, thetas in cases])
+            stacked = exact_risk._pieces(v, theta, sigmas)
+            own = [risk_polygon_exact(P, thetas, sigmas) for P, thetas in cases]
+            for got, want in zip(stacked, ("interior", "strips", "vertices", "total")):
+                want = np.concatenate([getattr(risk, want) for risk in own])
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
+
+
+class TestExtremeSigma:
+    """Every sigma the input check accepts is either right with no warning or refused naming it."""
+
+    @pytest.mark.parametrize("where", ["vertex", "centroid"])
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1e150, 1e160, 1e300])
+    def test_right_or_refused(self, sigma, where):
+        P = ExampleGeometry(c=0.5).triangle()
+        theta = P.vertices[0] if where == "vertex" else P.vertices.mean(axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
+                # 1/sigma of the far-noise limit is far below an ulp of it
+                want = limiting_risk(P, theta, vertex_probabilities_2d(P))
+                assert risk_polygon_exact(P, theta, sigma).total == pytest.approx(want, rel=1e-15, abs=0.0)
+            else:
+                named = rf"^sigma {re.escape(repr(sigma))} is outside the exact engine's range"
+                with pytest.raises(ValueError, match=named):
+                    risk_polygon_exact(P, theta, sigma)
+                with pytest.raises(ValueError, match=named):
+                    risk_triangle_exact(ExampleGeometry(c=0.5), [1.0, sigma])
+
+    def test_ends_of_the_range(self):
+        # at the ends the risk is sigma^2 delta and the noise limit; a polytope of
+        # diameter 1e10 takes (h / sigma)^2 past the largest float at the low end
+        low, high = SIGMA_RANGE
+        assert low * low == np.finfo(float).tiny and math.isfinite(2.0 * high * high)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1.0, 1e10):
+                P = ConvexPolytope(scale * ExampleGeometry(c=0.5).triangle().vertices)
+                centroid = P.vertices.mean(axis=0)
+                assert risk_polygon_exact(P, centroid, low).total == pytest.approx(2.0 * low * low, rel=1e-15)
+                want = limiting_risk(P, centroid, vertex_probabilities_2d(P))
+                assert risk_polygon_exact(P, centroid, high).total == pytest.approx(want, rel=1e-15, abs=0.0)
+            for sigma in (np.nextafter(low, 0.0), np.nextafter(high, np.inf)):
+                with pytest.raises(ValueError, match="outside the exact engine's range"):
+                    risk_polygon_exact(P, centroid, sigma)
 
 
 def _fan_series_every_term(q, qx1, qx2, s1, s2):

@@ -844,6 +844,20 @@ class TestMinNormPointBatch:
         }
         assert got == PINNED_PROJECTION_DIGESTS
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 40, 300])
+    def test_first_argmax_is_numpys(self, k):
+        # the entering vertex: the first maximum of each gap column, or its first NaN
+        rng = np.random.default_rng(k)
+        x = np.round(rng.normal(size=(k, 4096)), 1)  # many ties
+        x[rng.integers(0, k, 1366), np.arange(0, 4096, 3)] = np.nan
+        x[:, 1::7] = np.nan
+        x[:, 2::11] = 0.0
+        x[0, 2::22] = -0.0
+        x[:, 4::13] = np.inf
+        x[:, 5::17] = -np.inf
+        got = geometry._first_argmax(x)
+        assert got.dtype == np.intp and np.array_equal(got, np.argmax(x, axis=0))
+
     def _close(self, got, want, Y):
         err = np.max(np.abs(got - want), axis=1)
         assert np.all(err <= self.RTOL * (1.0 + np.linalg.norm(Y, axis=1)))

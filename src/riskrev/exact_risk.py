@@ -217,6 +217,8 @@ def _over(form, x, sigma, *args):
     """form(x / sigma, *args) as (..., S) from (..., 1) columns; a row whose x is +/-0, as all its ratios are,
     is evaluated once, on x itself."""
     zero = x[..., 0] == 0.0
+    if not zero.any():
+        return form(x / sigma, *args)
     return _by_mask(np.empty(x.shape[:-1] + sigma.shape), [
         (zero, form),
         (~zero, lambda x, *args: form(x / sigma, *args)),
@@ -374,7 +376,8 @@ def _pieces(v, theta, sigma):
             band = sig2 * (_over(_half_z2_phi, hi, sigma) - _over(_half_z2_phi, lo, sigma))
 
             def mass(band, a, lo, hi):
-                return band + a * a * _normal_mass(lo / sigma, hi / sigma)
+                # an end that is 0 in every row stays a column, as all its ratios are
+                return band + a * a * _normal_mass(*(x / sigma if x.any() else x for x in (lo, hi)))
 
             _by_mask(band, [(moved[:, banded], mass)], band, a[:, banded], lo, hi)
             if k == 2:
@@ -477,15 +480,15 @@ def _polygon_totals(sets, sigma) -> list[np.ndarray]:
     range-checked against its own set's squared diameter.
     """
     sigma = _sigmas(sigma)
-    rows = [(P, *_polygon_rows(P, thetas)) for P, thetas in sets]
+    rows = [(*_polygon_rows(P, thetas), P.squared_diameter()) for P, thetas in sets]
     totals = [None] * len(rows)
-    for k in sorted({v.shape[1] for _, v, _ in rows}):
-        group = [i for i, (_, v, _) in enumerate(rows) if v.shape[1] == k]
-        v, theta = (np.concatenate([rows[i][j] for i in group]) for j in (1, 2))
-        diameter_sq = np.concatenate([np.full(len(rows[i][2]), rows[i][0].squared_diameter()) for i in group])
-        at = {"theta*": theta[:, None]}
-        total = _risk("polygon risk", v, theta, sigma, diameter_sq[:, None], at, theta.shape[:1]).total
-        for i, part in zip(group, np.split(total, np.cumsum([len(rows[i][2]) for i in group])[:-1])):
+    for k in sorted({v.shape[1] for v, _, _ in rows}):
+        group = [i for i, (v, _, _) in enumerate(rows) if v.shape[1] == k]
+        sizes = [len(rows[i][1]) for i in group]
+        v, theta = (np.concatenate([rows[i][j] for i in group]) for j in (0, 1))
+        diameter_sq = np.repeat([rows[i][2] for i in group], sizes)[:, None]
+        total = _risk("polygon risk", v, theta, sigma, diameter_sq, {"theta*": theta[:, None]}, theta.shape[:1]).total
+        for i, part in zip(group, np.split(total, np.cumsum(sizes)[:-1])):
             totals[i] = part
     return totals
 

@@ -40,8 +40,11 @@ def _require_finite(name, value):
 def std_normal_pdf(x):
     """Standard normal density phi(x); 0 where x * x overflows."""
     x = _require_finite("x", x)
+    if isinstance(x, float):
+        # a float product overflows to -inf without a warning, and the errstate below costs more than the rest
+        return float(_INV_SQRT_2PI * np.exp(-0.5 * x * x))
     with np.errstate(over="ignore"):
-        return _result(_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+        return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def std_normal_cdf(x):

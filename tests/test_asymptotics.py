@@ -492,6 +492,27 @@ class TestReversalScan:
             risks = risk_polygon_exact(poly, _sup_candidates(poly, 32), sigmas).total
             assert np.array(sup).tobytes() == risks.max(axis=0).tobytes()
 
+    def test_stacked_rows_keep_their_own_sets_range_check(self, monkeypatch):
+        # every row's total is made the larger set's squared diameter, 18: the
+        # larger set passes alone, and stacked behind it the smaller set's
+        # first row fails against its own squared diameter, 2
+        from riskrev import exact_risk
+
+        large, small = (ConvexPolytope(s * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])) for s in (3.0, 1.0))
+        pieces = exact_risk._pieces
+
+        def inflated(v, theta, sigma):
+            *parts, total = pieces(v, theta, sigma)
+            return (*parts, np.full_like(total, large.squared_diameter()))
+
+        monkeypatch.setattr(exact_risk, "_pieces", inflated)
+        (total,) = exact_risk._polygon_totals([(large, large.vertices)], [2.0])
+        assert np.all(total == 18.0)
+        with pytest.raises(FloatingPointError, match=(
+            r"^polygon risk at theta\* \[0\.0, 0\.0\], sigma 2\.0 is 18\.0, not a finite value in \[0, 2\.0\]"
+        )):
+            exact_risk._polygon_totals([(large, large.vertices), (small, small.vertices)], [2.0])
+
     def test_first_candidate_wins_a_tie(self, monkeypatch):
         from riskrev import asymptotics
 

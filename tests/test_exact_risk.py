@@ -818,17 +818,25 @@ class TestBatchedPolytopes:
 
     @pytest.mark.parametrize("sigmas", [PIN_SIGMAS, SIGMA_SWEEP], ids=["pin", "sweep"])
     def test_rows_are_each_polytopes_own_call(self, sigmas):
+        # against PIN_SIGMAS each own call is a scalar one, whose sums over K
+        # run on one contiguous row whatever the layout: from K = 8 on they
+        # are numpy's pairwise sums, which a strided sum over K would reorder.
         # SIGMA_SWEEP splits K = 8's 81 stacked rows into three blocks of
-        # noise levels, and each polytope's own call into one; the sums over
-        # K = 8 are numpy's pairwise ones, which a layout change would reorder
+        # noise levels, and each polytope's own call into one
+        scalar = len(sigmas) == len(PIN_SIGMAS)
         for k, cases in _batch_corpus().items():
             v = np.concatenate([np.broadcast_to(P.vertices, (len(thetas), k, 2)) for P, thetas in cases])
             theta = np.concatenate([thetas for _, thetas in cases])
             stacked = exact_risk._pieces(v, theta, sigmas)
-            own = [risk_polygon_exact(P, thetas, sigmas) for P, thetas in cases]
-            for got, want in zip(stacked, ("interior", "strips", "vertices", "total")):
-                want = np.concatenate([getattr(risk, want) for risk in own])
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
+            for got, name in zip(stacked, ("interior", "strips", "vertices", "total")):
+                if scalar:
+                    want = np.concatenate([
+                        np.stack([getattr(risk_polygon_exact(P, thetas, float(s)), name) for s in sigmas], axis=1)
+                        for P, thetas in cases
+                    ])
+                else:
+                    want = np.concatenate([getattr(risk_polygon_exact(P, thetas, sigmas), name) for P, thetas in cases])
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, name)
 
 
 class TestExtremeSigma:
